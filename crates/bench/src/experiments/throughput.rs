@@ -10,10 +10,6 @@
 //!   blocks — the block size the paper's experiments use. Since PR 4 each
 //!   row carries the full timing spread (min/mean/max/stddev), not just
 //!   the min point estimate.
-//! * **Migration**: the frozen v1 bit-serial PFOR/FastPFOR/SimplePFOR
-//!   baselines (`pfor::v1`, the PR 2 BitReader formats) against their v2
-//!   word-packed replacements, same datasets and block size. The v2 decode
-//!   must be at least [`MIGRATION_GATE`]× the v1 decode per codec.
 //! * **Metrics** (new in PR 4): the `obs` instrumentation itself —
 //!   per-solver candidate/prune tallies and the solver-search vs
 //!   payload-packing wall-time split from the span registry, plus an
@@ -21,13 +17,10 @@
 //!   must stay within [`OBS_OVERHEAD_GATE`], and toggling the runtime
 //!   kill-switch must not change a single output byte.
 //!
-//! * **Solvers** (new in PR 8): every [`SolverKind`] encoding the gate
-//!   dataset through a scratch-reusing [`bitpack::EncodeSession`], plus
-//!   the PR 8 acceptance gate — the overhauled BOS-B search must be at
-//!   least [`SOLVER_SPEEDUP_GATE`]× the frozen pre-overhaul reference
-//!   (`bos::solver::reference`) while returning bit-identical
-//!   `Solution`s block for block. This section also runs alone under
-//!   `--quick` as part of the tier-1 recipe.
+//! * **Solvers** (new in PR 8): every [`SolverKind`] encoding the
+//!   outlier dataset through a scratch-reusing [`bitpack::EncodeSession`].
+//!   This section also runs alone under `--quick` as part of the tier-1
+//!   recipe.
 //!
 //! Results are written to `BENCH_PR4.json` at the workspace root so later
 //! PRs can diff their numbers against this artifact (`BENCH_PR3.json` from
@@ -42,10 +35,9 @@ use bitpack::unrolled::{
     pack_words_for, pack_words_unrolled, unpack_words_for, unpack_words_unrolled,
 };
 use bitpack::BlockCodec;
-use bos::solver::reference;
-use bos::{BitWidthSolver, BosCodec, Solver, SolverConfig, SolverKind, SolverScratch, ValueSolver};
+use bos::{BosCodec, SolverKind};
 use datasets::all_datasets;
-use encodings::{IntPacker, PackerKind};
+use encodings::PackerKind;
 use std::path::PathBuf;
 
 /// Block size used for the operator measurements (the paper's default).
@@ -73,16 +65,7 @@ const GATE_WIDTH_FLOOR: f64 = 1.5;
 /// the default config of 30 000 is well above it).
 const GATE_MIN_N: usize = 10_000;
 
-/// Required minimum v2-over-v1 decode speedup (geomean across datasets)
-/// for each migrated codec.
-const MIGRATION_GATE: f64 = 1.5;
-
-/// Required BOS-B search speedup over the frozen pre-overhaul reference
-/// (`bos::solver::reference::bitwidth_solve`) on the gate dataset — the
-/// PR 8 acceptance bar for the seeded-pruning / family-jump overhaul.
-const SOLVER_SPEEDUP_GATE: f64 = 10.0;
-
-/// Outlier share of the solver gate dataset: 1 value in 50 (2%).
+/// Outlier share of the solver dataset: 1 value in 50 (2%).
 const OUTLIER_DIVISOR: u64 = 50;
 
 /// Maximum obs-on / obs-off time ratio allowed on the kernel unpack path
@@ -154,21 +137,6 @@ struct Overhead {
     driver_encode_ratio: f64,
     /// Whether the obs-off encode produced byte-identical output.
     byte_identical: bool,
-}
-
-struct MigrationRow {
-    name: &'static str,
-    dataset: &'static str,
-    decode_v1: f64,
-    decode_v2: f64,
-    bytes_v1: usize,
-    bytes_v2: usize,
-}
-
-impl MigrationRow {
-    fn decode_speedup(&self) -> f64 {
-        self.decode_v2 / self.decode_v1
-    }
 }
 
 /// Values per second from a count and elapsed nanoseconds.
@@ -285,98 +253,6 @@ fn operator_rows(cfg: &Config) -> Vec<OperatorRow> {
     rows
 }
 
-type V1Encode = fn(&[i64], &mut Vec<u8>);
-type V1Decode = fn(&[u8], &mut usize, &mut Vec<i64>) -> bitpack::DecodeResult<()>;
-
-/// The migrated codecs, paired with their frozen v1 implementations.
-fn migrated() -> Vec<(&'static str, V1Encode, V1Decode, Box<dyn IntPacker>)> {
-    vec![
-        (
-            "PFOR",
-            pfor::v1::encode_pfor_v1 as V1Encode,
-            pfor::v1::decode_pfor_v1 as V1Decode,
-            Box::new(pfor::PforCodec::new()),
-        ),
-        (
-            "FASTPFOR",
-            pfor::v1::encode_fastpfor_v1,
-            pfor::v1::decode_fastpfor_v1,
-            Box::new(pfor::FastPforCodec::new()),
-        ),
-        (
-            "SIMPLEPFOR",
-            pfor::v1::encode_simplepfor_v1,
-            pfor::v1::decode_simplepfor_v1,
-            Box::new(pfor::SimplePforCodec::new()),
-        ),
-    ]
-}
-
-fn migration_rows(cfg: &Config) -> Vec<MigrationRow> {
-    let sets = all_datasets(cfg.n);
-    let mut rows = Vec::new();
-    for (name, enc_v1, dec_v1, codec) in migrated() {
-        for dataset in &sets {
-            let ints = dataset.as_scaled_ints();
-            let blocks = ints.len().div_ceil(BLOCK).max(1);
-
-            let mut buf_v1 = Vec::new();
-            for block in ints.chunks(BLOCK) {
-                enc_v1(block, &mut buf_v1);
-            }
-            let mut out = Vec::new();
-            let (_, v1_ns) = time_best_of(cfg.repeats, || {
-                out.clear();
-                let mut pos = 0;
-                for _ in 0..blocks {
-                    dec_v1(&buf_v1, &mut pos, &mut out).expect("v1 decode");
-                }
-            });
-            assert_eq!(out, ints, "{name} v1 roundtrip on {}", dataset.abbr);
-
-            let mut buf_v2 = Vec::new();
-            for block in ints.chunks(BLOCK) {
-                codec.encode(block, &mut buf_v2);
-            }
-            let (_, v2_ns) = time_best_of(cfg.repeats, || {
-                out.clear();
-                let mut pos = 0;
-                for _ in 0..blocks {
-                    codec
-                        .decode(&buf_v2, &mut pos, &mut out)
-                        .expect("v2 decode");
-                }
-            });
-            assert_eq!(out, ints, "{name} v2 roundtrip on {}", dataset.abbr);
-
-            rows.push(MigrationRow {
-                name,
-                dataset: dataset.abbr,
-                decode_v1: vps(ints.len(), v1_ns),
-                decode_v2: vps(ints.len(), v2_ns),
-                bytes_v1: buf_v1.len(),
-                bytes_v2: buf_v2.len(),
-            });
-        }
-    }
-    rows
-}
-
-/// Geomean decode speedup per codec, in [`migrated`] order.
-fn migration_summary(rows: &[MigrationRow]) -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    for (name, ..) in migrated() {
-        let per: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.name == name)
-            .map(MigrationRow::decode_speedup)
-            .collect();
-        let geomean = (per.iter().map(|s| s.ln()).sum::<f64>() / per.len() as f64).exp();
-        out.push((name, geomean));
-    }
-    out
-}
-
 /// The paper solvers (plus the PR 8 adaptive ladder) driven through the
 /// shared parallel encode driver, with their `obs` metric label.
 const SOLVER_KINDS: [(SolverKind, &str); 4] = [
@@ -425,7 +301,7 @@ fn solver_metrics_rows(cfg: &Config) -> Vec<SolverMetricsRow> {
     rows
 }
 
-/// Encode throughput for one solver kind on the gate dataset.
+/// Encode throughput for one solver kind on the outlier dataset.
 struct SolverEncodeRow {
     name: &'static str,
     /// Encode throughput (values/s) through a scratch-reusing session.
@@ -433,22 +309,7 @@ struct SolverEncodeRow {
     bytes: usize,
 }
 
-/// Frozen-reference vs overhauled search timing for one solver.
-struct SolverSpeedupRow {
-    name: &'static str,
-    /// Per-pass wall time of the frozen pre-overhaul search (ns).
-    reference_ns: f64,
-    /// Per-pass wall time of the overhauled search (ns).
-    new_ns: f64,
-}
-
-impl SolverSpeedupRow {
-    fn speedup(&self) -> f64 {
-        self.reference_ns / self.new_ns.max(1.0)
-    }
-}
-
-/// Deterministic solver gate dataset: tight center (uniform `[0, 200)`)
+/// Deterministic solver dataset: tight center (uniform `[0, 200)`)
 /// with 2% outliers near ±2⁴⁰ — the distribution BOS targets, and the one
 /// whose candidate ladders the PR 8 pruning cuts hardest. A fixed LCG
 /// keeps the artifact reproducible run to run.
@@ -474,7 +335,7 @@ pub(crate) fn outlier_series(n: usize) -> Vec<i64> {
         .collect()
 }
 
-/// Times every [`SolverKind`] encoding the gate dataset through a
+/// Times every [`SolverKind`] encoding the outlier dataset through a
 /// scratch-reusing [`bitpack::EncodeSession`] (the PR 8 encode path), and
 /// verifies each stream decodes back to the input.
 fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
@@ -497,7 +358,7 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
         assert_eq!(
             out,
             series,
-            "{} roundtrip on the gate dataset",
+            "{} roundtrip on the outlier dataset",
             kind.label()
         );
         rows.push(SolverEncodeRow {
@@ -509,75 +370,8 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
     rows
 }
 
-/// Times the frozen pre-overhaul searches against the overhauled solvers
-/// on the gate dataset, block by block, asserting the `Solution`s stay
-/// bit-identical — the same-run comparison that carries the PR 8 claim
-/// (both sides see the same machine, build, and data).
-fn solver_speedup_rows(cfg: &Config, series: &[i64]) -> Vec<SolverSpeedupRow> {
-    let full = SolverConfig::default();
-    let mut rows = Vec::new();
-
-    let mut expected = Vec::new();
-    let (_, reference_ns) = time_best_of(cfg.repeats, || {
-        expected.clear();
-        for block in series.chunks(BLOCK) {
-            expected.push(reference::bitwidth_solve(full, block));
-        }
-    });
-    let mut got = Vec::new();
-    let mut solver = BitWidthSolver::new();
-    let mut scratch = SolverScratch::new();
-    let (_, new_ns) = time_best_of(cfg.repeats, || {
-        got.clear();
-        for block in series.chunks(BLOCK) {
-            got.push(solver.solve_into(block, &mut scratch));
-        }
-    });
-    assert_eq!(
-        got, expected,
-        "overhauled BOS-B must stay bit-identical to the frozen reference"
-    );
-    rows.push(SolverSpeedupRow {
-        name: "BOS-B",
-        reference_ns,
-        new_ns,
-    });
-
-    let mut expected = Vec::new();
-    let (_, reference_ns) = time_best_of(cfg.repeats, || {
-        expected.clear();
-        for block in series.chunks(BLOCK) {
-            expected.push(reference::value_solve(full, block));
-        }
-    });
-    let mut got = Vec::new();
-    let mut solver = ValueSolver::new();
-    let mut scratch = SolverScratch::new();
-    let (_, new_ns) = time_best_of(cfg.repeats, || {
-        got.clear();
-        for block in series.chunks(BLOCK) {
-            got.push(solver.solve_into(block, &mut scratch));
-        }
-    });
-    assert_eq!(
-        got, expected,
-        "overhauled BOS-V must stay bit-identical to the frozen reference"
-    );
-    rows.push(SolverSpeedupRow {
-        name: "BOS-V",
-        reference_ns,
-        new_ns,
-    });
-
-    rows
-}
-
 /// Renders the PR 8 solver artifact.
-fn render_pr8_json(
-    cfg: &Config,
-    encode_rows: &[SolverEncodeRow],
-    speedup_rows: &[SolverSpeedupRow],
-) -> String {
+fn render_pr8_json(cfg: &Config, encode_rows: &[SolverEncodeRow]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(
@@ -602,23 +396,7 @@ fn render_pr8_json(
             if i + 1 < encode_rows.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"solver_speedup\": [\n");
-    for (i, r) in speedup_rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"reference_ns\": {:.0}, \"new_ns\": {:.0}, \
-             \"speedup\": {:.2}, \"bit_identical\": true }}{}\n",
-            r.name,
-            r.reference_ns,
-            r.new_ns,
-            r.speedup(),
-            if i + 1 < speedup_rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"gate\": {{ \"solver\": \"BOS-B\", \"min_speedup\": {SOLVER_SPEEDUP_GATE} }}\n"
-    ));
+    s.push_str("  ]\n");
     s.push_str("}\n");
     s
 }
@@ -629,8 +407,7 @@ fn pr8_output_path() -> PathBuf {
 }
 
 /// Runs the PR 8 solver section: per-solver encode throughput through
-/// scratch-reusing sessions, then the frozen-reference speedup gate.
-/// Writes `BENCH_PR8.json`.
+/// scratch-reusing sessions. Writes `BENCH_PR8.json`.
 fn solver_section(cfg: &Config) {
     let series = outlier_series(cfg.n);
 
@@ -646,41 +423,7 @@ fn solver_section(cfg: &Config) {
     table.print();
     println!();
 
-    let speedup_rows = solver_speedup_rows(cfg, &series);
-    println!("Solver search vs frozen pre-overhaul reference (bit-identical solutions):");
-    let mut table = Table::new(["solver", "reference ms", "new ms", "speedup"]);
-    for r in &speedup_rows {
-        table.row([
-            r.name.to_string(),
-            format!("{:.2}", r.reference_ns / 1e6),
-            format!("{:.2}", r.new_ns / 1e6),
-            format!("{:.2}x", r.speedup()),
-        ]);
-    }
-    table.print();
-    let bosb = speedup_rows
-        .iter()
-        .find(|r| r.name == "BOS-B")
-        .expect("BOS-B row present");
-    println!(
-        "BOS-B search speedup: {:.2}x (gate: >= {SOLVER_SPEEDUP_GATE}x)",
-        bosb.speedup()
-    );
-    if cfg!(debug_assertions) {
-        println!("(debug build: solver speedup gate reported but not enforced)");
-    } else if cfg.n < GATE_MIN_N {
-        println!("(BOS_N < {GATE_MIN_N}: solver speedup gate reported but not enforced)");
-    } else {
-        assert!(
-            bosb.speedup() >= SOLVER_SPEEDUP_GATE,
-            "overhauled BOS-B search must be >= {SOLVER_SPEEDUP_GATE}x the frozen \
-             reference, got {:.2}x",
-            bosb.speedup()
-        );
-    }
-    println!();
-
-    let json = render_pr8_json(cfg, &encode_rows, &speedup_rows);
+    let json = render_pr8_json(cfg, &encode_rows);
     let path = pr8_output_path();
     std::fs::write(&path, &json).expect("write BENCH_PR8.json");
     println!("Wrote {}", path.display());
@@ -773,7 +516,6 @@ fn render_json(
     cfg: &Config,
     kernels: &[KernelRow],
     operators: &[OperatorRow],
-    migration: &[MigrationRow],
     metrics: &[SolverMetricsRow],
     overhead: Option<&Overhead>,
 ) -> String {
@@ -834,34 +576,6 @@ fn render_json(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str("  \"migration\": [\n");
-    for (i, r) in migration.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"dataset\": \"{}\", \"decode_v1\": {}, \
-             \"decode_v2\": {}, \"decode_speedup\": {}, \"bytes_v1\": {}, \
-             \"bytes_v2\": {} }}{}\n",
-            r.name,
-            r.dataset,
-            jnum(r.decode_v1),
-            jnum(r.decode_v2),
-            format_args!("{:.2}", r.decode_speedup()),
-            r.bytes_v1,
-            r.bytes_v2,
-            if i + 1 < migration.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let summary = migration_summary(migration);
-    s.push_str("  \"migration_summary\": {\n");
-    s.push_str(&format!("    \"gate\": {MIGRATION_GATE},\n"));
-    for (i, (name, geomean)) in summary.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{name}\": {:.2}{}\n",
-            geomean,
-            if i + 1 < summary.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  },\n");
     s.push_str("  \"metrics\": {\n");
     s.push_str(&format!("    \"obs_enabled\": {},\n", obs::enabled()));
     s.push_str("    \"solvers\": [\n");
@@ -900,11 +614,11 @@ fn output_path() -> PathBuf {
 }
 
 /// Runs only the PR 8 solver section (the tier-1 `--quick` recipe):
-/// per-solver encode throughput, the frozen-reference speedup gate, and
-/// `BENCH_PR8.json` — skipping the kernel/operator/migration sweeps.
+/// per-solver encode throughput and `BENCH_PR8.json` — skipping the
+/// kernel/operator sweeps.
 pub fn run_quick(cfg: &Config) {
     super::banner(
-        "PR8 solver throughput (quick): sessions, pruning gate (values/s)",
+        "PR8 solver throughput (quick): scratch-reusing sessions (values/s)",
         cfg,
     );
     solver_section(cfg);
@@ -913,7 +627,7 @@ pub fn run_quick(cfg: &Config) {
 /// Runs the experiment and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
 pub fn run(cfg: &Config) {
     super::banner(
-        "PR4 throughput: kernels, operators, migration, and obs metrics (values/s)",
+        "PR4 throughput: kernels, operators, and obs metrics (values/s)",
         cfg,
     );
 
@@ -1005,42 +719,6 @@ pub fn run(cfg: &Config) {
     table.print();
     println!();
 
-    let migration = migration_rows(cfg);
-    println!("Migration: frozen v1 bit-serial decode vs v2 word-packed decode:");
-    let mut table = Table::new([
-        "codec",
-        "dataset",
-        "v1 decode",
-        "v2 decode",
-        "speedup",
-        "v1 bytes",
-        "v2 bytes",
-    ]);
-    for r in &migration {
-        table.row([
-            r.name.to_string(),
-            r.dataset.to_string(),
-            fmt_mvps(r.decode_v1),
-            fmt_mvps(r.decode_v2),
-            format!("{:.2}", r.decode_speedup()),
-            r.bytes_v1.to_string(),
-            r.bytes_v2.to_string(),
-        ]);
-    }
-    table.print();
-    println!();
-    for (name, geomean) in migration_summary(&migration) {
-        println!("{name}: geomean v2/v1 decode speedup {geomean:.2}x (gate: >= {MIGRATION_GATE}x)");
-        if cfg!(debug_assertions) || cfg.n < GATE_MIN_N {
-            continue; // same noise rationale as the kernel gate above
-        }
-        assert!(
-            geomean >= MIGRATION_GATE,
-            "{name}: v2 decode must be >= {MIGRATION_GATE}x v1, got {geomean:.2}x"
-        );
-    }
-    println!();
-
     // Overhead A/B first (it flips the kill-switch), then the solver
     // metrics pass, which resets the registry per solver — order matters.
     let overhead = overhead_check(cfg);
@@ -1093,14 +771,7 @@ pub fn run(cfg: &Config) {
         println!();
     }
 
-    let json = render_json(
-        cfg,
-        &kernels,
-        &operators,
-        &migration,
-        &metrics,
-        overhead.as_ref(),
-    );
+    let json = render_json(cfg, &kernels, &operators, &metrics, overhead.as_ref());
     let path = output_path();
     std::fs::write(&path, &json).expect("write BENCH_PR4.json");
     println!("Wrote {}", path.display());

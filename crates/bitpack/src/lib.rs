@@ -7,7 +7,6 @@
 //!   cost model of the paper (Definition 1 / 5).
 //! * [`zigzag`] — zigzag mapping between signed and unsigned integers and
 //!   LEB128 varints, used by block headers and delta encoders.
-//! * [`pack`] — fixed-width packing of `u64` slices (classic bit-packing).
 //! * [`kernels`] — word-at-a-time pack/unpack kernels for the hot
 //!   uniform-width paths.
 //! * [`unrolled`] — width-specialized fully unrolled lane kernels plus
@@ -34,7 +33,6 @@ pub mod bits;
 pub mod codec;
 pub mod error;
 pub mod kernels;
-pub mod pack;
 pub mod simple8b;
 pub mod unrolled;
 pub mod width;

@@ -3,7 +3,6 @@
 use bitpack::bitmap::{OutlierBitmap, Part};
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::kernels::{pack_words, packed_size, unpack_words};
-use bitpack::pack::{bp_decode, bp_encode, bp_encoded_size};
 use bitpack::simple8b;
 use bitpack::unrolled::{
     pack_words_for, pack_words_unrolled, unpack_words_for, unpack_words_unrolled,
@@ -143,28 +142,6 @@ proptest! {
         for &v in &values {
             prop_assert_eq!(read_varint_i64(&buf, &mut pos), Ok(v));
         }
-    }
-
-    #[test]
-    fn bp_roundtrip(values in prop::collection::vec(any::<u64>(), 0..300)) {
-        let mut buf = Vec::new();
-        bp_encode(&values, &mut buf);
-        prop_assert_eq!(buf.len(), bp_encoded_size(&values));
-        let mut pos = 0;
-        let mut out = Vec::new();
-        prop_assert!(bp_decode(&buf, &mut pos, &mut out).is_ok());
-        prop_assert_eq!(out, values);
-        prop_assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn bp_roundtrip_small_domain(values in prop::collection::vec(0u64..16, 0..300)) {
-        let mut buf = Vec::new();
-        bp_encode(&values, &mut buf);
-        let mut pos = 0;
-        let mut out = Vec::new();
-        prop_assert!(bp_decode(&buf, &mut pos, &mut out).is_ok());
-        prop_assert_eq!(out, values);
     }
 
     #[test]

@@ -649,6 +649,54 @@ mod tests {
         );
     }
 
+    /// Hand-built separated header for `n = 2`: no lower outlier, one
+    /// center value, one upper outlier (`nl = 0`, `nu = 1`).
+    fn two_value_separated_header(xmin: i64, xu_off: u64, widths: [u8; 3]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 2); // n
+        buf.push(MODE_SEPARATED);
+        write_varint(&mut buf, 0); // nl
+        write_varint(&mut buf, 1); // nu
+        write_varint_i64(&mut buf, xmin);
+        write_varint(&mut buf, 0); // min Xc − xmin
+        write_varint(&mut buf, xu_off); // min Xu − xmin
+        buf.extend_from_slice(&widths);
+        buf
+    }
+
+    #[test]
+    fn bases_near_i64_max_are_value_overflow() {
+        // The upper base sits exactly on i64::MAX, so its 1-bit part takes
+        // the checked fallback in `unpack_part`; the stored offset 1 must
+        // surface as ValueOverflow, never wrap.
+        let mut buf = two_value_separated_header(i64::MAX - 1, 1, [0, 0, 1]);
+        let mut bits = BitWriter::new();
+        OutlierBitmap::encode(&[Part::Center, Part::Upper], &mut bits);
+        buf.extend_from_slice(&bits.into_bytes());
+        bitpack::kernels::pack_words(&[1], 1, &mut buf);
+        let mut pos = 0;
+        assert!(peek_block(&buf, &mut pos).is_ok(), "header is well formed");
+        assert_eq!(pos, buf.len());
+        let mut pos = 0;
+        let mut out = Vec::new();
+        assert_eq!(
+            decode_block(&buf, &mut pos, &mut out),
+            Err(DecodeError::ValueOverflow)
+        );
+
+        // A part base past i64::MAX fails in `read_part_base`, before any
+        // payload is read, on both the decode and the peek path.
+        let buf = two_value_separated_header(i64::MAX, 1, [0, 0, 0]);
+        let mut pos = 0;
+        assert_eq!(peek_block(&buf, &mut pos), Err(DecodeError::ValueOverflow));
+        let mut pos = 0;
+        let mut out = Vec::new();
+        assert_eq!(
+            decode_block(&buf, &mut pos, &mut out),
+            Err(DecodeError::ValueOverflow)
+        );
+    }
+
     #[test]
     fn empty_block_is_one_byte() {
         let mut buf = Vec::new();

@@ -20,7 +20,6 @@ mod adaptive;
 mod bitwidth;
 mod bruteforce;
 mod median;
-pub mod reference;
 mod value;
 
 pub use adaptive::AdaptiveSolver;

@@ -3,14 +3,15 @@
 //!
 //! The PR8 search overhaul (seeded pruning, Proposition 2/3 family jumps,
 //! intra-block parallelism, scratch reuse) is only allowed to make the
-//! solvers *faster*: `bos::solver::reference` keeps verbatim copies of the
+//! solvers *faster*: the `reference` module keeps verbatim copies of the
 //! pre-overhaul searches, and every test here demands the shipping solvers
 //! return **bit-identical `Solution`s** — same variant, same thresholds,
 //! same cost — over adversarial distributions. A cost-only comparison
 //! would let a faster search silently pick a different (equally cheap)
 //! separation and change the encoded bytes; these tests pin the bytes.
 
-use bos::solver::reference;
+mod reference;
+
 use bos::{
     BitWidthSolver, MedianSolver, Solver, SolverConfig, SolverKind, SolverScratch, ValueSolver,
 };

@@ -1,9 +1,13 @@
-//! The instrumented build: a process-wide registry of leaked atomic
-//! cells plus a thread-local span stack. Compiled only with the
-//! `enabled` feature; `noop.rs` mirrors the API otherwise.
+//! The obs API: a process-wide registry of leaked atomic cells plus a
+//! thread-local span stack.
 //!
 //! Design notes:
 //!
+//! * One definition per item for both builds. Without the `enabled`
+//!   feature, `cfg!(feature = "enabled")` guards turn every recording
+//!   body into dead code: [`enabled`] is constant `false`, lookups hand
+//!   out shared never-written statics, nothing is registered or
+//!   allocated, and [`snapshot`] / [`trail_drain`] are always empty.
 //! * Metric cells are `Box::leak`ed so lookups hand out `&'static`
 //!   references — recording never touches the registry lock, only the
 //!   first lookup of each name does.
@@ -32,7 +36,7 @@ static RUNTIME_ON: AtomicBool = AtomicBool::new(true);
 /// Call sites use this to skip name composition and batched recording.
 #[inline]
 pub fn enabled() -> bool {
-    RUNTIME_ON.load(Ordering::Relaxed)
+    cfg!(feature = "enabled") && RUNTIME_ON.load(Ordering::Relaxed)
 }
 
 /// Flips the runtime kill-switch (no-op without the `enabled` feature).
@@ -58,7 +62,9 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
+        if cfg!(feature = "enabled") {
+            self.v.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Adds one event.
@@ -67,7 +73,7 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current value (always 0 without the feature).
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
     }
@@ -93,16 +99,20 @@ impl Gauge {
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.v.store(v, Ordering::Relaxed);
+        if cfg!(feature = "enabled") {
+            self.v.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Adjusts the level by `delta`.
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.v.fetch_add(delta, Ordering::Relaxed);
+        if cfg!(feature = "enabled") {
+            self.v.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
-    /// Current level.
+    /// Current level (always 0 without the feature).
     pub fn get(&self) -> i64 {
         self.v.load(Ordering::Relaxed)
     }
@@ -142,6 +152,9 @@ impl Histogram {
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
+        if !cfg!(feature = "enabled") {
+            return;
+        }
         let b = (u64::BITS - v.leading_zeros()) as usize;
         if let Some(cell) = self.buckets.get(b) {
             cell.fetch_add(1, Ordering::Relaxed);
@@ -152,7 +165,7 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded values.
+    /// Number of recorded values (always 0 without the feature).
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -281,17 +294,32 @@ fn get_or_insert<T>(
 }
 
 /// Looks up (registering on first use) the counter called `name`.
+/// Without the feature, returns a shared inert cell; nothing is registered.
 pub fn counter(name: &str) -> &'static Counter {
+    static INERT: Counter = Counter::zero();
+    if !cfg!(feature = "enabled") {
+        return &INERT;
+    }
     get_or_insert(&registry().counters, name, Counter::zero)
 }
 
 /// Looks up (registering on first use) the gauge called `name`.
+/// Without the feature, returns a shared inert cell; nothing is registered.
 pub fn gauge(name: &str) -> &'static Gauge {
+    static INERT: Gauge = Gauge::zero();
+    if !cfg!(feature = "enabled") {
+        return &INERT;
+    }
     get_or_insert(&registry().gauges, name, Gauge::zero)
 }
 
 /// Looks up (registering on first use) the histogram called `name`.
+/// Without the feature, returns a shared inert cell; nothing is registered.
 pub fn histogram(name: &str) -> &'static Histogram {
+    static INERT: Histogram = Histogram::zero();
+    if !cfg!(feature = "enabled") {
+        return &INERT;
+    }
     get_or_insert(&registry().histograms, name, Histogram::zero)
 }
 
@@ -320,6 +348,9 @@ impl CounterHandle {
 
     #[inline]
     fn cell(&self) -> &'static Counter {
+        if !cfg!(feature = "enabled") {
+            return counter(self.name); // the inert cell; nothing to cache
+        }
         self.slot.get_or_init(|| counter(self.name))
     }
 
@@ -364,6 +395,9 @@ impl GaugeHandle {
 
     #[inline]
     fn cell(&self) -> &'static Gauge {
+        if !cfg!(feature = "enabled") {
+            return gauge(self.name); // the inert cell; nothing to cache
+        }
         self.slot.get_or_init(|| gauge(self.name))
     }
 
@@ -408,6 +442,9 @@ impl HistogramHandle {
 
     #[inline]
     fn cell(&self) -> &'static Histogram {
+        if !cfg!(feature = "enabled") {
+            return histogram(self.name); // the inert cell; nothing to cache
+        }
         self.slot.get_or_init(|| histogram(self.name))
     }
 
@@ -448,7 +485,8 @@ pub struct SpanGuard {
 
 /// Opens a span named `name`; time until the returned guard drops is
 /// attributed to it. Nested spans subtract cleanly: a parent's
-/// `self_ns` excludes its children's totals.
+/// `self_ns` excludes its children's totals. Without the feature the
+/// guard is inert and no clock is read.
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
@@ -646,7 +684,8 @@ pub fn trail_recording() -> bool {
     enabled() && TRAIL_ON.load(Ordering::Relaxed)
 }
 
-/// Flips the trail switch (recording still requires [`enabled`]).
+/// Flips the trail switch (recording still requires [`enabled`], so
+/// this is inert without the feature).
 pub fn trail_set_recording(on: bool) {
     TRAIL_ON.store(on, Ordering::Relaxed);
 }
@@ -655,8 +694,12 @@ pub fn trail_set_recording(on: bool) {
 /// ticket `t` is recorded when `t % every == 0`. Zero is clamped to 1
 /// (record everything, the default). Resets the ticket counters so a
 /// fixed workload records a deterministic `ceil(emitted / N)` per
-/// category regardless of thread interleaving.
+/// category regardless of thread interleaving. Inert without the
+/// feature, where [`trail_sampling`] stays 1.
 pub fn trail_set_sampling(every: u64) {
+    if !cfg!(feature = "enabled") {
+        return;
+    }
     TRAIL_SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
     for ticket in &TRAIL_TICKETS {
         ticket.store(0, Ordering::Relaxed);
@@ -701,7 +744,8 @@ pub fn trail_emit(event: Event) {
 /// Empties every shard and merges the records into one [`Trail`]
 /// ordered by `(ts_ns, tid)` (stable, so in-shard order breaks ties).
 /// Draining is the only way records leave the recorder; benchmarks
-/// drain between rounds to isolate their event sets.
+/// drain between rounds to isolate their event sets. Always the empty
+/// trail without the feature, where nothing is ever recorded.
 pub fn trail_drain() -> Trail {
     let shards: Vec<&'static TrailShard> = lock(trail_shards()).clone();
     let mut events = Vec::new();
@@ -721,8 +765,12 @@ pub fn trail_drain() -> Trail {
 
 // --- snapshot / reset / report -------------------------------------------
 
-/// Copies the whole registry into a plain-data [`Snapshot`].
+/// Copies the whole registry into a plain-data [`Snapshot`]. Always the
+/// empty snapshot (`enabled: false`) without the feature.
 pub fn snapshot() -> Snapshot {
+    if !cfg!(feature = "enabled") {
+        return Snapshot::default();
+    }
     let r = registry();
     Snapshot {
         enabled: true,
@@ -763,12 +811,61 @@ pub fn reset() {
     }
 }
 
-/// Human-readable table of the current registry state.
+/// Human-readable table of the current registry state, or a note that
+/// instrumentation is compiled out.
 pub fn report() -> String {
+    if !cfg!(feature = "enabled") {
+        return "obs: disabled build (enable the `obs` feature for metrics)\n".to_string();
+    }
     snapshot().render()
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "enabled")))]
+mod inert_tests {
+    use super::*;
+
+    /// The zero-overhead contract's compile-time half: with the feature
+    /// off there is no registry — driving every API leaves nothing
+    /// observable.
+    #[test]
+    fn everything_is_inert() {
+        assert!(!enabled());
+        set_enabled(true);
+        assert!(!enabled(), "runtime switch must be inert when compiled out");
+        counter("noop.c").add(5);
+        assert_eq!(counter("noop.c").get(), 0);
+        gauge("noop.g").set(-3);
+        assert_eq!(gauge("noop.g").get(), 0);
+        histogram("noop.h").record(42);
+        assert_eq!(histogram("noop.h").count(), 0);
+        static C: CounterHandle = CounterHandle::new("noop.hc");
+        C.inc();
+        assert_eq!(C.get(), 0);
+        assert_eq!(C.name(), "noop.hc");
+        static G: GaugeHandle = GaugeHandle::new("noop.hg");
+        G.add(1);
+        assert_eq!(G.get(), 0);
+        static H: HistogramHandle = HistogramHandle::new("noop.hh");
+        H.record(7);
+        {
+            let _g = span("noop.span");
+        }
+        trail_set_recording(true);
+        assert!(!trail_recording(), "trail must be inert when compiled out");
+        trail_emit(Event::BlockPlain { n: 1, width: 1 });
+        trail_set_sampling(4);
+        assert_eq!(trail_sampling(), 1);
+        trail_set_capacity(8);
+        assert!(trail_drain().is_empty(), "no-op trail must stay empty");
+        let snap = snapshot();
+        assert!(!snap.enabled);
+        assert!(snap.is_empty(), "no-op build must register nothing");
+        assert!(report().contains("disabled"));
+        reset();
+    }
+}
+
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
 

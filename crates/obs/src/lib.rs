@@ -5,10 +5,11 @@
 //! registry is a lazily grown map of leaked atomic cells — recording a
 //! metric is one or two relaxed atomic RMWs, and spans cost two
 //! `Instant::now()` calls plus a thread-local stack push/pop. With it
-//! off, the *same* API compiles to inlinable no-ops: handles are
-//! name-only shells, lookups return shared zero-sized statics, and
-//! [`snapshot`] is always empty. Consumers therefore call `obs::` APIs
-//! unconditionally; no `#[cfg]` ever appears at an instrumentation site.
+//! off, the *same* definitions compile to inlinable no-ops:
+//! `cfg!(feature = "enabled")` guards make [`enabled`] constant `false`,
+//! lookups return shared never-written statics, and [`snapshot`] is
+//! always empty. Consumers therefore call `obs::` APIs unconditionally;
+//! no `#[cfg]` ever appears at an instrumentation site.
 //!
 //! Two usage idioms, by call-site temperature:
 //!
@@ -44,18 +45,8 @@ pub mod trail;
 
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 
-#[cfg(feature = "enabled")]
 mod imp;
-#[cfg(feature = "enabled")]
 pub use imp::{
-    counter, enabled, gauge, histogram, report, reset, set_enabled, snapshot, span, Counter,
-    CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, SpanGuard,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
     counter, enabled, gauge, histogram, report, reset, set_enabled, snapshot, span, Counter,
     CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, SpanGuard,
 };

@@ -5,11 +5,10 @@
 //! [`crate::snapshot`]): [`Event`], [`TrailEvent`], [`Trail`], and the
 //! exporters are plain data and pure functions. The recording machinery
 //! — per-thread sharded ring buffers, the process epoch clock, the
-//! sampling knob — lives in `imp.rs` with signature-identical no-ops in
-//! `noop.rs`, re-exported here under short names ([`emit`], [`drain`],
-//! [`set_sampling`], ...). Call sites therefore use `obs::trail::`
-//! unconditionally; with the feature off everything compiles to no-ops
-//! and [`drain`] returns the empty trail.
+//! sampling knob — lives in `imp.rs`, re-exported here under short names
+//! ([`emit`], [`drain`], [`set_sampling`], ...). Call sites therefore use
+//! `obs::trail::` unconditionally; with the feature off everything
+//! compiles to no-ops and [`drain`] returns the empty trail.
 //!
 //! Recording semantics (the instrumented build):
 //!
@@ -32,14 +31,7 @@ use std::collections::BTreeMap;
 
 use crate::snapshot::push_json_str;
 
-#[cfg(feature = "enabled")]
 pub use crate::imp::{
-    trail_drain as drain, trail_emit as emit, trail_recording as recording,
-    trail_sampling as sampling, trail_set_capacity as set_capacity,
-    trail_set_recording as set_recording, trail_set_sampling as set_sampling,
-};
-#[cfg(not(feature = "enabled"))]
-pub use crate::noop::{
     trail_drain as drain, trail_emit as emit, trail_recording as recording,
     trail_sampling as sampling, trail_set_capacity as set_capacity,
     trail_set_recording as set_recording, trail_set_sampling as set_sampling,

@@ -7,8 +7,7 @@
 //! are packed once at the end of the stream. Exception positions are
 //! single bytes (< 128).
 //!
-//! Format v2 layout (word-packed, PR 3; the frozen v1 bit-serial layout
-//! lives in [`crate::v1`]):
+//! Format v2 layout (word-packed):
 //! `varint n · u8 version(2) · zigzag min ·
 //!  per sub-block [u8 b · u8 maxbits · u8 n_exc · n_exc position bytes ·
 //!                 word-packed len×b slot stream] ·
@@ -18,8 +17,8 @@
 //! Every sub-stream is byte-aligned: slot streams go through the fused
 //! frame-of-reference lane kernels (`pack_words_for`, which masks each
 //! delta to its low `b` bits), exception pages through
-//! `pack_words_unrolled`. A non-`2` version byte (any v1 payload) is
-//! rejected with [`DecodeError::BadModeByte`].
+//! `pack_words_unrolled`. Any other version byte is rejected with
+//! [`DecodeError::BadModeByte`].
 
 use crate::{for_restore, for_transform, Codec, FORMAT_V2};
 use bitpack::error::{DecodeError, DecodeResult};
@@ -261,21 +260,6 @@ mod tests {
         let n = values.len();
         values[n - 1] = 1 << 30;
         roundtrip(&FastPforCodec::new(), &values);
-    }
-
-    #[test]
-    fn v1_payload_rejected() {
-        let values: Vec<i64> = (0..400)
-            .map(|i| if i % 37 == 0 { 1 << 41 } else { i % 9 })
-            .collect();
-        let mut v1 = Vec::new();
-        crate::v1::encode_fastpfor_v1(&values, &mut v1);
-        let mut pos = 0;
-        let mut out = Vec::new();
-        assert_eq!(
-            FastPforCodec::new().decode(&v1, &mut pos, &mut out),
-            Err(DecodeError::BadModeByte { mode: 0 })
-        );
     }
 
     #[test]

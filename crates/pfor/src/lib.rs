@@ -25,10 +25,8 @@
 //! and length-prefixed, and decoders fail (return
 //! `Err(bitpack::DecodeError)`) instead of panicking on corrupt input.
 //!
-//! Since PR 3 every codec emits the word-packed format v2 ([`FORMAT_V2`])
-//! driven by the `bitpack::unrolled` lane kernels; the frozen bit-serial
-//! v1 reference implementations live in [`v1`] for benchmarking and
-//! rejection tests only.
+//! Every PFOR-family codec emits the word-packed format v2
+//! ([`FORMAT_V2`]) driven by the `bitpack::unrolled` lane kernels.
 //!
 //! Shared trait: [`Codec`] (the workspace-wide
 //! [`bitpack::BlockCodec`](bitpack::codec::BlockCodec), re-exported).
@@ -42,7 +40,6 @@ pub mod newpfor;
 pub mod optpfor;
 pub mod pfor;
 pub mod simplepfor;
-pub mod v1;
 
 pub use bp::BpCodec;
 pub use fastpfor::FastPforCodec;
@@ -56,9 +53,8 @@ pub use simplepfor::SimplePforCodec;
 /// this crate has always used.
 pub use bitpack::codec::BlockCodec as Codec;
 
-/// Format version byte written by the word-packed PFOR-family layouts
-/// (PR 3). Decoders reject any other value — in particular the v1
-/// bit-serial payloads of [`v1`] — with
+/// Format version byte written after `varint n` by the PFOR, FastPFOR
+/// and SimplePFOR layouts. Decoders reject any other value with
 /// [`DecodeError::BadModeByte`](bitpack::DecodeError::BadModeByte).
 pub const FORMAT_V2: u8 = 2;
 

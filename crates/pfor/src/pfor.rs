@@ -9,14 +9,13 @@
 //! flaw the paper highlights ("this solution may introduce a large number
 //! of compulsory outliers").
 //!
-//! Format v2 layout (word-packed, PR 3; the frozen v1 bit-serial layout
-//! lives in [`crate::v1`]):
+//! Format v2 layout (word-packed):
 //! `varint n · u8 version(2) · zigzag min · w_full · b · varint n_exc ·
 //! [varint first_exc] · word-packed n×b slot stream (`packed_size(n, b)`
 //! bytes, `bitpack::unrolled`) · word-packed n_exc×w_full exception
 //! stream`. Both sub-streams are byte-aligned and decoded with the
-//! unrolled lane kernels; a non-`2` version byte (any v1 payload) is
-//! rejected with [`DecodeError::BadModeByte`].
+//! unrolled lane kernels; any other version byte is rejected with
+//! [`DecodeError::BadModeByte`].
 
 use crate::{for_restore, for_transform, Codec, FORMAT_V2};
 use bitpack::error::{DecodeError, DecodeResult};
@@ -275,36 +274,6 @@ mod tests {
         let exc2 = PforCodec::exception_positions(&shifted, 2);
         // Gap 10 > 2^2 = 4: compulsory links appear.
         assert!(exc2.len() > 10);
-    }
-
-    #[test]
-    fn matches_v1_values() {
-        // Same data decodes to the same values through both formats.
-        let codec = PforCodec::new();
-        for case in standard_cases() {
-            let mut v1 = Vec::new();
-            crate::v1::encode_pfor_v1(&case, &mut v1);
-            let mut pos = 0;
-            let mut from_v1 = Vec::new();
-            crate::v1::decode_pfor_v1(&v1, &mut pos, &mut from_v1).expect("v1 intact");
-            roundtrip(&codec, &from_v1);
-        }
-    }
-
-    #[test]
-    fn v1_payload_rejected() {
-        // min = 0 so the v1 zigzag-min byte cannot alias the version byte.
-        let values: Vec<i64> = (0..500)
-            .map(|i| if i % 31 == 0 { 1 << 45 } else { i % 13 })
-            .collect();
-        let mut v1 = Vec::new();
-        crate::v1::encode_pfor_v1(&values, &mut v1);
-        let mut pos = 0;
-        let mut out = Vec::new();
-        assert_eq!(
-            PforCodec::new().decode(&v1, &mut pos, &mut out),
-            Err(DecodeError::BadModeByte { mode: 0 })
-        );
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! (paper §II-C). Same sub-block structure and width selection as
 //! FastPFOR, one shared Simple8b stream for all exception high bits.
 //!
-//! Format v2 layout (word-packed, PR 3; the frozen v1 bit-serial layout
-//! lives in [`crate::v1`]):
+//! Format v2 layout (word-packed):
 //! `varint n · u8 version(2) · zigzag min ·
 //! per sub-block [u8 b · u8 n_exc · n_exc position bytes · word-packed
 //! len×b slot stream] · simple8b(all high bits, in stream order)`.
 //! Slot streams are byte-aligned and go through the fused
 //! frame-of-reference lane kernels (`pack_words_for`, which masks each
-//! delta to its low `b` bits); Simple8b was already word-aligned. A
-//! non-`2` version byte (any v1 payload) is rejected with
-//! [`DecodeError::BadModeByte`].
+//! delta to its low `b` bits); Simple8b was already word-aligned. Any
+//! other version byte is rejected with [`DecodeError::BadModeByte`].
 
 use crate::{for_restore, for_transform, Codec, FORMAT_V2};
 use bitpack::error::{DecodeError, DecodeResult};
@@ -216,21 +214,6 @@ mod tests {
             }
         }
         roundtrip(&SimplePforCodec::new(), &values);
-    }
-
-    #[test]
-    fn v1_payload_rejected() {
-        let values: Vec<i64> = (0..300)
-            .map(|i| if i % 29 == 0 { 1 << 33 } else { i % 7 })
-            .collect();
-        let mut v1 = Vec::new();
-        crate::v1::encode_simplepfor_v1(&values, &mut v1);
-        let mut pos = 0;
-        let mut out = Vec::new();
-        assert_eq!(
-            SimplePforCodec::new().decode(&v1, &mut pos, &mut out),
-            Err(DecodeError::BadModeByte { mode: 0 })
-        );
     }
 
     #[test]

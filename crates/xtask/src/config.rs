@@ -39,9 +39,6 @@ pub struct Config {
     /// Decode-path files whose shipping code must not use raw `+`/`*`/`<<`
     /// on length/offset expressions — checked/saturating helpers only.
     pub unchecked_arith: Vec<String>,
-    /// Exactly two files: the obs implementation module and its no-op
-    /// twin, whose public APIs must be signature-identical.
-    pub obs_parity_files: Vec<String>,
     /// Error enums whose every variant must be constructed in shipping
     /// code and referenced by at least one test.
     pub error_variant_enums: Vec<String>,
@@ -81,7 +78,6 @@ impl Config {
             "codec-label-unique",
             "obs-label-unique",
             "unchecked-arith-in-decode",
-            "obs-feature-parity",
             "error-variant-coverage",
             "trail-event-paired",
             "join-all-spawns",
@@ -165,7 +161,6 @@ impl Config {
                 "codec-label-unique" => config.codec_label_traits = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
                 "unchecked-arith-in-decode" => config.unchecked_arith = values,
-                "obs-feature-parity" => config.obs_parity_files = values,
                 "error-variant-coverage" => config.error_variant_enums = values,
                 "trail-event-paired" => config.trail_event_enums = values,
                 "join-all-spawns" => config.join_spawn_dirs = values,
@@ -250,10 +245,7 @@ patterns = ["CounterHandle::new", "obs::span"]
     fn new_sections_parse_with_their_keys() {
         let raw = r#"
 [unchecked-arith-in-decode]
-files = ["crates/bitpack/src/pack.rs"]
-
-[obs-feature-parity]
-files = ["crates/obs/src/imp.rs", "crates/obs/src/noop.rs"]
+files = ["crates/bitpack/src/bits.rs"]
 
 [error-variant-coverage]
 enums = ["DecodeError", "SkipReason"]
@@ -274,8 +266,7 @@ files = ["crates/store/src/lib.rs"]
 files = ["crates/bench/src/main.rs"]
 "#;
         let c = Config::parse(raw).expect("parses");
-        assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/pack.rs"]);
-        assert_eq!(c.obs_parity_files.len(), 2);
+        assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/bits.rs"]);
         assert_eq!(c.error_variant_enums, vec!["DecodeError", "SkipReason"]);
         assert_eq!(c.trail_event_enums, vec!["Event"]);
         assert_eq!(c.join_spawn_dirs, vec!["crates", "src"]);
@@ -297,7 +288,6 @@ files = ["crates/bench/src/main.rs"]
         assert!(Config::parse("[join-all-spawns]\ndirs = [\"crates\"]").is_ok());
         assert!(Config::parse("[durable-rename]\ndirs = []").is_err());
         assert!(Config::parse("[durable-rename]\nfiles = [\"a.rs\"]").is_ok());
-        assert!(Config::parse("[obs-feature-parity]\npaths = []").is_err());
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! - **encode-decode-pairing / kernel-table-complete /
 //!   codec-label-unique / obs-label-unique** — cross-file structural
 //!   invariants of the codec and obs layers.
-//! - **obs-feature-parity / error-variant-coverage / join-all-spawns** —
-//!   semantic rules over the item tree (API twin-ness, dead error
-//!   variants, detached threads).
+//! - **error-variant-coverage / join-all-spawns** — semantic rules over
+//!   the item tree (dead error variants, detached threads).
 //! - **lint-config-hygiene / no-panic-coverage** — `lint.toml`
 //!   self-checks: listed files must exist, and every shipping file under
 //!   `crates/` is either in `[no-panic]` or allow-listed in

@@ -171,7 +171,6 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
     kernel_tables(&ws, config, &mut findings);
     codec_labels(&ws, config, &mut findings);
     obs_labels(&ws, config, &mut findings);
-    obs_parity(&ws, config, &mut findings);
     error_variants(&ws, config, &mut findings);
     trail_events(&ws, config, &mut findings);
     join_all_spawns(&ws, config, &mut findings);
@@ -298,7 +297,6 @@ fn hygiene(root: &Path, config: &Config, ws: &Workspace, findings: &mut Vec<Find
         ("len-read-bounded", &config.len_read_bounded),
         ("kernel-table-complete", &config.kernel_table_files),
         ("unchecked-arith-in-decode", &config.unchecked_arith),
-        ("obs-feature-parity", &config.obs_parity_files),
         ("uncovered-ok", &config.uncovered_ok),
     ];
     for (section, list) in lists {
@@ -793,7 +791,7 @@ fn check_kernel_table(f: &SourceFile, table: &str, prefix: &str, findings: &mut 
 }
 
 // ---------------------------------------------------------------------------
-// impl-header helpers (shared by codec-label-unique and obs-feature-parity)
+// impl-header helpers (shared by codec-label-unique and solver-entry-scratch)
 // ---------------------------------------------------------------------------
 
 /// For an `impl` item: the final segment of the *trait* path (`None` for
@@ -819,12 +817,6 @@ fn impl_trait_segment(f: &SourceFile, item: &Item) -> Option<String> {
     }
     let for_idx = for_idx?;
     segment_before(f, start, for_idx)
-}
-
-/// For an *inherent* `impl` item: the final segment of the type path.
-fn impl_type_segment(f: &SourceFile, item: &Item) -> Option<String> {
-    let (start, end) = item.header;
-    segment_before(f, start, end)
 }
 
 /// The last path-segment identifier strictly before token `end`, skipping
@@ -1040,216 +1032,6 @@ pub(crate) fn obs_label_literals(f: &SourceFile, patterns: &[String]) -> Vec<(us
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// obs-feature-parity
-// ---------------------------------------------------------------------------
-
-/// One side of the obs public API: display key → (normalized signature,
-/// anchor line).
-type Api = BTreeMap<String, (String, usize)>;
-
-/// Rule: every public item in the obs implementation module has a
-/// signature-identical twin in the no-op module (and vice versa). The
-/// obs-off byte-identity gate depends on the two modules being drop-in
-/// replacements; a method added to one side only compiles fine until the
-/// other feature configuration breaks.
-fn obs_parity(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    let [imp_rel, noop_rel] = config.obs_parity_files.as_slice() else {
-        if !config.obs_parity_files.is_empty() {
-            findings.push(Finding {
-                file: "lint.toml".to_string(),
-                line: 1,
-                col: 0,
-                rule: "obs-feature-parity",
-                message: "[obs-feature-parity] must list exactly two files: the \
-                          implementation module, then the no-op module"
-                    .to_string(),
-            });
-        }
-        return;
-    };
-    let (Some(imp), Some(noop)) = (ws.get(imp_rel), ws.get(noop_rel)) else {
-        return; // hygiene already reported the missing file
-    };
-    check_obs_parity(imp, noop, findings);
-}
-
-/// The parity comparison itself, separated so fixture tests can drive it.
-pub(crate) fn check_obs_parity(imp: &SourceFile, noop: &SourceFile, findings: &mut Vec<Finding>) {
-    let rule = "obs-feature-parity";
-    let api_imp = public_api(imp);
-    let api_noop = public_api(noop);
-    for (key, (sig, line)) in &api_imp {
-        match api_noop.get(key) {
-            None => push_hit_at_line(
-                imp,
-                *line,
-                rule,
-                format!("public `{key}` has no twin in {}", noop.rel),
-                findings,
-            ),
-            Some((other, _)) if other != sig => push_hit_at_line(
-                imp,
-                *line,
-                rule,
-                format!(
-                    "signature mismatch for `{key}`: this side has `{sig}`, {} has \
-                     `{other}`",
-                    noop.rel
-                ),
-                findings,
-            ),
-            Some(_) => {}
-        }
-    }
-    for (key, (_, line)) in &api_noop {
-        if !api_imp.contains_key(key) {
-            push_hit_at_line(
-                noop,
-                *line,
-                rule,
-                format!("public `{key}` has no twin in {}", imp.rel),
-                findings,
-            );
-        }
-    }
-}
-
-/// A line-anchored finding that still honors `lint:allow` on that line.
-fn push_hit_at_line(
-    f: &SourceFile,
-    line: usize,
-    rule: &'static str,
-    message: String,
-    findings: &mut Vec<Finding>,
-) {
-    match allow_on_line(f, line, rule) {
-        Allow::Yes => {}
-        Allow::EmptyJustification => findings.push(Finding {
-            file: f.rel.clone(),
-            line,
-            col: 0,
-            rule,
-            message: "lint:allow requires a non-empty justification".to_string(),
-        }),
-        Allow::No => findings.push(Finding {
-            file: f.rel.clone(),
-            line,
-            col: 0,
-            rule,
-            message,
-        }),
-    }
-}
-
-/// Collects the public API of a module file: top-level `pub fn`s, `pub`
-/// types, and `pub` methods of inherent impls. Trait impls are skipped
-/// (both sides implement different trait sets legitimately — e.g. `Drop`).
-fn public_api(f: &SourceFile) -> Api {
-    let mut api = Api::new();
-    for item in &f.items {
-        if item.cfg_test {
-            continue;
-        }
-        let line = f.position(item.header.0).0;
-        match item.kind {
-            ItemKind::Fn if item.is_pub => {
-                if let Some(name) = &item.name {
-                    api.insert(format!("fn {name}"), (fn_signature(f, item), line));
-                }
-            }
-            ItemKind::Struct | ItemKind::Enum if item.is_pub => {
-                if let Some(name) = &item.name {
-                    api.insert(format!("type {name}"), ("type".to_string(), line));
-                }
-            }
-            ItemKind::Impl if impl_trait_segment(f, item).is_none() => {
-                let Some(ty) = impl_type_segment(f, item) else {
-                    continue;
-                };
-                for child in &item.children {
-                    if child.kind == ItemKind::Fn && child.is_pub && !child.cfg_test {
-                        if let Some(name) = &child.name {
-                            let line = f.position(child.header.0).0;
-                            api.insert(format!("{ty}::{name}"), (fn_signature(f, child), line));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    api
-}
-
-/// Normalizes a fn header into a comparable signature: parameter *types*
-/// only (`n: u64` and `_n: u64` agree), `self` canonicalized, `const` and
-/// other modifiers dropped, return type included. Both sides are rendered
-/// by the same code, so plain text equality is a faithful comparison.
-fn fn_signature(f: &SourceFile, item: &Item) -> String {
-    let (start, end) = item.header;
-    let fn_idx = (start..end).find(|&i| f.is_ident(i, "fn"));
-    let Some(fn_idx) = fn_idx else {
-        return String::new();
-    };
-    let open = (fn_idx..end).find(|&i| f.is_punct(i, b'('));
-    let Some(open) = open else {
-        return String::new();
-    };
-    let Some(close) = tree::matching(&f.tokens, open, end, b'(', b')') else {
-        return String::new();
-    };
-    let mut params = Vec::new();
-    let mut depth = 0usize;
-    let mut param_start = open + 1;
-    for i in open + 1..=close {
-        let Some(t) = f.tok(i) else { break };
-        if t.is_punct(b'(') || t.is_punct(b'[') || t.is_punct(b'{') || t.is_punct(b'<') {
-            depth += 1;
-        } else if t.is_punct(b')') || t.is_punct(b']') || t.is_punct(b'}') || t.is_punct(b'>') {
-            if i == close && depth == 0 {
-                if i > param_start {
-                    params.push(render_param(f, param_start, i));
-                }
-                break;
-            }
-            depth = depth.saturating_sub(1);
-        } else if t.is_punct(b',') && depth == 0 {
-            params.push(render_param(f, param_start, i));
-            param_start = i + 1;
-        }
-    }
-    let ret = if f.is_punct(close + 1, b'-') && f.is_punct(close + 2, b'>') {
-        let body: Vec<&str> = (close + 3..end).map(|i| f.text(i)).collect();
-        body.join(" ")
-    } else {
-        "()".to_string()
-    };
-    format!("fn({}) -> {ret}", params.join(", "))
-}
-
-/// Renders one parameter from its token range: `self` forms verbatim
-/// (minus `mut`), everything else as its type text only.
-fn render_param(f: &SourceFile, start: usize, end: usize) -> String {
-    let has_self = (start..end).any(|i| f.is_ident(i, "self"));
-    if has_self {
-        let parts: Vec<&str> = (start..end)
-            .map(|i| f.text(i))
-            .filter(|t| *t != "mut")
-            .collect();
-        return parts.join(" ");
-    }
-    // The separating `:` is the first single colon (not part of `::`).
-    let sep = (start..end).find(|&i| {
-        f.is_punct(i, b':')
-            && !f.glued_pair(i, b':', b':')
-            && !(i > start && f.glued_pair(i - 1, b':', b':'))
-    });
-    let ty_start = sep.map_or(start, |s| s + 1);
-    let parts: Vec<&str> = (ty_start..end).map(|i| f.text(i)).collect();
-    parts.join(" ")
 }
 
 // ---------------------------------------------------------------------------
@@ -2106,49 +1888,6 @@ impl Solver for OldSolver {
         let mut findings = Vec::new();
         solver_entry_scratch(&ws, &Config::default(), &mut findings);
         assert!(findings.is_empty());
-    }
-
-    // -- obs-feature-parity -----------------------------------------------
-
-    #[test]
-    fn obs_parity_real_modules_are_clean() {
-        let imp = file(
-            "crates/obs/src/imp.rs",
-            include_str!("../../obs/src/imp.rs"),
-        );
-        let noop = file(
-            "crates/obs/src/noop.rs",
-            include_str!("../../obs/src/noop.rs"),
-        );
-        let mut findings = Vec::new();
-        check_obs_parity(&imp, &noop, &mut findings);
-        assert!(findings.is_empty(), "{findings:#?}");
-    }
-
-    #[test]
-    fn obs_parity_detects_signature_drift_and_missing_twin() {
-        let imp = file(
-            "crates/obs/src/imp.rs",
-            include_str!("../../obs/src/imp.rs"),
-        );
-        let noop = file(
-            "crates/obs/src/noop.rs",
-            include_str!("../fixtures/obs_noop_mutated.rs"),
-        );
-        let mut findings = Vec::new();
-        check_obs_parity(&imp, &noop, &mut findings);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("signature mismatch for `Counter::add`")),
-            "{findings:#?}"
-        );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("`fn reset` has no twin")),
-            "{findings:#?}"
-        );
     }
 
     // -- error-variant-coverage -------------------------------------------

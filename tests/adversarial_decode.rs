@@ -8,6 +8,7 @@
 //! The `xtask lint` no-panic rule keeps the sources honest statically;
 //! these tests check the same promise dynamically.
 
+use bos_repro::bitpack::zigzag::read_varint;
 use bos_repro::bitpack::{simple8b, DecodeError};
 use bos_repro::bos::format::{decode_block, encode_block};
 use bos_repro::bos::BitWidthSolver;
@@ -15,24 +16,13 @@ use bos_repro::pfor::{self, Codec};
 use bos_repro::tsfile::{EncodingChoice, TsFileReader, TsFileWriter};
 use proptest::prelude::*;
 
-type V1Encode = fn(&[i64], &mut Vec<u8>);
-
-/// The three codecs migrated to the word-packed v2 layout, each paired
-/// with the frozen v1 encoder whose payloads v2 must *reject*.
-fn migrated_codecs() -> Vec<(Box<dyn Codec>, V1Encode)> {
+/// The three codecs that carry the word-packed layout's version byte
+/// ([`pfor::FORMAT_V2`]) right after `varint n`.
+fn migrated_codecs() -> Vec<Box<dyn Codec>> {
     vec![
-        (
-            Box::new(pfor::PforCodec::new()),
-            pfor::v1::encode_pfor_v1 as V1Encode,
-        ),
-        (
-            Box::new(pfor::FastPforCodec::new()),
-            pfor::v1::encode_fastpfor_v1,
-        ),
-        (
-            Box::new(pfor::SimplePforCodec::new()),
-            pfor::v1::encode_simplepfor_v1,
-        ),
+        Box::new(pfor::PforCodec::new()),
+        Box::new(pfor::FastPforCodec::new()),
+        Box::new(pfor::SimplePforCodec::new()),
     ]
 }
 
@@ -104,7 +94,7 @@ proptest! {
 
     #[test]
     fn pfor_v2_survives_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        for (codec, _) in migrated_codecs() {
+        for codec in migrated_codecs() {
             let mut out = Vec::new();
             let mut pos = 0;
             let _ = codec.decode(&bytes, &mut pos, &mut out);
@@ -114,7 +104,7 @@ proptest! {
 
     #[test]
     fn pfor_v2_errors_on_truncation(values in outlier_blocks(), frac in 0.0f64..1.0) {
-        for (codec, _) in migrated_codecs() {
+        for codec in migrated_codecs() {
             let mut buf = Vec::new();
             codec.encode(&values, &mut buf);
             let mut out = Vec::new();
@@ -137,7 +127,7 @@ proptest! {
         at_frac in 0.0f64..1.0,
         bit in 0u32..8,
     ) {
-        for (codec, _) in migrated_codecs() {
+        for codec in migrated_codecs() {
             let mut buf = Vec::new();
             codec.encode(&values, &mut buf);
             let at = ((buf.len() as f64) * at_frac) as usize % buf.len();
@@ -153,21 +143,24 @@ proptest! {
 
     #[test]
     fn pfor_v1_payloads_rejected_with_typed_error(values in outlier_blocks()) {
-        // Pin the minimum to 0 so the v1 header's zigzag-min byte is 0 and
-        // cannot alias the v2 version byte (zigzag(1) == 2 would).
-        let mut values = values;
-        values.push(0);
-        let values: Vec<i64> = values.iter().map(|v| v.abs()).collect();
-        for (codec, encode_v1) in migrated_codecs() {
+        // Any version byte other than FORMAT_V2 (in particular the
+        // zigzag-min byte of a pre-v2 bit-serial payload) must surface as
+        // BadModeByte carrying that byte, never as garbage values.
+        for codec in migrated_codecs() {
             let mut buf = Vec::new();
-            encode_v1(&values, &mut buf);
-            let mut out = Vec::new();
-            let mut pos = 0;
-            prop_assert_eq!(
-                codec.decode(&buf, &mut pos, &mut out),
-                Err(DecodeError::BadModeByte { mode: 0 }),
-                "{} must reject v1 bit-serial payloads", codec.name()
-            );
+            codec.encode(&values, &mut buf);
+            let mut at = 0;
+            read_varint(&buf, &mut at).expect("intact count");
+            for mode in (0..=u8::MAX).filter(|&m| m != pfor::FORMAT_V2) {
+                buf[at] = mode;
+                let mut out = Vec::new();
+                let mut pos = 0;
+                prop_assert_eq!(
+                    codec.decode(&buf, &mut pos, &mut out),
+                    Err(DecodeError::BadModeByte { mode }),
+                    "{} must reject version byte {}", codec.name(), mode
+                );
+            }
         }
     }
 

@@ -7,9 +7,9 @@
 //! quantifies that fraction per dataset (not a paper figure — an extension
 //! made possible by the reproduced format).
 
-use crate::harness::{time_avg, Config, Table};
-use bos::stream::StreamEncoder;
-use bos::SolverKind;
+use crate::harness::{time_stats, Config, Table};
+use bitpack::codec::encode_blocks_parallel;
+use bos::{BosCodec, SolverKind};
 use datasets::all_datasets;
 use query::Scanner;
 
@@ -30,7 +30,8 @@ pub fn run(cfg: &Config) {
     for dataset in all_datasets(cfg.n) {
         let ints = dataset.as_scaled_ints();
         let mut stream = Vec::new();
-        StreamEncoder::new(SolverKind::BitWidth, BLOCK).encode(&ints, &mut stream);
+        let codec = BosCodec::new(SolverKind::BitWidth);
+        encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut stream).expect("encode");
         let scanner = Scanner::open(&stream).expect("valid stream");
 
         // A ~10 %-selective predicate: the lowest decile of the value range.
@@ -38,10 +39,10 @@ pub fn run(cfg: &Config) {
         let hi_all = ints.iter().copied().max().unwrap_or(0);
         let hi = lo + (hi_all.saturating_sub(lo)) / 10;
 
-        let ((count, stats), scan_ns) = time_avg(cfg.repeats, || {
+        let ((count, stats), scan_ns) = time_stats(cfg.repeats, || {
             scanner.count_in_range_with_stats(lo, hi).unwrap()
         });
-        let (_, full_ns) = time_avg(cfg.repeats, || scanner.sum().unwrap());
+        let (_, full_ns) = time_stats(cfg.repeats, || scanner.sum().unwrap());
         let expected = ints.iter().filter(|&&v| v >= lo && v <= hi).count();
         assert_eq!(count, expected, "{}", dataset.abbr);
 
@@ -54,8 +55,8 @@ pub fn run(cfg: &Config) {
                 "{:.0}%",
                 100.0 * (total - stats.blocks_decoded) as f64 / total.max(1) as f64
             ),
-            format!("{:.0}", scan_ns / 1000.0),
-            format!("{:.0}", full_ns / 1000.0),
+            format!("{:.0}", scan_ns.mean / 1000.0),
+            format!("{:.0}", full_ns.mean / 1000.0),
         ]);
     }
     table.print();

@@ -6,7 +6,7 @@
 //! `compressed_bytes / DISK_BANDWIDTH` (the paper measured a real disk;
 //! DESIGN.md §2, substitution 5).
 
-use crate::harness::{time_avg, Config, Table};
+use crate::harness::{time_stats, Config, Table};
 use datasets::all_datasets;
 use encodings::{OuterKind, PackerKind, Pipeline};
 
@@ -49,14 +49,14 @@ pub fn measure(cfg: &Config) -> Vec<OperatorCost> {
                 let mut buf = Vec::new();
                 pipeline.encode(&ints, &mut buf);
                 let mut out = Vec::new();
-                let (_, ns) = time_avg(cfg.repeats, || {
+                let (_, ns) = time_stats(cfg.repeats, || {
                     out.clear();
                     let mut pos = 0;
                     pipeline.decode(&buf, &mut pos, &mut out).expect("decode");
                 });
                 assert_eq!(out, ints);
                 bytes += buf.len() as f64;
-                decomp += ns;
+                decomp += ns.mean;
                 values += ints.len() as f64;
             }
             OperatorCost {

@@ -8,7 +8,7 @@
 //! * Frequency methods (DCT, FFT): coefficients and residuals stored with
 //!   plain BP ("without") or BOS-B ("with").
 
-use crate::harness::{fmt_ns, fmt_ratio, time_avg, Config, Table};
+use crate::harness::{fmt_ns, fmt_ratio, time_stats, Config, Table};
 use bos::BosCodec;
 use bos::SolverKind;
 use datasets::all_datasets;
@@ -48,16 +48,16 @@ fn measure_byte_method(codec: &dyn ByteCodec, cfg: &Config) -> GpResult {
         let n = ints.len() as f64;
         // Without BOS: codec directly over the raw bytes.
         let mut buf = Vec::new();
-        let (_, ns) = time_avg(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf.clear();
             codec.compress(&raw, &mut buf);
         });
         rp += raw.len() as f64 / buf.len() as f64;
-        tp += ns / n;
+        tp += ns.mean / n;
         // With BOS: TS2DIFF+BOS-B first, then the codec over its bytes.
         let mut bos_buf = Vec::new();
         let mut buf2 = Vec::new();
-        let (_, ns2) = time_avg(cfg.repeats, || {
+        let (_, ns2) = time_stats(cfg.repeats, || {
             bos_buf.clear();
             bos_enc.encode(&ints, &mut bos_buf);
             buf2.clear();
@@ -76,7 +76,7 @@ fn measure_byte_method(codec: &dyn ByteCodec, cfg: &Config) -> GpResult {
             .expect("bos layer");
         assert_eq!(out, ints);
         rb += raw.len() as f64 / buf2.len() as f64;
-        tb += ns2 / n;
+        tb += ns2.mean / n;
     }
     let k = sets.len() as f64;
     GpResult {
@@ -107,7 +107,7 @@ fn measure_transform(kind: TransformKind, cfg: &Config) -> GpResult {
             };
             let codec = TransformCodec::new(kind, packer);
             let mut buf = Vec::new();
-            let (_, ns) = time_avg(cfg.repeats, || {
+            let (_, ns) = time_stats(cfg.repeats, || {
                 buf.clear();
                 codec.encode(&ints, &mut buf);
             });
@@ -116,7 +116,7 @@ fn measure_transform(kind: TransformKind, cfg: &Config) -> GpResult {
             codec.decode(&buf, &mut pos, &mut out).expect("decode");
             assert_eq!(out, ints);
             *r += raw / buf.len() as f64;
-            *t += ns / n;
+            *t += ns.mean / n;
         }
     }
     let k = sets.len() as f64;

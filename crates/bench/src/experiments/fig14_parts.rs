@@ -3,7 +3,7 @@
 //! Applies the k-part DP generalization of BOS inside a TS2DIFF-style
 //! delta pipeline and reports average ratio and compression time per k.
 
-use crate::harness::{fmt_ns, fmt_ratio, time_avg, Config, Table};
+use crate::harness::{fmt_ns, fmt_ratio, time_stats, Config, Table};
 use bitpack::zigzag::read_varint_i64;
 use bitpack::zigzag::write_varint_i64;
 use bos::kpart::{decode_kpart, encode_kpart};
@@ -53,7 +53,7 @@ pub fn run(cfg: &Config) {
         for dataset in &sets {
             let ints = dataset.as_scaled_ints();
             let mut buf = Vec::new();
-            let (_, ns) = time_avg(cfg.repeats, || {
+            let (_, ns) = time_stats(cfg.repeats, || {
                 buf.clear();
                 encode_series(&ints, k, &mut buf);
             });
@@ -61,7 +61,7 @@ pub fn run(cfg: &Config) {
             decode_series(&buf, ints.len(), &mut out).expect("decode");
             assert_eq!(out, ints, "k = {k} lossy on {}", dataset.abbr);
             rsum += (ints.len() * 8) as f64 / buf.len() as f64;
-            tsum += ns / ints.len() as f64;
+            tsum += ns.mean / ints.len() as f64;
         }
         let k_ratio = rsum / sets.len() as f64;
         ratios.push(k_ratio);

@@ -1,7 +1,7 @@
 //! Figure 15 — compression and decompression time by block size
 //! (2^6 … 2^13) for BOS-V, BOS-B and BOS-M.
 
-use crate::harness::{time_avg, Config, Table};
+use crate::harness::{time_stats, Config, Table};
 use bos::{BosCodec, SolverKind};
 use datasets::all_datasets;
 
@@ -24,19 +24,19 @@ pub fn measure(kind: SolverKind, block_size: usize, cfg: &Config) -> (f64, f64) 
                 continue;
             }
             let mut buf = Vec::new();
-            let (_, cns) = time_avg(cfg.repeats, || {
+            let (_, cns) = time_stats(cfg.repeats, || {
                 buf.clear();
                 codec.encode(chunk, &mut buf);
             });
             let mut out = Vec::new();
-            let (_, dns) = time_avg(cfg.repeats, || {
+            let (_, dns) = time_stats(cfg.repeats, || {
                 out.clear();
                 let mut pos = 0;
                 codec.decode(&buf, &mut pos, &mut out).expect("decode");
             });
             assert_eq!(out, chunk);
-            comp += cns;
-            decomp += dns;
+            comp += cns.mean;
+            decomp += dns.mean;
             blocks += 1;
         }
     }

@@ -2,7 +2,7 @@
 //! compression ratio, compression time and decompression time. Shared by
 //! the `exp_fig10a/b/c` binaries.
 
-use crate::harness::{time_avg, Config};
+use crate::harness::{time_stats, Config};
 use datasets::{all_datasets, Dataset};
 use encodings::{OuterKind, PackerKind, Pipeline};
 use floatcodec::FloatCodec;
@@ -49,12 +49,12 @@ impl MethodRow {
 fn measure_float(codec: &dyn FloatCodec, dataset: &Dataset, repeats: usize) -> Cell {
     let values = dataset.as_floats();
     let mut buf = Vec::new();
-    let (_, comp_ns) = time_avg(repeats, || {
+    let (_, comp_ns) = time_stats(repeats, || {
         buf.clear();
         codec.encode(&values, &mut buf);
     });
     let mut out = Vec::new();
-    let (_, decomp_ns) = time_avg(repeats, || {
+    let (_, decomp_ns) = time_stats(repeats, || {
         out.clear();
         let mut pos = 0;
         codec.decode(&buf, &mut pos, &mut out).expect("decode");
@@ -62,20 +62,20 @@ fn measure_float(codec: &dyn FloatCodec, dataset: &Dataset, repeats: usize) -> C
     assert_eq!(out.len(), values.len());
     Cell {
         ratio: dataset.uncompressed_bytes() as f64 / buf.len() as f64,
-        comp_ns: comp_ns / values.len() as f64,
-        decomp_ns: decomp_ns / values.len() as f64,
+        comp_ns: comp_ns.mean / values.len() as f64,
+        decomp_ns: decomp_ns.mean / values.len() as f64,
     }
 }
 
 fn measure_pipeline(pipeline: &Pipeline, dataset: &Dataset, repeats: usize) -> Cell {
     let ints = dataset.as_scaled_ints();
     let mut buf = Vec::new();
-    let (_, comp_ns) = time_avg(repeats, || {
+    let (_, comp_ns) = time_stats(repeats, || {
         buf.clear();
         pipeline.encode(&ints, &mut buf);
     });
     let mut out = Vec::new();
-    let (_, decomp_ns) = time_avg(repeats, || {
+    let (_, decomp_ns) = time_stats(repeats, || {
         out.clear();
         let mut pos = 0;
         pipeline.decode(&buf, &mut pos, &mut out).expect("decode");
@@ -83,8 +83,8 @@ fn measure_pipeline(pipeline: &Pipeline, dataset: &Dataset, repeats: usize) -> C
     assert_eq!(out, ints, "{} lossy on {}", pipeline.label(), dataset.abbr);
     Cell {
         ratio: dataset.uncompressed_bytes() as f64 / buf.len() as f64,
-        comp_ns: comp_ns / ints.len() as f64,
-        decomp_ns: decomp_ns / ints.len() as f64,
+        comp_ns: comp_ns.mean / ints.len() as f64,
+        decomp_ns: decomp_ns.mean / ints.len() as f64,
     }
 }
 

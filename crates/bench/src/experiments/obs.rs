@@ -25,7 +25,7 @@
 //! shifts, not just totals. The whole experiment is cheap enough that
 //! `--quick` runs all of it; it is part of the tier-1 recipe.
 
-use crate::harness::{time_best_of, Config};
+use crate::harness::{time_stats, Config};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::unrolled::{pack_words_unrolled, unpack_words_unrolled};
 use bos::{BosCodec, SolverKind};
@@ -88,11 +88,11 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
     let mut out = Vec::new();
     let repeats = cfg.repeats.max(KERNEL_MIN_REPEATS);
     let mut time_unpack = || {
-        let (_, ns) = time_best_of(repeats, || {
+        let (_, ns) = time_stats(repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, &mut out).expect("unpack");
         });
-        ns
+        ns.min
     };
     let mut on = f64::MAX;
     let mut off = f64::MAX;
@@ -121,17 +121,17 @@ fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
     let mut off = f64::MAX;
     for _ in 0..AB_ROUNDS {
         obs::trail::set_recording(true);
-        let (_, ns) = time_best_of(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf_on.clear();
             encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_on).expect("encode");
         });
-        on = on.min(ns);
+        on = on.min(ns.min);
         obs::trail::set_recording(false);
-        let (_, ns) = time_best_of(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf_off.clear();
             encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_off).expect("encode");
         });
-        off = off.min(ns);
+        off = off.min(ns.min);
     }
     obs::trail::set_recording(true);
     obs::trail::drain();

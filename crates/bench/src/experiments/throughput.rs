@@ -23,12 +23,11 @@
 //!   recipe.
 //!
 //! Results are written to `BENCH_PR4.json` at the workspace root so later
-//! PRs can diff their numbers against this artifact (`BENCH_PR3.json` from
-//! the previous PR is kept untouched); the solver section writes its own
-//! `BENCH_PR8.json`. Timings use [`time_best_of`] / [`time_stats`]
-//! (warmup + min-of-`BOS_REPEATS`) for reproducibility.
+//! PRs can diff their numbers against this artifact; the solver section
+//! writes its own `BENCH_PR8.json`. Timings use [`time_stats`] (warmup +
+//! min-of-`BOS_REPEATS`) for reproducibility.
 
-use crate::harness::{time_best_of, time_stats, Config, Table, TimeStats};
+use crate::harness::{time_stats, Config, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::kernels::{pack_words, unpack_words};
 use bitpack::unrolled::{
@@ -167,36 +166,36 @@ fn kernel_rows(cfg: &Config) -> Vec<KernelRow> {
             .collect();
 
         let mut buf = Vec::new();
-        let (_, pack_generic_ns) = time_best_of(cfg.repeats, || {
+        let (_, pack_generic_ns) = time_stats(cfg.repeats, || {
             buf.clear();
             pack_words(&deltas, w, &mut buf);
         });
         let mut buf2 = Vec::new();
-        let (_, pack_unrolled_ns) = time_best_of(cfg.repeats, || {
+        let (_, pack_unrolled_ns) = time_stats(cfg.repeats, || {
             buf2.clear();
             pack_words_unrolled(&deltas, w, &mut buf2);
         });
         assert_eq!(buf, buf2, "unrolled pack must be bit-identical (w = {w})");
         let mut buf3 = Vec::new();
-        let (_, pack_fused_ns) = time_best_of(cfg.repeats, || {
+        let (_, pack_fused_ns) = time_stats(cfg.repeats, || {
             buf3.clear();
             pack_words_for(&originals, FUSED_REF, w, &mut buf3);
         });
         assert_eq!(buf, buf3, "fused pack must be bit-identical (w = {w})");
 
         let mut out = Vec::new();
-        let (_, unpack_generic_ns) = time_best_of(cfg.repeats, || {
+        let (_, unpack_generic_ns) = time_stats(cfg.repeats, || {
             out.clear();
             unpack_words(&buf, cfg.n, w, &mut out).expect("unpack");
         });
         let mut out2 = Vec::new();
-        let (_, unpack_unrolled_ns) = time_best_of(cfg.repeats, || {
+        let (_, unpack_unrolled_ns) = time_stats(cfg.repeats, || {
             out2.clear();
             unpack_words_unrolled(&buf, cfg.n, w, &mut out2).expect("unpack");
         });
         assert_eq!(out, out2, "unrolled unpack must match (w = {w})");
         let mut restored = Vec::new();
-        let (_, unpack_fused_ns) = time_best_of(cfg.repeats, || {
+        let (_, unpack_fused_ns) = time_stats(cfg.repeats, || {
             restored.clear();
             unpack_words_for(&buf, cfg.n, w, FUSED_REF, &mut restored).expect("unpack");
         });
@@ -204,12 +203,12 @@ fn kernel_rows(cfg: &Config) -> Vec<KernelRow> {
 
         rows.push(KernelRow {
             width: w,
-            pack_generic: vps(cfg.n, pack_generic_ns),
-            pack_unrolled: vps(cfg.n, pack_unrolled_ns),
-            pack_fused: vps(cfg.n, pack_fused_ns),
-            unpack_generic: vps(cfg.n, unpack_generic_ns),
-            unpack_unrolled: vps(cfg.n, unpack_unrolled_ns),
-            unpack_fused: vps(cfg.n, unpack_fused_ns),
+            pack_generic: vps(cfg.n, pack_generic_ns.min),
+            pack_unrolled: vps(cfg.n, pack_unrolled_ns.min),
+            pack_fused: vps(cfg.n, pack_fused_ns.min),
+            unpack_generic: vps(cfg.n, unpack_generic_ns.min),
+            unpack_unrolled: vps(cfg.n, unpack_unrolled_ns.min),
+            unpack_fused: vps(cfg.n, unpack_fused_ns.min),
         });
     }
     rows
@@ -343,7 +342,7 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
     for kind in SolverKind::ALL {
         let codec = BosCodec::new(kind);
         let mut buf = Vec::new();
-        let (_, ns) = time_best_of(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf.clear();
             let mut session = codec.encode_session();
             for block in series.chunks(BLOCK) {
@@ -363,7 +362,7 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
         );
         rows.push(SolverEncodeRow {
             name: kind.label(),
-            encode: vps(series.len(), ns),
+            encode: vps(series.len(), ns.min),
             bytes: buf.len(),
         });
     }
@@ -442,11 +441,11 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     pack_words_unrolled(&deltas, 13, &mut packed);
     let mut out = Vec::new();
     let mut time_unpack = |repeats| {
-        let (_, ns) = time_best_of(repeats, || {
+        let (_, ns) = time_stats(repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), 13, &mut out).expect("unpack");
         });
-        ns
+        ns.min
     };
     // Alternate on/off rounds and keep the per-state minimum: the paths
     // under test run in hundreds of microseconds, so a single ordered
@@ -473,17 +472,17 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     let mut driver_off = f64::MAX;
     for _ in 0..3 {
         obs::set_enabled(true);
-        let (_, ns) = time_best_of(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf_on.clear();
             encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_on).expect("encode");
         });
-        driver_on = driver_on.min(ns);
+        driver_on = driver_on.min(ns.min);
         obs::set_enabled(false);
-        let (_, ns) = time_best_of(cfg.repeats, || {
+        let (_, ns) = time_stats(cfg.repeats, || {
             buf_off.clear();
             encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_off).expect("encode");
         });
-        driver_off = driver_off.min(ns);
+        driver_off = driver_off.min(ns.min);
     }
     obs::set_enabled(true);
 

@@ -61,52 +61,15 @@ fn parse_env_usize(name: &str, raw: Option<&str>, default: usize) -> (usize, Opt
     }
 }
 
-/// Runs `f` once and returns its result plus elapsed nanoseconds.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_nanos() as f64)
-}
-
-/// Runs `f` `repeats` times and returns the last result plus the average
-/// elapsed nanoseconds.
-pub fn time_avg<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(repeats >= 1);
-    let mut total = 0.0;
-    let mut last = None;
-    for _ in 0..repeats {
-        let (out, ns) = time_once(&mut f);
-        total += ns;
-        last = Some(out);
-    }
-    (last.expect("repeats >= 1"), total / repeats as f64)
-}
-
-/// Runs `f` once untimed as a warmup, then `repeats` timed runs, returning
-/// the last result plus the **minimum** elapsed nanoseconds.
-///
-/// Min-of-N is the standard low-noise estimator for short deterministic
-/// kernels (scheduler preemptions and cache-cold runs only ever add time),
-/// so throughput numbers recorded in `BENCH_PR*.json` artifacts stay reproducible
-/// across runs at the same `BOS_REPEATS`.
-pub fn time_best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(repeats >= 1);
-    let _ = f(); // warmup: touch caches, resolve lazy init
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..repeats {
-        let (out, ns) = time_once(&mut f);
-        best = best.min(ns);
-        last = Some(out);
-    }
-    (last.expect("repeats >= 1"), best)
-}
-
 /// Timing spread over a repeat set, all in nanoseconds.
 ///
-/// `min` is the low-noise point estimate (same rationale as
-/// [`time_best_of`]); the spread fields let a reader of the JSON artifact
-/// judge how noisy the run was without re-running it.
+/// `min` is the low-noise point estimate: min-of-N is the standard
+/// estimator for short deterministic kernels (scheduler preemptions and
+/// cache-cold runs only ever add time), so throughput numbers recorded in
+/// `BENCH_PR*.json` artifacts stay reproducible across runs at the same
+/// `BOS_REPEATS`. `mean` is what the paper-figure tables report; the
+/// spread fields let a reader of the JSON artifact judge how noisy the
+/// run was without re-running it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeStats {
     /// Fastest run.
@@ -147,20 +110,18 @@ impl TimeStats {
     }
 }
 
-/// Runs `f` once untimed as a warmup, then `repeats` timed runs, returning
-/// the last result plus the full timing spread.
-///
-/// `time_best_of` with the spread kept: `stats.min` matches what
-/// [`time_best_of`] would report for the same run set.
+/// The one experiment timer: runs `f` once untimed as a warmup, then
+/// `repeats` timed runs, returning the last result plus the full timing
+/// spread in nanoseconds.
 pub fn time_stats<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, TimeStats) {
     assert!(repeats >= 1);
     let _ = f(); // warmup: touch caches, resolve lazy init
     let mut samples = Vec::with_capacity(repeats);
     let mut last = None;
     for _ in 0..repeats {
-        let (out, ns) = time_once(&mut f);
-        samples.push(ns);
-        last = Some(out);
+        let start = Instant::now();
+        last = Some(f());
+        samples.push(start.elapsed().as_nanos() as f64);
     }
     (
         last.expect("repeats >= 1"),
@@ -249,30 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_returns_positive() {
-        let (v, ns) = time_avg(3, || (0..1000).sum::<u64>());
-        assert_eq!(v, 499_500);
-        assert!(ns > 0.0);
-    }
-
-    #[test]
-    fn best_of_is_at_most_avg() {
-        let mut calls = 0usize;
-        let (v, best) = time_best_of(5, || {
-            calls += 1;
-            (0..1000).sum::<u64>()
-        });
-        assert_eq!(v, 499_500);
-        assert_eq!(calls, 6, "warmup + 5 timed runs");
-        assert!(best >= 0.0 && best.is_finite());
-        let (_, avg) = time_avg(5, || (0..1000).sum::<u64>());
-        // Not a strict ordering guarantee across separate closures, but the
-        // min of a run set can never exceed a same-length average by much;
-        // sanity-bound it loosely to catch unit mixups (ns vs ms).
-        assert!(best < avg * 100.0 + 1.0);
-    }
-
-    #[test]
     fn formats() {
         assert_eq!(fmt_ratio(3.144), "3.14");
         assert_eq!(fmt_ns(123.7), "124");
@@ -304,8 +241,13 @@ mod tests {
 
     #[test]
     fn time_stats_spread_is_consistent() {
-        let (v, stats) = time_stats(5, || (0..1000).sum::<u64>());
+        let mut calls = 0usize;
+        let (v, stats) = time_stats(5, || {
+            calls += 1;
+            (0..1000).sum::<u64>()
+        });
         assert_eq!(v, 499_500);
+        assert_eq!(calls, 6, "warmup + 5 timed runs");
         assert!(stats.min > 0.0);
         assert!(stats.min <= stats.mean && stats.mean <= stats.max);
         assert!(stats.stddev >= 0.0 && stats.stddev.is_finite());

@@ -10,7 +10,10 @@
 //! generalizes that to long series by segmenting into fixed-size blocks and
 //! fanning encode out over std threads. Blocks are independent, so the
 //! output is byte-identical to the sequential path and [`decode_blocks`]
-//! (or any incremental reader) works on either.
+//! (or any incremental reader) works on either. Its block loop,
+//! [`encode_blocks_with`], is the workspace's one multi-block encode
+//! driver: outer encodings with independent blocks (TS2DIFF) run their
+//! own per-block sessions through it behind their own stream header.
 
 use crate::error::{DecodeResult, EncodeError};
 use crate::width::{range_u64, width};
@@ -20,9 +23,9 @@ use std::time::Instant;
 
 // Parallel-driver metrics: per-worker block counts and busy time expose
 // imbalance; join_wait_ns is how long the caller sat blocked collecting
-// results; worker_panics counts contained codec panics (each one triggers
-// a sequential retry of the batch). All no-ops unless the `obs` feature is
-// on and the runtime switch is enabled.
+// results; worker_panics counts contained session panics (each one
+// triggers a sequential retry of the batch). All no-ops unless the `obs`
+// feature is on and the runtime switch is enabled.
 static PAR_JOBS: obs::CounterHandle = obs::CounterHandle::new("driver.parallel.jobs");
 static PAR_WORKERS: obs::CounterHandle = obs::CounterHandle::new("driver.parallel.workers");
 static PAR_JOIN_WAIT_NS: obs::CounterHandle =
@@ -68,7 +71,6 @@ impl EncodeMeter {
 }
 
 /// Decode-side metric cells for one codec label.
-#[derive(Clone, Copy)]
 struct DecodeMeter {
     blocks: &'static obs::Counter,
     values: &'static obs::Counter,
@@ -83,74 +85,41 @@ impl DecodeMeter {
             bytes: obs::counter(&format!("codec.{label}.bytes_decoded")),
         })
     }
-}
 
-fn encode_one(
-    session: &mut (dyn EncodeSession + '_),
-    block: &[i64],
-    out: &mut Vec<u8>,
-    meter: Option<&EncodeMeter>,
-) {
-    let start = out.len();
-    session.encode_block(block, out);
-    if let Some(m) = meter {
-        m.record(block, out.len().saturating_sub(start));
+    fn record(&self, values: usize, bytes: usize) {
+        self.blocks.inc();
+        self.values.add(values as u64);
+        self.bytes.add(bytes as u64);
     }
 }
 
-fn decode_one<C: BlockCodec + ?Sized>(
-    codec: &C,
-    buf: &[u8],
-    pos: &mut usize,
-    out: &mut Vec<i64>,
-    meter: Option<&DecodeMeter>,
-) -> DecodeResult<()> {
-    let values_before = out.len();
-    let pos_before = *pos;
-    codec.decode(buf, pos, out)?;
-    if let Some(m) = meter {
-        m.blocks.inc();
-        m.values.add(out.len().saturating_sub(values_before) as u64);
-        m.bytes.add(pos.saturating_sub(pos_before) as u64);
+/// A codec session whose blocks are recorded under the codec's
+/// per-label `codec.*` metrics when instrumentation is enabled.
+struct MeteredSession<'a> {
+    inner: Box<dyn EncodeSession + 'a>,
+    meter: Option<EncodeMeter>,
+}
+
+impl EncodeSession for MeteredSession<'_> {
+    fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>) {
+        let start = out.len();
+        self.inner.encode_block(values, out);
+        if let Some(m) = &self.meter {
+            m.record(values, out.len().saturating_sub(start));
+        }
     }
-    Ok(())
 }
 
-/// Encodes one block via `codec`, recording the per-label block/value/
-/// byte counters and the block-width histogram when instrumentation is
-/// enabled. Single-block counterpart of the accounting
-/// [`encode_blocks_parallel`] does internally, for callers that frame
-/// blocks themselves.
-pub fn encode_block_observed<C: BlockCodec + ?Sized>(codec: &C, values: &[i64], out: &mut Vec<u8>) {
-    let meter = EncodeMeter::new(codec.name());
-    let mut session = codec.encode_session();
-    encode_one(session.as_mut(), values, out, meter.as_ref());
-}
-
-/// Decodes one block via `codec`, recording the per-label block/value/
-/// byte counters when instrumentation is enabled. Counterpart of
-/// [`encode_block_observed`].
-pub fn decode_block_observed<C: BlockCodec + ?Sized>(
-    codec: &C,
-    buf: &[u8],
-    pos: &mut usize,
-    out: &mut Vec<i64>,
-) -> DecodeResult<()> {
-    let meter = DecodeMeter::new(codec.name());
-    decode_one(codec, buf, pos, out, meter.as_ref())
-}
-
-/// [`encode_one`] with the codec's panic contained: on panic the payload is
-/// swallowed, `out` is rolled back to its entry length (the codec may have
-/// pushed a partial block), and `Err(())` is returned.
+/// One session block encode with its panic contained: on panic the payload
+/// is swallowed, `out` is rolled back to its entry length (the session may
+/// have pushed a partial block), and `Err(())` is returned.
 fn encode_one_caught(
     session: &mut (dyn EncodeSession + '_),
     block: &[i64],
     out: &mut Vec<u8>,
-    meter: Option<&EncodeMeter>,
 ) -> Result<(), ()> {
     let len_before = out.len();
-    match catch_unwind(AssertUnwindSafe(|| encode_one(session, block, out, meter))) {
+    match catch_unwind(AssertUnwindSafe(|| session.encode_block(block, out))) {
         Ok(()) => Ok(()),
         Err(_payload) => {
             out.truncate(len_before);
@@ -162,17 +131,16 @@ fn encode_one_caught(
 /// Sequential panic-contained block loop shared by the single-thread path
 /// and the post-panic retry: the first block whose encode still panics
 /// rolls `out` back to `restore` and surfaces as a typed error.
-fn encode_blocks_caught<C: BlockCodec + ?Sized>(
-    codec: &C,
+fn encode_blocks_caught<'a, F: Fn() -> Box<dyn EncodeSession + 'a>>(
+    new_session: &F,
     values: &[i64],
     block_size: usize,
     out: &mut Vec<u8>,
-    meter: Option<&EncodeMeter>,
     restore: usize,
 ) -> Result<(), EncodeError> {
-    let mut session = codec.encode_session();
+    let mut session = new_session();
     for (i, block) in values.chunks(block_size).enumerate() {
-        if encode_one_caught(session.as_mut(), block, out, meter).is_err() {
+        if encode_one_caught(session.as_mut(), block, out).is_err() {
             out.truncate(restore);
             return Err(EncodeError::WorkerPanicked { block: i });
         }
@@ -271,17 +239,14 @@ impl<C: BlockCodec + ?Sized> BlockCodec for Box<C> {
 /// Encodes `values` as `varint n_blocks` followed by the blocks, encoding
 /// block groups on up to `threads` worker threads and concatenating in
 /// order. The output is byte-identical to a sequential loop over
-/// `values.chunks(block_size)` (blocks are independent), so any
-/// incremental reader — [`decode_blocks`], `bos::stream::StreamDecoder` —
-/// works on either.
+/// `values.chunks(block_size)` (blocks are independent), so
+/// [`decode_blocks`] — or a block-at-a-time reader such as the `query`
+/// crate's scanner — works on either.
 ///
-/// A codec panic is contained rather than propagated: each block encode
-/// runs under `catch_unwind`, and if any worker trips, the whole batch is
-/// retried sequentially with per-block containment (so a *transient* panic
-/// still completes the encode). A block that panics deterministically
-/// surfaces as [`EncodeError::WorkerPanicked`] carrying the first failing
-/// block index, with `out` rolled back to exactly its entry state — the
-/// caller's buffer is never left holding a half-written stream.
+/// The block loop is [`encode_blocks_with`] over the codec's sessions, so
+/// a codec panic surfaces as [`EncodeError::WorkerPanicked`] with `out`
+/// rolled back to exactly its entry state (header included). Blocks are
+/// also recorded under the codec's per-label `codec.*` metrics.
 ///
 /// # Panics
 /// If `block_size` or `threads` is zero.
@@ -293,14 +258,53 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
     out: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
     assert!(block_size >= 1, "block_size must be >= 1");
-    assert!(threads >= 1, "threads must be >= 1");
-    let n_blocks = values.len().div_ceil(block_size);
     let meter = EncodeMeter::new(codec.name());
     let restore = out.len();
-    write_varint(out, n_blocks as u64);
+    write_varint(out, values.len().div_ceil(block_size) as u64);
+    let new_session = || -> Box<dyn EncodeSession + '_> {
+        Box::new(MeteredSession {
+            inner: codec.encode_session(),
+            meter,
+        })
+    };
+    encode_blocks_with(&new_session, values, block_size, threads, out)
+        .inspect_err(|_| out.truncate(restore))
+}
+
+/// The multi-block encode core: appends the blocks of `values` (no
+/// stream header), encoding block groups on up to `threads` worker
+/// threads — each with its own session from `new_session` — and
+/// concatenating them in block order, so the output is byte-identical to
+/// one session fed `values.chunks(block_size)` in order.
+///
+/// A session panic is contained rather than propagated: each block encode
+/// runs under `catch_unwind`, and if any worker trips, the whole batch is
+/// retried sequentially with per-block containment (so a *transient* panic
+/// still completes the encode). A block that panics deterministically
+/// surfaces as [`EncodeError::WorkerPanicked`] carrying the first failing
+/// block index, with `out` rolled back to exactly its entry state — the
+/// caller's buffer is never left holding a half-written stream.
+///
+/// # Panics
+/// If `block_size` or `threads` is zero.
+pub fn encode_blocks_with<'a, F>(
+    new_session: &F,
+    values: &[i64],
+    block_size: usize,
+    threads: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), EncodeError>
+where
+    F: Fn() -> Box<dyn EncodeSession + 'a> + Sync,
+{
+    assert!(block_size >= 1, "block_size must be >= 1");
+    assert!(threads >= 1, "threads must be >= 1");
+    let n_blocks = values.len().div_ceil(block_size);
+    let restore = out.len();
     if threads == 1 || n_blocks <= 1 {
-        return encode_blocks_caught(codec, values, block_size, out, meter.as_ref(), restore);
+        return encode_blocks_caught(new_session, values, block_size, out, restore);
     }
+    let observed = obs::enabled();
     let blocks: Vec<&[i64]> = values.chunks(block_size).collect();
     let chunk = blocks.len().div_ceil(threads);
     let mut parts: Vec<Vec<u8>> = Vec::new();
@@ -310,11 +314,11 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
             .chunks(chunk)
             .map(|group| {
                 scope.spawn(move || -> Result<Vec<u8>, ()> {
-                    let started = meter.map(|_| Instant::now());
-                    let mut session = codec.encode_session();
+                    let started = observed.then(Instant::now);
+                    let mut session = new_session();
                     let mut buf = Vec::new();
                     for block in group {
-                        encode_one_caught(session.as_mut(), block, &mut buf, meter.as_ref())?;
+                        encode_one_caught(session.as_mut(), block, &mut buf)?;
                     }
                     if let Some(t0) = started {
                         PAR_WORKER_BLOCKS.record(group.len() as u64);
@@ -324,7 +328,7 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
                 })
             })
             .collect();
-        if meter.is_some() {
+        if observed {
             PAR_JOBS.inc();
             PAR_WORKERS.add(handles.len() as u64);
             obs::trail::emit(obs::trail::Event::DriverDispatch {
@@ -332,20 +336,20 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
                 workers: handles.len() as u64,
             });
         }
-        let join_started = meter.map(|_| Instant::now());
+        let join_started = observed.then(Instant::now);
         for h in handles {
             match h.join() {
                 Ok(Ok(part)) => parts.push(part),
                 // Worker reported a contained panic, or (second arm) the
                 // panic escaped containment entirely — possible only for
-                // panics raised between blocks, not by the codec itself.
+                // panics raised between blocks, not by the session itself.
                 Ok(Err(())) | Err(_) => panicked = true,
             }
         }
         if let Some(t0) = join_started {
             PAR_JOIN_WAIT_NS.add(elapsed_ns(t0));
         }
-        if meter.is_some() {
+        if observed {
             obs::trail::emit(obs::trail::Event::DriverJoin {
                 blocks: n_blocks as u64,
                 panicked,
@@ -358,18 +362,17 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
         }
         return Ok(());
     }
-    // A worker panicked. Retry the batch sequentially with per-block
-    // containment: transient panics complete on retry; a deterministic
-    // panic identifies its block index and rolls `out` back.
-    if meter.is_some() {
+    // A worker panicked (`out` is untouched: parts are only appended on
+    // success). Retry the batch sequentially with per-block containment:
+    // transient panics complete on retry; a deterministic panic identifies
+    // its block index and rolls `out` back.
+    if observed {
         PAR_WORKER_PANICS.inc();
         obs::trail::emit(obs::trail::Event::WorkerPanic {
             blocks: n_blocks as u64,
         });
     }
-    out.truncate(restore);
-    write_varint(out, n_blocks as u64);
-    encode_blocks_caught(codec, values, block_size, out, meter.as_ref(), restore)
+    encode_blocks_caught(new_session, values, block_size, out, restore)
 }
 
 /// Decodes an [`encode_blocks_parallel`] stream back into one vector:
@@ -380,7 +383,14 @@ pub fn decode_blocks<C: BlockCodec>(codec: &C, buf: &[u8]) -> DecodeResult<Vec<i
     let meter = DecodeMeter::new(codec.name());
     let mut out = Vec::new();
     for _ in 0..n_blocks {
-        decode_one(codec, buf, &mut pos, &mut out, meter.as_ref())?;
+        let (values_before, pos_before) = (out.len(), pos);
+        codec.decode(buf, &mut pos, &mut out)?;
+        if let Some(m) = &meter {
+            m.record(
+                out.len().saturating_sub(values_before),
+                pos.saturating_sub(pos_before),
+            );
+        }
     }
     Ok(out)
 }
@@ -445,53 +455,6 @@ mod tests {
             decode_blocks(&Varints, &buf[..buf.len() / 2]),
             Err(DecodeError::Truncated)
         );
-    }
-
-    /// Same wire format as `Varints`, under its own label so the metric
-    /// deltas below cannot race with the other tests in this binary
-    /// (which drive "VARINTS-TEST" concurrently).
-    struct VarintsObs;
-
-    impl BlockCodec for VarintsObs {
-        fn name(&self) -> &'static str {
-            "VARINTS-OBS-TEST"
-        }
-        fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
-            Varints.encode(values, out)
-        }
-        fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
-            Varints.decode(buf, pos, out)
-        }
-    }
-
-    #[test]
-    fn encode_block_observed_decode_block_observed_roundtrip_and_count() {
-        let values: Vec<i64> = (0..300).map(|i| i * 7 - 500).collect();
-        let label = "VARINTS-OBS-TEST";
-        let before = obs::snapshot();
-        let mut buf = Vec::new();
-        encode_block_observed(&VarintsObs, &values, &mut buf);
-        let mut out = Vec::new();
-        let mut pos = 0;
-        decode_block_observed(&VarintsObs, &buf, &mut pos, &mut out).expect("intact block");
-        assert_eq!(out, values);
-        if obs::enabled() {
-            let after = obs::snapshot();
-            let delta = |name: &str| {
-                after.counter(&format!("codec.{label}.{name}"))
-                    - before.counter(&format!("codec.{label}.{name}"))
-            };
-            assert_eq!(delta("blocks_encoded"), 1);
-            assert_eq!(delta("blocks_decoded"), 1);
-            assert_eq!(delta("values_encoded"), values.len() as u64);
-            assert_eq!(delta("values_decoded"), values.len() as u64);
-            assert_eq!(delta("bytes_encoded"), buf.len() as u64);
-            assert_eq!(delta("bytes_decoded"), pos as u64);
-            let widths = after
-                .histogram(&format!("codec.{label}.block_width"))
-                .expect("width histogram registered");
-            assert!(widths.count >= 1);
-        }
     }
 
     /// Deliberately-panicking mock codec: encodes like `Varints` but

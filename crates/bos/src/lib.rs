@@ -29,7 +29,6 @@
 //! * [`solver`] — BOS-V (Alg. 1), BOS-B (Alg. 2) and BOS-M (Alg. 3).
 //! * [`mod@format`] — the self-describing block layout of Section VII (Fig. 7).
 //! * [`kpart`] — the k-part generalization behind Figure 14.
-//! * [`stream`] — block segmentation for long series.
 //! * [`stats`] — per-block separation diagnostics (Figure 9's machinery).
 //! * [`theory`] — the Proposition 4 approximation bound.
 //! * [`positions`] — bitmap vs. index-list position-storage analysis.
@@ -43,9 +42,9 @@ pub mod kpart;
 pub mod positions;
 pub mod solver;
 pub mod stats;
-pub mod stream;
 pub mod theory;
 
+use bitpack::EncodeSession;
 pub use cost::{Evaluation, Separation, Solution, SortedBlock};
 pub use format::{decode_block as decode, encode_block_with_solution};
 pub use solver::{
@@ -55,7 +54,7 @@ pub use solver::{
 /// Which separation solver a [`BosCodec`] uses.
 ///
 /// This is the single solver-selection surface of the workspace: the CLI,
-/// [`stream`], the experiment harness and the adaptive ladder all pick
+/// the block streams, the experiment harness and the adaptive ladder all pick
 /// solvers through it (mirroring how `PackerKind` selects packing
 /// operators), so a new solver shows up everywhere by adding one variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,15 +196,20 @@ impl BosCodec {
         }
     }
 
-    /// Encodes one block of values into `out`.
+    /// Encodes one block of values into `out`: a one-block
+    /// [`BosCodec::encode_session`].
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
-        let (search_span, pack_span) = self.span_names();
-        let solution = {
-            let _span = obs::span(search_span);
-            self.solve(values)
-        };
-        let _span = obs::span(pack_span);
-        format::encode_block_with_solution(values, &solution, out);
+        self.session().encode_block(values, out);
+    }
+
+    fn session(&self) -> BosSession {
+        let solver = self.kind.build();
+        let scratch = solver.scratch();
+        BosSession {
+            codec: *self,
+            solver,
+            scratch,
+        }
     }
 
     /// Decodes one block from `buf[*pos..]` into `out`. Identical to the
@@ -236,14 +240,8 @@ impl bitpack::BlockCodec for BosCodec {
         format::decode_block(buf, pos, out)
     }
 
-    fn encode_session(&self) -> Box<dyn bitpack::EncodeSession + '_> {
-        let solver = self.kind.build();
-        let scratch = solver.scratch();
-        Box::new(BosSession {
-            codec: *self,
-            solver,
-            scratch,
-        })
+    fn encode_session(&self) -> Box<dyn EncodeSession + '_> {
+        Box::new(self.session())
     }
 }
 
@@ -257,7 +255,7 @@ struct BosSession {
     scratch: SolverScratch,
 }
 
-impl bitpack::EncodeSession for BosSession {
+impl EncodeSession for BosSession {
     fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>) {
         let (search_span, pack_span) = self.codec.span_names();
         let solution = {
@@ -272,6 +270,7 @@ impl bitpack::EncodeSession for BosSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitpack::codec::{decode_blocks, encode_blocks_parallel};
 
     #[test]
     fn codec_roundtrip_every_kind() {
@@ -290,6 +289,23 @@ mod tests {
             let mut out = Vec::new();
             codec.decode(&buf, &mut pos, &mut out).expect("decode");
             assert_eq!(out, values, "{}", codec.name());
+        }
+        // Multi-block streams through the shared driver: every block size
+        // round-trips, and a half-truncated stream is an error.
+        let series: Vec<i64> = (0..5000)
+            .map(|i| if i % 97 == 0 { 1 << 30 } else { i % 50 })
+            .collect();
+        let codec = BosCodec::new(SolverKind::BitWidth);
+        for block_size in [1usize, 7, 256, 1024, 5000, 9999] {
+            let mut buf = Vec::new();
+            encode_blocks_parallel(&codec, &series, block_size, 2, &mut buf).expect("encode");
+            let cut = &buf[..buf.len() / 2];
+            assert_eq!(
+                decode_blocks(&codec, &buf).as_ref(),
+                Ok(&series),
+                "{block_size}"
+            );
+            assert!(decode_blocks(&codec, cut).is_err(), "{block_size}");
         }
     }
 

@@ -81,8 +81,9 @@ impl PackerKind {
         PackerKind::BosM,
     ];
 
-    /// Instantiates the operator.
-    pub fn build(self) -> Box<dyn IntPacker> {
+    /// Instantiates the operator. Every operator is a plain `Copy`
+    /// struct, so one instance can be shared by parallel encode workers.
+    pub fn build(self) -> Box<dyn IntPacker + Send + Sync> {
         match self {
             PackerKind::Bp => Box::new(pfor::BpCodec::new()),
             PackerKind::Pfor => Box::new(pfor::PforCodec::new()),

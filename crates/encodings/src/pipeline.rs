@@ -8,9 +8,8 @@
 use crate::rle::RleEncoding;
 use crate::sprintz::SprintzEncoding;
 use crate::ts2diff::Ts2DiffEncoding;
-use crate::{floatint, IntPacker, PackerKind};
-use bitpack::error::{DecodeError, DecodeResult};
-use bitpack::zigzag::write_varint;
+use crate::{floatint, PackerKind};
+use bitpack::error::{DecodeError, DecodeResult, EncodeError};
 
 /// The outer transform of a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,88 +66,9 @@ impl Pipeline {
         format!("{}+{}", self.outer.label(), self.packer_kind.label())
     }
 
-    /// The outer transform.
-    pub fn outer(&self) -> OuterKind {
-        self.outer
-    }
-
-    /// The inner operator.
-    pub fn packer_kind(&self) -> PackerKind {
-        self.packer_kind
-    }
-
     /// Encodes an integer series.
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
         let packer = self.packer_kind.build();
-        self.encode_with(packer.as_ref(), values, out);
-    }
-
-    /// Encodes an integer series, fanning per-block encodes across up
-    /// to `threads` worker threads when the outer transform's blocks
-    /// are independent — the pipeline-stream analog of
-    /// [`bitpack::codec::encode_blocks_parallel`]. Each worker builds
-    /// its own operator (and therefore re-runs the full solver search
-    /// on its blocks) and the parts concatenate in block order, so the
-    /// output is byte-identical to [`encode`](Self::encode). Only
-    /// TS2DIFF has independent blocks; RLE and SPRINTZ carry
-    /// cross-block state and fall back to the sequential path, as does
-    /// `threads <= 1` or a single-block series.
-    // lint:allow(encode-decode-pairing): byte-identical to `encode`, so the existing `decode` is its counterpart (pinned by `parallel_encode_is_byte_identical`)
-    pub fn encode_parallel(&self, values: &[i64], threads: usize, out: &mut Vec<u8>) {
-        let n_blocks = values.len().div_ceil(self.block_size.max(1));
-        if threads <= 1 || n_blocks <= 1 || self.outer != OuterKind::Ts2Diff {
-            self.encode(values, out);
-            return;
-        }
-        // Stream header, exactly as the sequential TS2DIFF path writes
-        // it. `new`/`with_block_size` pipelines are always first-order.
-        const ORDER: u8 = 1;
-        let restore = out.len();
-        write_varint(out, values.len() as u64);
-        out.push(ORDER);
-        let blocks: Vec<&[i64]> = values.chunks(self.block_size).collect();
-        let per_worker = blocks.len().div_ceil(threads);
-        let mut parts: Vec<Vec<u8>> = Vec::new();
-        let mut lost = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .chunks(per_worker)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let enc = Ts2DiffEncoding::with_block_size(
-                            self.packer_kind.build(),
-                            self.block_size,
-                        );
-                        let mut scratch = Vec::with_capacity(self.block_size);
-                        let mut buf = Vec::new();
-                        for block in group {
-                            enc.encode_block_into(block, &mut scratch, &mut buf);
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => parts.push(part),
-                    Err(_) => lost = true,
-                }
-            }
-        });
-        if lost {
-            // A worker panicked mid-batch: drop the partial stream and
-            // redo the series sequentially, mirroring the containment
-            // contract of the parallel block driver.
-            out.truncate(restore);
-            self.encode(values, out);
-            return;
-        }
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-    }
-
-    fn encode_with(&self, packer: &dyn IntPacker, values: &[i64], out: &mut Vec<u8>) {
         match self.outer {
             OuterKind::Rle => {
                 RleEncoding::with_block_size(packer, self.block_size).encode(values, out);
@@ -160,6 +80,32 @@ impl Pipeline {
                 SprintzEncoding::with_block_size(packer, self.block_size).encode(values, out);
             }
         }
+    }
+
+    /// Encodes an integer series, fanning TS2DIFF's independent blocks
+    /// across up to `threads` worker threads through the shared driver
+    /// [`bitpack::codec::encode_blocks_with`]; the output is
+    /// byte-identical to [`encode`](Self::encode). An operator panic is
+    /// contained there and surfaces as
+    /// [`EncodeError::WorkerPanicked`](bitpack::EncodeError) with `out`
+    /// exactly as on entry. RLE and SPRINTZ carry cross-block state and
+    /// take the sequential path; `threads == 0` counts as one.
+    // lint:allow(encode-decode-pairing): byte-identical to `encode`, so the existing `decode` is its counterpart (pinned by `parallel_encode_is_byte_identical`)
+    pub fn encode_parallel(
+        &self,
+        values: &[i64],
+        threads: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError> {
+        if self.outer != OuterKind::Ts2Diff {
+            self.encode(values, out);
+            return Ok(());
+        }
+        Ts2DiffEncoding::with_block_size(self.packer_kind.build(), self.block_size).encode_parallel(
+            values,
+            threads.max(1),
+            out,
+        )
     }
 
     /// Decodes an integer series.
@@ -242,24 +188,25 @@ mod tests {
             .map(|i| i * 3 + (i % 11) + if i % 73 == 0 { 40_000 } else { 0 })
             .collect();
         for outer in OuterKind::ALL {
-            for packer in [PackerKind::Bp, PackerKind::BosB, PackerKind::FastPfor] {
+            for packer in PackerKind::ALL {
                 let p = Pipeline::new(outer, packer);
                 let mut seq = Vec::new();
                 p.encode(&values, &mut seq);
                 for threads in [1, 2, 3, 7] {
                     let mut par = Vec::new();
-                    p.encode_parallel(&values, threads, &mut par);
+                    p.encode_parallel(&values, threads, &mut par)
+                        .expect("encode");
                     assert_eq!(par, seq, "{} threads={threads}", p.label());
                 }
             }
         }
-        // Degenerate inputs take the sequential path untouched.
+        // Degenerate inputs: empty, single-value and single-block series.
         let p = Pipeline::new(OuterKind::Ts2Diff, PackerKind::BosB);
         for vals in [vec![], vec![7i64], (0..800).collect::<Vec<_>>()] {
             let mut seq = Vec::new();
             p.encode(&vals, &mut seq);
             let mut par = Vec::new();
-            p.encode_parallel(&vals, 4, &mut par);
+            p.encode_parallel(&vals, 4, &mut par).expect("encode");
             assert_eq!(par, seq, "n={}", vals.len());
         }
     }

@@ -11,10 +11,17 @@
 //! `order × zigzag heads · operator block(differences)`. An empty series
 //! is a single `varint 0`. The order is in the stream, so any
 //! `Ts2DiffEncoding` decodes any other's output.
+//!
+//! Each block is encoded by a per-worker session (a difference scratch
+//! plus the operator's own session). Blocks are independent, so the
+//! store's parallel flush runs those sessions through the workspace's
+//! multi-block driver, [`bitpack::codec::encode_blocks_with`], behind the
+//! header written here.
 
 use crate::diff::{diff_in_place, undiff_in_place};
 use crate::IntPacker;
-use bitpack::error::{DecodeError, DecodeResult};
+use bitpack::codec::{encode_blocks_with, EncodeSession};
+use bitpack::error::{DecodeError, DecodeResult, EncodeError};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};
 
 /// Highest differencing order the format accepts.
@@ -64,35 +71,52 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
         format!("TS2DIFF+{}", self.packer.name())
     }
 
-    /// Encodes the whole series.
-    pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+    /// Writes the stream header (an empty series has no order byte).
+    fn write_header(&self, values: &[i64], out: &mut Vec<u8>) {
         write_varint(out, values.len() as u64);
-        if values.is_empty() {
-            return;
-        }
-        out.push(self.order as u8);
-        let mut scratch = Vec::with_capacity(self.block_size);
-        for block in values.chunks(self.block_size) {
-            self.encode_block_into(block, &mut scratch, out);
+        if !values.is_empty() {
+            out.push(self.order as u8);
         }
     }
 
-    /// Encodes one block's bytes — the `order × zigzag heads · operator
-    /// block` unit [`encode`](Self::encode) concatenates after the
-    /// stream header. Blocks are independent, so parallel drivers can
-    /// produce byte-identical streams by encoding groups of blocks on
-    /// worker threads and concatenating the results in block order
-    /// (see `Pipeline::encode_parallel`).
-    // lint:allow(encode-decode-pairing): emits a fragment of the `encode` stream, which the existing `decode` reads (pinned by `parallel_encode_is_byte_identical`)
-    pub fn encode_block_into(&self, block: &[i64], scratch: &mut Vec<i64>, out: &mut Vec<u8>) {
-        scratch.clear();
-        scratch.extend_from_slice(block);
-        diff_in_place(scratch, self.order);
-        let heads = self.order.min(block.len());
-        for &h in &scratch[..heads] {
-            write_varint_i64(out, h);
+    /// A per-worker block encoder: one difference scratch plus the
+    /// operator's own session.
+    fn session(&self) -> Ts2DiffSession<'_> {
+        Ts2DiffSession {
+            order: self.order,
+            diffs: Vec::with_capacity(self.block_size),
+            inner: self.packer.encode_session(),
         }
-        self.packer.encode(&scratch[heads..], out);
+    }
+
+    /// Encodes the whole series.
+    pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+        self.write_header(values, out);
+        let mut session = self.session();
+        for block in values.chunks(self.block_size) {
+            session.encode_block(block, out);
+        }
+    }
+
+    /// [`encode`](Self::encode) with the blocks fanned out over up to
+    /// `threads` workers by the shared driver
+    /// [`encode_blocks_with`](bitpack::codec::encode_blocks_with): the
+    /// bytes are identical, and an operator panic surfaces as
+    /// [`EncodeError::WorkerPanicked`] with `out` exactly as on entry.
+    pub(crate) fn encode_parallel(
+        &self,
+        values: &[i64],
+        threads: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError>
+    where
+        P: Sync,
+    {
+        let restore = out.len();
+        self.write_header(values, out);
+        let new_session = || -> Box<dyn EncodeSession + '_> { Box::new(self.session()) };
+        encode_blocks_with(&new_session, values, self.block_size, threads, out)
+            .inspect_err(|_| out.truncate(restore))
     }
 
     /// Decodes a series produced by [`encode`](Self::encode) (any order).
@@ -136,6 +160,28 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
     /// The delta (intermediate) series the paper histograms in Figure 8.
     pub fn deltas(values: &[i64]) -> Vec<i64> {
         values.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect()
+    }
+}
+
+/// One TS2DIFF block — `order × zigzag heads · operator block` — per
+/// call. Blocks are independent, so any number of sessions can encode
+/// disjoint block groups of one series.
+struct Ts2DiffSession<'a> {
+    order: usize,
+    diffs: Vec<i64>,
+    inner: Box<dyn EncodeSession + 'a>,
+}
+
+impl EncodeSession for Ts2DiffSession<'_> {
+    fn encode_block(&mut self, block: &[i64], out: &mut Vec<u8>) {
+        self.diffs.clear();
+        self.diffs.extend_from_slice(block);
+        diff_in_place(&mut self.diffs, self.order);
+        let (heads, diffs) = self.diffs.split_at(self.order.min(block.len()));
+        for &h in heads {
+            write_varint_i64(out, h);
+        }
+        self.inner.encode_block(diffs, out);
     }
 }
 
@@ -248,6 +294,45 @@ mod tests {
             vec![3, -2, 0]
         );
         assert!(Ts2DiffEncoding::<pfor::BpCodec>::deltas(&[42]).is_empty());
+    }
+
+    /// BP operator that panics when a difference above 5000 reaches it.
+    struct PanicOnSpike;
+
+    impl IntPacker for PanicOnSpike {
+        fn name(&self) -> &'static str {
+            "TS2DIFF-PANIC-MOCK-TEST"
+        }
+        fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+            assert!(values.iter().all(|&v| v <= 5000), "poison difference");
+            pfor::BpCodec::new().encode(values, out)
+        }
+        fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
+            pfor::BpCodec::new().decode(buf, pos, out)
+        }
+    }
+
+    #[test]
+    fn operator_panic_is_a_typed_error_with_rollback() {
+        let mut values: Vec<i64> = (0..4000).collect();
+        values[2500] += 7777; // a difference spike in block 2500 / 512 = 4
+        let enc = Ts2DiffEncoding::with_block_size(PanicOnSpike, 512);
+        for threads in [1, 2, 4] {
+            let mut out = vec![0xAB, 0xCD];
+            assert_eq!(
+                enc.encode_parallel(&values, threads, &mut out),
+                Err(EncodeError::WorkerPanicked { block: 4 }),
+                "threads={threads}"
+            );
+            assert_eq!(out, [0xAB, 0xCD], "threads={threads}");
+        }
+        // Clean input still encodes, byte-identical to the sequential path.
+        let clean: Vec<i64> = (0..4000).collect();
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        enc.encode(&clean, &mut seq);
+        enc.encode_parallel(&clean, 4, &mut par)
+            .expect("clean input");
+        assert_eq!(par, seq);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! them** ([`bos::format::peek_block`]).
 //!
 //! ```
-//! use bos::stream::StreamEncoder;
-//! use bos::SolverKind;
+//! use bitpack::codec::encode_blocks_parallel;
+//! use bos::{BosCodec, SolverKind};
 //! use query::Scanner;
 //!
 //! let values: Vec<i64> = (0..100_000).map(|i| i % 1000).collect();
 //! let mut stream = Vec::new();
-//! StreamEncoder::new(SolverKind::BitWidth, 1024).encode(&values, &mut stream);
+//! encode_blocks_parallel(&BosCodec::new(SolverKind::BitWidth), &values, 1024, 4, &mut stream)
+//!     .unwrap();
 //!
 //! let scanner = Scanner::open(&stream).unwrap();
 //! assert_eq!(scanner.count_in_range(100, 199).unwrap(), 10_000);
@@ -71,7 +72,10 @@ pub struct ScanStats {
     pub blocks_skipped: usize,
 }
 
-/// A scanner over one `bos::stream` block stream.
+/// A scanner over one multi-block BOS stream — `varint n_blocks` then
+/// that many BOS blocks, as
+/// [`encode_blocks_parallel`](bitpack::codec::encode_blocks_parallel)
+/// writes it for a [`BosCodec`](bos::BosCodec).
 pub struct Scanner<'a> {
     data: &'a [u8],
     zones: Vec<Zone>,
@@ -252,13 +256,17 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bos::stream::StreamEncoder;
-    use bos::SolverKind;
+    use bitpack::codec::encode_blocks_parallel;
+    use bos::{BosCodec, SolverKind};
+
+    fn stream_with(kind: SolverKind, values: &[i64], block: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_blocks_parallel(&BosCodec::new(kind), values, block, 2, &mut buf).unwrap();
+        buf
+    }
 
     fn stream_of(values: &[i64], block: usize) -> Vec<u8> {
-        let mut buf = Vec::new();
-        StreamEncoder::new(SolverKind::BitWidth, block).encode(values, &mut buf);
-        buf
+        stream_with(SolverKind::BitWidth, values, block)
     }
 
     /// Clustered values so different blocks cover different ranges.
@@ -390,8 +398,7 @@ mod tests {
     fn works_with_all_solver_kinds() {
         let values = clustered();
         for kind in [SolverKind::Median, SolverKind::Value, SolverKind::BitWidth] {
-            let mut stream = Vec::new();
-            StreamEncoder::new(kind, 1024).encode(&values, &mut stream);
+            let stream = stream_with(kind, &values, 1024);
             let scanner = Scanner::open(&stream).unwrap();
             assert_eq!(
                 scanner.count_in_range(0, 10_000).unwrap(),

@@ -1,14 +1,21 @@
 //! Property tests: every scanner answer must equal the brute-force answer
 //! on the decoded series, for arbitrary data, block sizes and predicates.
 
-use bos::stream::StreamEncoder;
-use bos::SolverKind;
+use bitpack::codec::encode_blocks_parallel;
+use bos::{BosCodec, SolverKind};
 use proptest::prelude::*;
 use query::Scanner;
 
 fn stream_of(values: &[i64], block: usize) -> Vec<u8> {
     let mut buf = Vec::new();
-    StreamEncoder::new(SolverKind::BitWidth, block).encode(values, &mut buf);
+    encode_blocks_parallel(
+        &BosCodec::new(SolverKind::BitWidth),
+        values,
+        block,
+        2,
+        &mut buf,
+    )
+    .unwrap();
     buf
 }
 

@@ -34,7 +34,7 @@
 
 pub mod crc;
 
-use bitpack::error::DecodeError;
+use bitpack::error::{DecodeError, EncodeError};
 use bitpack::zigzag::{read_len_bounded, read_varint, write_varint};
 use crc::crc32;
 
@@ -87,11 +87,20 @@ pub enum TsFileError {
     /// A header field or chunk payload failed to decode; carries the
     /// typed decoder error from the codec stack unchanged.
     Decode(DecodeError),
+    /// A series failed to encode (an operator panicked on one of its
+    /// blocks); carries the encode driver's typed error unchanged.
+    Encode(EncodeError),
 }
 
 impl From<DecodeError> for TsFileError {
     fn from(e: DecodeError) -> Self {
         TsFileError::Decode(e)
+    }
+}
+
+impl From<EncodeError> for TsFileError {
+    fn from(e: EncodeError) -> Self {
+        TsFileError::Encode(e)
     }
 }
 
@@ -113,6 +122,7 @@ impl fmt::Display for TsFileError {
                 "series {name:?} has no exact decimal scaling; store pre-scaled integers instead"
             ),
             Self::Decode(e) => write!(f, "decode failed: {e}"),
+            Self::Encode(e) => write!(f, "encode failed: {e}"),
         }
     }
 }
@@ -307,26 +317,24 @@ impl TsFileWriter {
         });
     }
 
-    /// Adds an integer series compressed with `encoding`.
+    /// Adds an integer series compressed with `encoding`: a one-thread
+    /// [`add_int_series_parallel`](Self::add_int_series_parallel).
     pub fn add_int_series(
         &mut self,
         name: &str,
         values: &[i64],
         encoding: EncodingChoice,
     ) -> Result<(), TsFileError> {
-        self.check_name(name)?;
-        let mut payload = Vec::new();
-        encoding.pipeline().encode(values, &mut payload);
-        self.add_chunk(name, TYPE_INT, None, encoding, values.len(), &payload);
-        Ok(())
+        self.add_int_series_parallel(name, values, encoding, 1)
     }
 
     /// Adds an integer series compressed with `encoding`, fanning the
     /// block encodes (and therefore the solver searches) across up to
     /// `threads` worker threads via [`Pipeline::encode_parallel`]. The
-    /// chunk bytes are identical to [`add_int_series`](Self::add_int_series);
-    /// only the wall-clock differs. Store compaction uses this to
-    /// re-solve merged series without serializing on one core.
+    /// chunk bytes do not depend on `threads`; only the wall-clock does.
+    /// The store's flush and compaction use this to re-solve series
+    /// without serializing on one core. An operator panic fails the call
+    /// with [`TsFileError::Encode`] and leaves the writer unchanged.
     pub fn add_int_series_parallel(
         &mut self,
         name: &str,
@@ -334,11 +342,11 @@ impl TsFileWriter {
         encoding: EncodingChoice,
         threads: usize,
     ) -> Result<(), TsFileError> {
-        self.check_name(name)?;
         let mut payload = Vec::new();
         encoding
             .pipeline()
-            .encode_parallel(values, threads, &mut payload);
+            .encode_parallel(values, threads, &mut payload)?;
+        self.check_name(name)?;
         self.add_chunk(name, TYPE_INT, None, encoding, values.len(), &payload);
         Ok(())
     }
@@ -1156,6 +1164,14 @@ mod tests {
             Err(TsFileError::NoSuchSeries(_))
         ));
         assert!(matches!(r.read_floats("a"), Err(TsFileError::WrongType(_))));
+        // Encode failures arrive from the driver through `?` as their own
+        // variant (a panicking operator is exercised in `encodings`).
+        let e = TsFileError::from(EncodeError::WorkerPanicked { block: 3 });
+        assert_eq!(
+            e,
+            TsFileError::Encode(EncodeError::WorkerPanicked { block: 3 })
+        );
+        assert!(e.to_string().starts_with("encode failed: "), "{e}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example query_scan`
 
-use bos_repro::bos::stream::StreamEncoder;
-use bos_repro::bos::SolverKind;
+use bos_repro::bitpack::codec::encode_blocks_parallel;
+use bos_repro::bos::{BosCodec, SolverKind};
 use bos_repro::datasets::generate;
 use bos_repro::query::Scanner;
 use std::time::Instant;
@@ -14,7 +14,14 @@ fn main() {
     // A long sensor series with distinct operating regimes.
     let values = generate("CS", 200_000).expect("dataset").as_scaled_ints();
     let mut stream = Vec::new();
-    StreamEncoder::new(SolverKind::BitWidth, 1024).encode(&values, &mut stream);
+    encode_blocks_parallel(
+        &BosCodec::new(SolverKind::BitWidth),
+        &values,
+        1024,
+        4,
+        &mut stream,
+    )
+    .expect("encode");
     println!(
         "series: {} values, compressed stream {} bytes ({:.2}x)",
         values.len(),

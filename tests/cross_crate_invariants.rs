@@ -2,6 +2,8 @@
 //! exact solvers agree on every dataset block, costs equal encoded bits,
 //! and the ablations order correctly.
 
+use bos_repro::bitpack::codec::decode_blocks;
+use bos_repro::bitpack::zigzag::write_varint;
 use bos_repro::bos::kpart::solve_kpart;
 use bos_repro::bos::BosCodec;
 use bos_repro::bos::{
@@ -130,4 +132,14 @@ fn encoded_streams_are_cross_solver_compatible() {
         assert_eq!(&out[..block.len()], &block[..]);
         assert_eq!(&out[block.len()..], &block[..]);
     }
+    // A multi-block stream whose blocks come from different solvers
+    // decodes with one `decode_blocks` call.
+    let blocks: Vec<Vec<i64>> = real_blocks().into_iter().take(6).collect();
+    let mut stream = Vec::new();
+    write_varint(&mut stream, blocks.len() as u64);
+    for (block, kind) in blocks.iter().zip(SolverKind::ALL.iter().cycle()) {
+        BosCodec::new(*kind).encode(block, &mut stream);
+    }
+    let codec = BosCodec::new(SolverKind::BitWidth);
+    assert_eq!(decode_blocks(&codec, &stream), Ok(blocks.concat()));
 }

@@ -155,11 +155,18 @@ fn tsfile_detects_every_payload_fault() {
 
 #[test]
 fn scanner_rejects_faulted_streams_or_answers_consistently() {
-    use bos_repro::bos::stream::StreamEncoder;
-    use bos_repro::bos::SolverKind;
+    use bos_repro::bitpack::codec::encode_blocks_parallel;
+    use bos_repro::bos::{BosCodec, SolverKind};
     let ints = generate("TT", 8_000).expect("dataset").as_scaled_ints();
     let mut stream = Vec::new();
-    StreamEncoder::new(SolverKind::BitWidth, 512).encode(&ints, &mut stream);
+    encode_blocks_parallel(
+        &BosCodec::new(SolverKind::BitWidth),
+        &ints,
+        512,
+        2,
+        &mut stream,
+    )
+    .expect("encode");
     for (p, plan) in fault_plans().iter().enumerate() {
         for seed in 0..SEEDS {
             let mut corrupt = stream.clone();

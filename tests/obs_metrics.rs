@@ -9,7 +9,6 @@
 
 use bitpack::codec::{decode_blocks, encode_blocks_parallel};
 use bitpack::zigzag::write_varint;
-use bos::{BosCodec, SolverKind};
 use encodings::PackerKind;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -198,19 +197,7 @@ proptest! {
         }
         let _guard = obs_lock();
         for kind in PackerKind::ALL {
-            // `PackerKind::build` returns a non-Sync box; the parallel
-            // driver wants `Sync`, so dispatch to the concrete codecs.
-            match kind {
-                PackerKind::Bp => check(&pfor::BpCodec::new(), &values, block)?,
-                PackerKind::Pfor => check(&pfor::PforCodec::new(), &values, block)?,
-                PackerKind::NewPfor => check(&pfor::NewPforCodec::new(), &values, block)?,
-                PackerKind::OptPfor => check(&pfor::OptPforCodec::new(), &values, block)?,
-                PackerKind::FastPfor => check(&pfor::FastPforCodec::new(), &values, block)?,
-                PackerKind::SimplePfor => check(&pfor::SimplePforCodec::new(), &values, block)?,
-                PackerKind::BosV => check(&BosCodec::new(SolverKind::Value), &values, block)?,
-                PackerKind::BosB => check(&BosCodec::new(SolverKind::BitWidth), &values, block)?,
-                PackerKind::BosM => check(&BosCodec::new(SolverKind::Median), &values, block)?,
-            }
+            check(&kind.build(), &values, block)?;
         }
     }
 }

@@ -2,8 +2,8 @@
 //! read-back → query scans, mirroring the paper's deployment story
 //! (BOS inside TsFile, §VII; query cost, Figure 11).
 
-use bos_repro::bos::stream::StreamEncoder;
-use bos_repro::bos::SolverKind;
+use bos_repro::bitpack::codec::{decode_blocks, encode_blocks_parallel};
+use bos_repro::bos::{BosCodec, SolverKind};
 use bos_repro::datasets::{all_datasets, generate};
 use bos_repro::query::Scanner;
 use bos_repro::tsfile::{EncodingChoice, TsFileReader, TsFileWriter};
@@ -76,7 +76,14 @@ fn scanner_answers_match_bruteforce_on_every_dataset() {
     for d in all_datasets(5_000) {
         let ints = d.as_scaled_ints();
         let mut stream = Vec::new();
-        StreamEncoder::new(SolverKind::BitWidth, 1024).encode(&ints, &mut stream);
+        encode_blocks_parallel(
+            &BosCodec::new(SolverKind::BitWidth),
+            &ints,
+            1024,
+            2,
+            &mut stream,
+        )
+        .expect("encode");
         let scanner = Scanner::open(&stream).unwrap();
         assert_eq!(
             scanner.min().unwrap(),
@@ -111,12 +118,13 @@ fn scanner_answers_match_bruteforce_on_every_dataset() {
 #[test]
 fn parallel_and_sequential_streams_are_interchangeable() {
     let ints = generate("EE", 20_000).expect("dataset").as_scaled_ints();
-    let enc = StreamEncoder::new(SolverKind::BitWidth, 1024);
+    let codec = BosCodec::new(SolverKind::BitWidth);
     let mut seq = Vec::new();
-    enc.encode(&ints, &mut seq);
+    encode_blocks_parallel(&codec, &ints, 1024, 1, &mut seq).expect("encode");
     let mut par = Vec::new();
-    enc.encode_parallel(&ints, 4, &mut par).expect("encode");
+    encode_blocks_parallel(&codec, &ints, 1024, 4, &mut par).expect("encode");
     assert_eq!(seq, par);
     let scanner = Scanner::open(&par).unwrap();
     assert_eq!(scanner.materialize().unwrap(), ints);
+    assert_eq!(decode_blocks(&codec, &seq).unwrap(), ints);
 }

@@ -15,7 +15,8 @@
 //! * [`codec`] — the unified [`BlockCodec`] trait every integer block
 //!   codec in the workspace implements (re-exported by `pfor` and
 //!   `encodings`), plus the shared multi-block parallel encode driver.
-//! * [`bitmap`] — the `0` / `10` / `11` outlier-position bitmap of Figure 2.
+//! * [`bitmap`] — the `0` / `10` / `11` outlier-position bitmap of Figure 2,
+//!   decoded a byte at a time through a compile-time table.
 //! * [`simple8b`] — the word-aligned Simple8b codec used to store PFOR
 //!   exception streams (stand-in for Simple16; see DESIGN.md §2).
 //!

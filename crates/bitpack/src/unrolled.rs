@@ -390,11 +390,18 @@ pub fn unpack_words_for(
     }
     let tail = n - full * LANE;
     if tail > 0 {
+        // The `n % 64` tail is a zero-padded partial lane: its words are a
+        // prefix of a full lane's, so the lane kernel decodes it in place.
         let tail_bytes = full * wn * 8;
         let rest = payload.get(tail_bytes..).ok_or(DecodeError::Truncated)?;
-        let mut raw = Vec::with_capacity(tail);
-        kernels::unpack_words(rest, tail, w, &mut raw)?;
-        out.extend(raw.into_iter().map(|v| reference.wrapping_add(v as i64)));
+        words = [0; LANE];
+        load_lane_words(rest, &mut words);
+        kernel(&words, &mut vals);
+        out.extend(
+            vals.iter()
+                .take(tail)
+                .map(|&v| reference.wrapping_add(v as i64)),
+        );
     }
     Ok(bytes)
 }
@@ -432,6 +439,11 @@ mod tests {
                 let consumed = unpack_words_unrolled(&generic, n, w, &mut out).expect("unpack");
                 assert_eq!(consumed, written);
                 assert_eq!(out, values, "w = {w}, n = {n}");
+                let mut fused = vec![1];
+                let consumed = unpack_words_for(&generic, n, w, -5, &mut fused).expect("unpack");
+                assert_eq!(consumed, written);
+                let restored = values.iter().map(|&v| (v as i64).wrapping_sub(5));
+                assert!(fused[1..].iter().copied().eq(restored), "w = {w}, n = {n}");
             }
         }
     }

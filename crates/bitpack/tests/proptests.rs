@@ -11,7 +11,58 @@ use bitpack::width::{range_u64, width, width1};
 use bitpack::zigzag::{
     read_varint, read_varint_i64, write_varint, write_varint_i64, zigzag_decode, zigzag_encode,
 };
+use bitpack::DecodeError;
 use proptest::prelude::*;
+
+/// Bit-serial parse of the first `n` position-bitmap codes of `region`, in
+/// the shape of the decoder the byte table replaced; `None` when fewer than
+/// `n` codes fit.
+fn parse_serial(region: &[u8], n: usize) -> Option<Vec<Part>> {
+    let mut r = BitReader::new(region);
+    let mut parts = Vec::with_capacity(n);
+    for _ in 0..n {
+        let part = if r.read_bit().ok()? {
+            if r.read_bit().ok()? {
+                Part::Upper
+            } else {
+                Part::Lower
+            }
+        } else {
+            Part::Center
+        };
+        parts.push(part);
+    }
+    Some(parts)
+}
+
+/// Distinct values for each part (`-1 - k` lower, `k` center,
+/// `2^40 + k` upper for the part's `k`-th value), laid out
+/// lower | center | upper as `OutlierBitmap::gather` reads them, with
+/// `nl`, `nc` and the block the bitmap should decode to.
+fn numbered(parts: &[Part]) -> (Vec<i64>, usize, usize, Vec<i64>) {
+    let value = |part: Part, k: i64| match part {
+        Part::Lower => -1 - k,
+        Part::Center => k,
+        Part::Upper => (1 << 40) + k,
+    };
+    let (mut nl, mut nc, mut nu) = (0, 0, 0);
+    let expected = parts
+        .iter()
+        .map(|&p| {
+            let k = match p {
+                Part::Lower => &mut nl,
+                Part::Center => &mut nc,
+                Part::Upper => &mut nu,
+            };
+            *k += 1;
+            value(p, *k - 1)
+        })
+        .collect();
+    let mut values: Vec<i64> = (0..nl).map(|k| value(Part::Lower, k)).collect();
+    values.extend((0..nc).map(|k| value(Part::Center, k)));
+    values.extend((0..nu).map(|k| value(Part::Upper, k)));
+    (values, nl as usize, nc as usize, expected)
+}
 
 proptest! {
     #[test]
@@ -168,7 +219,10 @@ proptest! {
     }
 
     #[test]
-    fn bitmap_roundtrip(codes in prop::collection::vec(0u8..3, 0..400)) {
+    fn bitmap_roundtrip(
+        codes in prop::collection::vec(0u8..3, 0..400),
+        prefix in prop::collection::vec(any::<i64>(), 0..3),
+    ) {
         let parts: Vec<Part> = codes
             .iter()
             .map(|&c| match c {
@@ -177,16 +231,52 @@ proptest! {
                 _ => Part::Upper,
             })
             .collect();
-        let nl = parts.iter().filter(|&&p| p == Part::Lower).count();
-        let nu = parts.iter().filter(|&&p| p == Part::Upper).count();
+        let (values, nl, nc, expected) = numbered(&parts);
+        let nu = parts.len() - nl - nc;
         let mut w = BitWriter::new();
         let bits = OutlierBitmap::encode(&parts, &mut w);
         prop_assert_eq!(bits, OutlierBitmap::size_bits(parts.len(), nl, nu));
         let (buf, _) = w.finish();
-        let mut r = BitReader::new(&buf);
-        let mut out = Vec::new();
-        prop_assert!(OutlierBitmap::decode(&mut r, parts.len(), &mut out).is_ok());
-        prop_assert_eq!(out, parts);
+        prop_assert_eq!(OutlierBitmap::count(&buf, parts.len()), Ok((nl, nu)));
+        let mut out = prefix.clone();
+        OutlierBitmap::gather(&buf, parts.len(), &values, nl, nc, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &expected[..]);
+    }
+
+    #[test]
+    fn bitmap_decode_is_total(
+        region in prop::collection::vec(any::<u8>(), 0..64),
+        n in 0usize..600,
+        nl in prop_oneof![4 => 0usize..600, 1 => Just(usize::MAX)],
+        nc in prop_oneof![4 => 0usize..600, 1 => Just(usize::MAX)],
+        len in 0usize..700,
+    ) {
+        // Any region and n: the count pass agrees with a bit-serial parse.
+        let serial = parse_serial(&region, n);
+        let want = match &serial {
+            Some(parts) => Ok((
+                parts.iter().filter(|&&p| p == Part::Lower).count(),
+                parts.iter().filter(|&&p| p == Part::Upper).count(),
+            )),
+            None => Err(DecodeError::Truncated),
+        };
+        prop_assert_eq!(OutlierBitmap::count(&region, n), want);
+        // Part sizes and a value stream that disagree with the bitmap:
+        // the gather returns normally and appends exactly n values.
+        let values: Vec<i64> = (0..len as i64).collect();
+        let mut out = vec![-1];
+        OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
+        prop_assert_eq!(out.len(), n + 1);
+        prop_assert_eq!(out[0], -1);
+        // Consistent inputs on a random region: the gather matches the
+        // bit-serial parse, code by code.
+        if let Some(parts) = serial {
+            let (values, nl, nc, expected) = numbered(&parts);
+            let mut out = Vec::new();
+            OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
+            prop_assert_eq!(out, expected);
+        }
     }
 
     #[test]

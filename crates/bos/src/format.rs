@@ -20,7 +20,15 @@
 //!
 //! Matching the paper: lower outliers store `ξ(l) = x − xmin` in `α` bits,
 //! center values `ξ(c) = x − min Xc` in `β` bits, upper outliers
-//! `ξ(u) = x − min Xu` in `γ` bits, and decompression is a single scan.
+//! `ξ(u) = x − min Xu` in `γ` bits.
+//!
+//! Where the paper decodes in one scan of the bitmap, a separated block
+//! decodes in two passes over it, both through the byte table of
+//! [`bitpack::bitmap`]. The count pass checks the bitmap's lower/upper
+//! counts against the header. The three sub-streams then unpack back to
+//! back into one scratch vector, and the gather pass copies every value
+//! from there to its place in the output, in bitmap order. Every check
+//! runs before the gather, so on `Err` the output is untouched.
 //!
 //! The three sub-streams are separate word-packed regions (each in the
 //! exact `pack_words` layout, produced and consumed by the fused
@@ -37,7 +45,7 @@ use crate::cost::Separation;
 use crate::cost::{Evaluation, Solution, SortedBlock};
 use crate::solver::Solver;
 use bitpack::bitmap::{OutlierBitmap, Part};
-use bitpack::bits::{BitReader, BitWriter};
+use bitpack::bits::BitWriter;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::kernels::{packed_size, unpack_words};
 use bitpack::unrolled::{pack_words_for, unpack_words_for};
@@ -393,7 +401,7 @@ fn decode_plain(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -> De
 }
 
 /// Decodes one word-packed sub-stream of `count` offsets at width `w` from
-/// `buf[*pos..]`, restoring `base + offset` values.
+/// `buf[*pos..]`, appending the restored `base + offset` values to `out`.
 ///
 /// When `base + (2^w − 1)` fits in `i64` no decoded value can overflow, so
 /// the fused wrapping-add kernel is provably exact and we take it; a base
@@ -406,10 +414,10 @@ fn unpack_part(
     count: usize,
     w: u32,
     base: i64,
-) -> DecodeResult<Vec<i64>> {
-    let mut vals = Vec::with_capacity(count);
+    out: &mut Vec<i64>,
+) -> DecodeResult<()> {
     if count == 0 {
-        return Ok(vals);
+        return Ok(());
     }
     let payload = buf.get(*pos..).ok_or(DecodeError::Truncated)?;
     let max_off = if w == 0 {
@@ -421,19 +429,19 @@ fn unpack_part(
     };
     if base.checked_add_unsigned(max_off).is_some() {
         // lint:allow(unchecked-arith-in-decode): kernel returns at most payload.len() consumed bytes
-        *pos += unpack_words_for(payload, count, w, base, &mut vals)?;
+        *pos += unpack_words_for(payload, count, w, base, out)?;
     } else {
         let mut raw = Vec::with_capacity(count);
         // lint:allow(unchecked-arith-in-decode): kernel returns at most payload.len() consumed bytes
         *pos += unpack_words(payload, count, w, &mut raw)?;
         for off in raw {
-            vals.push(
+            out.push(
                 base.checked_add_unsigned(off)
                     .ok_or(DecodeError::ValueOverflow)?,
             );
         }
     }
-    Ok(vals)
+    Ok(())
 }
 
 fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -> DecodeResult<()> {
@@ -466,13 +474,10 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
         .checked_add(bitmap_bytes)
         .ok_or(DecodeError::Truncated)?;
     let bitmap_region = buf.get(*pos..bitmap_end).ok_or(DecodeError::Truncated)?;
-    let mut reader = BitReader::new(bitmap_region);
-    let mut parts = Vec::with_capacity(n);
-    OutlierBitmap::decode(&mut reader, n, &mut parts)?;
+    // Count pass: the codes the bitmap holds must match the header before
+    // anything is unpacked or written to `out`.
+    let (seen_l, seen_u) = OutlierBitmap::count(bitmap_region, n)?;
     *pos = bitmap_end;
-    // Validate the counts the bitmap claims against the header.
-    let seen_l = parts.iter().filter(|&&p| p == Part::Lower).count();
-    let seen_u = parts.iter().filter(|&&p| p == Part::Upper).count();
     if seen_l != nl || seen_u != nu {
         return Err(DecodeError::BitmapCountMismatch {
             header_lower: nl,
@@ -482,27 +487,16 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
         });
     }
 
-    // The three sub-streams decode as contiguous uniform-width runs
-    // through the fused kernels, then scatter back to original order by
-    // walking the bitmap.
-    let lower = unpack_part(buf, pos, nl, alpha, xmin)?;
-    let center = unpack_part(buf, pos, nc, beta, min_xc)?;
-    let upper = unpack_part(buf, pos, nu, gamma, min_xu)?;
-    let mut lower = lower.into_iter();
-    let mut center = center.into_iter();
-    let mut upper = upper.into_iter();
-    out.reserve(n);
-    for &p in &parts {
-        let v = match p {
-            Part::Lower => lower.next(),
-            Part::Center => center.next(),
-            Part::Upper => upper.next(),
-        }
-        // Unreachable: the bitmap counts were validated against the
-        // header counts each stream was sized by.
-        .ok_or(DecodeError::Truncated)?;
-        out.push(v);
-    }
+    // The three sub-streams decode through the fused kernels into one
+    // scratch vector, back to back in stream order (lower | center |
+    // upper); the gather pass then copies each value to its place in
+    // `out` by its bitmap code. Nothing reaches `out` before every part
+    // has decoded.
+    let mut unpacked = Vec::with_capacity(n);
+    unpack_part(buf, pos, nl, alpha, xmin, &mut unpacked)?;
+    unpack_part(buf, pos, nc, beta, min_xc, &mut unpacked)?;
+    unpack_part(buf, pos, nu, gamma, min_xu, &mut unpacked)?;
+    OutlierBitmap::gather(bitmap_region, n, &unpacked, nl, nc, out);
     Ok(())
 }
 

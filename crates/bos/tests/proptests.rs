@@ -6,6 +6,9 @@
 //!   actually writes.
 //! * Every solver produces streams that decode back to the input.
 //! * BOS-M is sandwiched between the optimum and plain bit-packing.
+//! * The byte-table block decoder returns the same result, position and
+//!   output as the frozen bit-serial one (`reference/decode.rs`) on
+//!   valid, truncated, bit-flipped and random bytes.
 
 use bos::kpart::{decode_kpart, encode_kpart, solve_kpart};
 use bos::solver::BruteForceSolver;
@@ -14,6 +17,39 @@ use bos::{
     SolverKind, SortedBlock, ValueSolver,
 };
 use proptest::prelude::*;
+use proptest::TestCaseResult;
+
+// Only the decode half of `reference/`: the solver half is
+// `solver_differential.rs`'s.
+mod reference {
+    pub mod decode;
+}
+
+/// Decodes `buf` with the shipping decoder and with the frozen bit-serial
+/// one, each into an output that already holds two values, and demands
+/// the same result and position, the same values on `Ok`, and an
+/// untouched output on `Err`.
+fn matches_reference(buf: &[u8]) -> TestCaseResult {
+    let before = vec![-7i64, 7];
+    let (mut pos, mut out) = (0, before.clone());
+    let got = decode(buf, &mut pos, &mut out);
+    let (mut ref_pos, mut ref_out) = (0, before.clone());
+    let want = reference::decode::decode_block(buf, &mut ref_pos, &mut ref_out);
+    prop_assert_eq!(&got, &want);
+    prop_assert_eq!(pos, ref_pos);
+    prop_assert_eq!(&out, &ref_out);
+    if got.is_err() {
+        prop_assert_eq!(&out, &before);
+    }
+    Ok(())
+}
+
+/// One block encoded with BOS-B.
+fn encode_bosb(values: &[i64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    BosCodec::new(SolverKind::BitWidth).encode(values, &mut buf);
+    buf
+}
 
 /// Value distributions that stress the solvers: tight centers with rare
 /// huge outliers on both sides, plus fully random blocks.
@@ -26,6 +62,26 @@ fn outlier_blocks() -> impl Strategy<Value = Vec<i64>> {
         ],
         0..200,
     )
+}
+
+/// Blocks whose outlier share is drawn from 0–40% (lower and upper alike),
+/// at lengths that are mostly not a multiple of 8, so the bitmap's last
+/// byte is partial and its codes straddle bytes.
+fn outlier_share_blocks() -> impl Strategy<Value = Vec<i64>> {
+    let draws = prop::collection::vec(
+        (0u32..100, any::<bool>(), 0i64..64, 0i64..1_000_000),
+        1..300,
+    );
+    (0u32..=40, draws).prop_map(|(share, draws)| {
+        draws
+            .into_iter()
+            .map(|(d, low, center, off)| match (d < share, low) {
+                (false, _) => center,
+                (true, true) => -1 - off,
+                (true, false) => 1_000_000 + off,
+            })
+            .collect()
+    })
 }
 
 fn arbitrary_blocks() -> impl Strategy<Value = Vec<i64>> {
@@ -144,22 +200,33 @@ proptest! {
     }
 
     #[test]
-    fn truncated_streams_never_panic(values in outlier_blocks(), cut_ratio in 0.0f64..1.0) {
-        let codec = BosCodec::new(SolverKind::BitWidth);
-        let mut buf = Vec::new();
-        codec.encode(&values, &mut buf);
+    fn truncated_streams_never_panic(values in outlier_share_blocks(), cut_ratio in 0.0f64..1.0) {
+        let buf = encode_bosb(&values);
         let cut = ((buf.len() as f64) * cut_ratio) as usize;
-        let mut pos = 0;
-        let mut out = Vec::new();
-        // Must not panic; may fail or (only at full length) succeed.
-        let _ = decode(&buf[..cut], &mut pos, &mut out);
+        // Must not panic, and must fail (or, only at full length, succeed)
+        // exactly as the bit-serial decoder does.
+        matches_reference(&buf[..cut])?;
+        matches_reference(&buf)?;
+    }
+
+    #[test]
+    fn bit_flips_match_reference(
+        values in outlier_share_blocks(),
+        flips in prop::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        let mut buf = encode_bosb(&values);
+        prop_assume!(!buf.is_empty());
+        // Flips past the header land in the bitmap and the sub-streams.
+        for &(at, bit) in &flips {
+            let len = buf.len();
+            buf[at % len] ^= 1 << bit;
+        }
+        matches_reference(&buf)?;
     }
 
     #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let mut pos = 0;
-        let mut out = Vec::new();
-        let _ = decode(&bytes, &mut pos, &mut out);
+        matches_reference(&bytes)?;
         let mut pos2 = 0;
         let mut out2 = Vec::new();
         let _ = decode_kpart(&bytes, &mut pos2, &mut out2);

@@ -3,9 +3,9 @@
 //! `BENCH_PR8.json`).
 //!
 //! Pass `--quick` for the tier-1 configuration: only the PR 8 solver
-//! section (encode sessions + the frozen-reference speedup gate), which
-//! writes `BENCH_PR8.json` and skips the kernel/operator/migration
-//! sweeps.
+//! section (per-solver encode throughput and bytes through
+//! scratch-reusing sessions), skipping the kernel and operator sweeps
+//! and writing no JSON artifact.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

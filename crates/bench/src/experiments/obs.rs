@@ -23,7 +23,8 @@
 //! (separated widths, partition sizes, worker wall-time) using the PR 9
 //! bucket-interpolated percentiles, so later PRs can diff distribution
 //! shifts, not just totals. The whole experiment is cheap enough that
-//! `--quick` runs all of it; it is part of the tier-1 recipe.
+//! `--quick` runs every measurement and gate; it is part of the tier-1
+//! recipe and writes no artifact.
 
 use crate::harness::{time_stats, Config};
 use bitpack::codec::encode_blocks_parallel;
@@ -266,8 +267,9 @@ fn output_path() -> PathBuf {
 }
 
 /// Runs the PR 9 recorder acceptance suite and writes `BENCH_PR9.json`.
-/// Cheap enough that `--quick` (tier-1) runs everything.
-pub fn run(cfg: &Config) {
+/// Cheap enough that `quick` (tier-1) runs every measurement and gate;
+/// it only skips writing the artifact.
+pub fn run(cfg: &Config, quick: bool) {
     super::banner("PR9 flight recorder: overhead, determinism, export", cfg);
     if !obs::enabled() {
         println!("obs feature off: recorder inert, nothing to measure");
@@ -340,6 +342,10 @@ pub fn run(cfg: &Config) {
         );
     }
 
+    if quick {
+        println!("(--quick: BENCH_PR9.json not written)");
+        return;
+    }
     let json = render_json(
         cfg,
         &kernel,

@@ -5,7 +5,8 @@
 //! This experiment sweeps σ, measures ρ empirically and checks the bound.
 
 use crate::harness::{Config, Table};
-use bos::{BitWidthSolver, MedianSolver, Solver};
+use bos::solver::solve_values;
+use bos::{BitWidthSolver, MedianSolver};
 use datasets::synth::Synth;
 
 /// The paper's bound for a given σ (re-exported from the library).
@@ -23,8 +24,8 @@ pub fn measure_rho(sigma: f64, n: usize, trials: usize, seed: u64) -> f64 {
         let values: Vec<i64> = (0..n)
             .map(|_| s.gaussian(0.0, sigma).round() as i64)
             .collect();
-        let opt = exact.solve_values(&values).cost_bits().max(1);
-        let med = approx.solve_values(&values).cost_bits();
+        let opt = solve_values(&exact, &values).cost_bits().max(1);
+        let med = solve_values(&approx, &values).cost_bits();
         worst = worst.max(med as f64 / opt as f64);
     }
     worst

@@ -20,7 +20,7 @@
 //! * **Solvers** (new in PR 8): every [`SolverKind`] encoding the
 //!   outlier dataset through a scratch-reusing [`bitpack::EncodeSession`].
 //!   This section also runs alone under `--quick` as part of the tier-1
-//!   recipe.
+//!   recipe, which writes no artifact.
 //!
 //! Results are written to `BENCH_PR4.json` at the workspace root so later
 //! PRs can diff their numbers against this artifact; the solver section
@@ -406,8 +406,8 @@ fn pr8_output_path() -> PathBuf {
 }
 
 /// Runs the PR 8 solver section: per-solver encode throughput through
-/// scratch-reusing sessions. Writes `BENCH_PR8.json`.
-fn solver_section(cfg: &Config) {
+/// scratch-reusing sessions. Writes `BENCH_PR8.json` unless `quick`.
+fn solver_section(cfg: &Config, quick: bool) {
     let series = outlier_series(cfg.n);
 
     let encode_rows = solver_encode_rows(cfg, &series);
@@ -422,10 +422,14 @@ fn solver_section(cfg: &Config) {
     table.print();
     println!();
 
-    let json = render_pr8_json(cfg, &encode_rows);
-    let path = pr8_output_path();
-    std::fs::write(&path, &json).expect("write BENCH_PR8.json");
-    println!("Wrote {}", path.display());
+    if quick {
+        println!("(--quick: BENCH_PR8.json not written)");
+    } else {
+        let json = render_pr8_json(cfg, &encode_rows);
+        let path = pr8_output_path();
+        std::fs::write(&path, &json).expect("write BENCH_PR8.json");
+        println!("Wrote {}", path.display());
+    }
 }
 
 /// A/B comparison with the runtime kill-switch: kernel unpack and BOS-M
@@ -613,14 +617,14 @@ fn output_path() -> PathBuf {
 }
 
 /// Runs only the PR 8 solver section (the tier-1 `--quick` recipe):
-/// per-solver encode throughput and `BENCH_PR8.json` — skipping the
-/// kernel/operator sweeps.
+/// per-solver encode throughput, skipping the kernel/operator sweeps and
+/// writing no artifact.
 pub fn run_quick(cfg: &Config) {
     super::banner(
         "PR8 solver throughput (quick): scratch-reusing sessions (values/s)",
         cfg,
     );
-    solver_section(cfg);
+    solver_section(cfg, true);
 }
 
 /// Runs the experiment and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
@@ -776,5 +780,5 @@ pub fn run(cfg: &Config) {
     println!("Wrote {}", path.display());
     println!();
 
-    solver_section(cfg);
+    solver_section(cfg, false);
 }

@@ -161,7 +161,8 @@ pub trait BlockCodec {
     /// Method label used in experiment tables ("PFOR", "NEWPFOR", …).
     ///
     /// Labels must be unique across the workspace (bench tables key on
-    /// them); the `codec-label-unique` xtask lint enforces this.
+    /// them); `encodings`' `packer_registry_roundtrips` test checks every
+    /// shipping packer's label.
     fn name(&self) -> &'static str;
 
     /// Appends one encoded block to `out`.

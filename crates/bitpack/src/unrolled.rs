@@ -16,8 +16,10 @@
 //!   over a const-generic width, so the 64-iteration loop fully unrolls and
 //!   constant-folds (the "unrolled" of the module name).
 //! * [`PACK_LANE`] / [`UNPACK_LANE`] — `[fn; 65]` dispatch tables indexed
-//!   by width (entry 0 is the zero-width no-op kernel). The `xtask lint`
-//!   `kernel-table-complete` rule checks both tables cover all 65 widths.
+//!   by width (entry 0 is the zero-width no-op kernel). The array type
+//!   fixes the length, and `bit_identical_to_generic_every_width` runs
+//!   every width through both tables against the generic kernel, so a
+//!   missing or swapped entry fails it.
 //! * [`pack_words_unrolled`] / [`unpack_words_unrolled`] — drop-in,
 //!   **bit-identical** replacements for the generic kernels: full lanes go
 //!   through the dispatch table, the `n % 64` tail values fall back to the
@@ -201,9 +203,8 @@ lane_kernels!(
 );
 
 /// Width-indexed dispatch table over the lane pack kernels: `PACK_LANE[w]`
-/// packs one 64-value lane at width `w`. Covers every width 0..=64; the
-/// `kernel-table-complete` lint rule verifies the table stays exhaustive
-/// and in width order.
+/// packs one 64-value lane at width `w`. Covers every width 0..=64, in
+/// width order; the tests pin every entry against the generic kernel.
 pub const PACK_LANE: [PackLaneFn; 65] = [
     pack_w0, pack_w1, pack_w2, pack_w3, pack_w4, pack_w5, pack_w6, pack_w7, pack_w8, pack_w9,
     pack_w10, pack_w11, pack_w12, pack_w13, pack_w14, pack_w15, pack_w16, pack_w17, pack_w18,

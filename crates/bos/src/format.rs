@@ -43,7 +43,7 @@
 #[cfg(test)]
 use crate::cost::Separation;
 use crate::cost::{Evaluation, Solution, SortedBlock};
-use crate::solver::Solver;
+use crate::solver::{solve_values, Solver};
 use bitpack::bitmap::{OutlierBitmap, Part};
 use bitpack::bits::BitWriter;
 use bitpack::error::{DecodeError, DecodeResult};
@@ -74,7 +74,7 @@ static PART_NU: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.
 
 /// Encodes one block, choosing plain packing or separation with `solver`.
 pub fn encode_block<S: Solver + Clone>(values: &[i64], solver: &S, out: &mut Vec<u8>) {
-    let solution = solver.solve_values(values);
+    let solution = solve_values(solver, values);
     encode_block_with_solution(values, &solution, out);
 }
 
@@ -546,7 +546,7 @@ mod tests {
         // separation (24 payload bits vs 32 for plain). The stored form
         // word-pads each region, so the byte saving only shows once blocks
         // amortize the padding — both facts are asserted here.
-        let solution = BitWidthSolver::new().solve_values(&INTRO);
+        let solution = solve_values(&BitWidthSolver::new(), &INTRO);
         let Solution::Separated { cost_bits, .. } = solution else {
             panic!("intro example must separate");
         };

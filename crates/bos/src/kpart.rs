@@ -351,7 +351,7 @@ pub fn decode_kpart(buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{BitWidthSolver, Solver};
+    use crate::solver::{solve_values, BitWidthSolver};
 
     const INTRO: [i64; 8] = [3, 2, 4, 5, 3, 2, 0, 8];
 
@@ -403,7 +403,7 @@ mod tests {
         // median in the center (cost 24 bits), where both models agree.
         let block = SortedBlock::from_values(&INTRO);
         let kp = solve_kpart(&block, 3);
-        let bos = BitWidthSolver::new().solve_values(&INTRO);
+        let bos = solve_values(&BitWidthSolver::new(), &INTRO);
         assert_eq!(kp.cost_bits, 24);
         assert_eq!(bos.cost_bits(), 24);
     }
@@ -426,7 +426,7 @@ mod tests {
         for case in cases {
             let block = SortedBlock::from_values(&case);
             let kp = solve_kpart(&block, 3);
-            let bos = b.solve_values(&case);
+            let bos = solve_values(&b, &case);
             assert!(kp.cost_bits <= bos.cost_bits(), "worse on {case:?}");
         }
     }

@@ -203,12 +203,10 @@ impl BosCodec {
     }
 
     fn session(&self) -> BosSession {
-        let solver = self.kind.build();
-        let scratch = solver.scratch();
         BosSession {
             codec: *self,
-            solver,
-            scratch,
+            solver: self.kind.build(),
+            scratch: SolverScratch::new(),
         }
     }
 

@@ -158,7 +158,7 @@ impl Solver for AdaptiveSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{BitWidthSolver, MedianSolver};
+    use crate::solver::{solve_values, BitWidthSolver, MedianSolver};
 
     #[test]
     fn sandwiched_between_exact_and_approx() {
@@ -184,9 +184,9 @@ mod tests {
         let b = BitWidthSolver::new();
         let m = MedianSolver::new();
         for case in cases {
-            let ca = a.solve_values(&case).cost_bits();
-            let cb = b.solve_values(&case).cost_bits();
-            let cm = m.solve_values(&case).cost_bits();
+            let ca = solve_values(&a, &case).cost_bits();
+            let cb = solve_values(&b, &case).cost_bits();
+            let cm = solve_values(&m, &case).cost_bits();
             assert!(ca >= cb, "adaptive beat exact on {case:?}");
             assert!(ca <= cm, "adaptive worse than approx on {case:?}");
         }
@@ -199,11 +199,11 @@ mod tests {
             .collect();
         // 0.0: the ratio test always passes and the Prop. 4 headroom is
         // ample here → always escalate → exact.
-        let always = AdaptiveSolver::with_threshold(0.0).solve_values(&values);
+        let always = solve_values(&AdaptiveSolver::with_threshold(0.0), &values);
         // 1.0: BOS-M saved something here, so no escalation → approx.
-        let never = AdaptiveSolver::with_threshold(1.0).solve_values(&values);
-        let m = MedianSolver::new().solve_values(&values);
-        let b = BitWidthSolver::new().solve_values(&values);
+        let never = solve_values(&AdaptiveSolver::with_threshold(1.0), &values);
+        let m = solve_values(&MedianSolver::new(), &values);
+        let b = solve_values(&BitWidthSolver::new(), &values);
         assert_eq!(always.cost_bits(), b.cost_bits());
         assert_eq!(never.cost_bits(), m.cost_bits());
     }
@@ -214,8 +214,8 @@ mod tests {
         // the default 0.8 threshold; the escalated BOS-B then confirms
         // plain packing is optimal. The adaptive answer must equal BOS-B's.
         let values: Vec<i64> = (0..1024).map(|i| i % 512).collect();
-        let a = AdaptiveSolver::new().solve_values(&values).cost_bits();
-        let b = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let a = solve_values(&AdaptiveSolver::new(), &values).cost_bits();
+        let b = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         assert_eq!(a, b);
     }
 
@@ -237,7 +237,7 @@ mod tests {
         let values: Vec<i64> = (0..700)
             .map(|i| if i % 31 == 0 { 1 << 35 } else { i % 13 })
             .collect();
-        let sol = AdaptiveSolver::new().solve_values(&values);
+        let sol = solve_values(&AdaptiveSolver::new(), &values);
         let mut buf = Vec::new();
         crate::format::encode_block_with_solution(&values, &sol, &mut buf);
         let mut out = Vec::new();

@@ -515,12 +515,12 @@ impl BitWidthSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ValueSolver;
+    use crate::solver::{solve_values, ValueSolver};
 
     #[test]
     fn intro_example_matches_bos_v() {
         let values = [3i64, 2, 4, 5, 3, 2, 0, 8];
-        let sol = BitWidthSolver::new().solve_values(&values);
+        let sol = solve_values(&BitWidthSolver::new(), &values);
         assert_eq!(sol.cost_bits(), 24);
     }
 
@@ -551,8 +551,8 @@ mod tests {
         let v = ValueSolver::new();
         let b = BitWidthSolver::new();
         for case in cases {
-            let expected = v.solve_values(&case).cost_bits();
-            let got = b.solve_values(&case).cost_bits();
+            let expected = solve_values(&v, &case).cost_bits();
+            let got = solve_values(&b, &case).cost_bits();
             assert_eq!(got, expected, "mismatch on {case:?}");
         }
     }
@@ -569,8 +569,8 @@ mod tests {
         let b = BitWidthSolver::upper_only();
         for case in cases {
             assert_eq!(
-                b.solve_values(&case).cost_bits(),
-                v.solve_values(&case).cost_bits(),
+                solve_values(&b, &case).cost_bits(),
+                solve_values(&v, &case).cost_bits(),
                 "mismatch on {case:?}"
             );
         }
@@ -593,8 +593,8 @@ mod tests {
             b: &BitWidthSolver,
         ) {
             if case.len() == len {
-                let expected = v.solve_values(case).cost_bits();
-                let got = b.solve_values(case).cost_bits();
+                let expected = solve_values(v, case).cost_bits();
+                let got = solve_values(b, case).cost_bits();
                 assert_eq!(got, expected, "mismatch on {case:?}");
                 return;
             }

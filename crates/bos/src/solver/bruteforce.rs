@@ -99,7 +99,7 @@ impl Solver for BruteForceSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{BitWidthSolver, ValueSolver};
+    use crate::solver::{solve_values, BitWidthSolver, ValueSolver};
 
     /// The empirical heart of Proposition 1: searching every integer
     /// threshold finds nothing better than searching only values of X.
@@ -121,9 +121,17 @@ mod tests {
         let v = ValueSolver::new();
         let b = BitWidthSolver::new();
         for case in cases {
-            let opt = oracle.solve_values(&case).cost_bits();
-            assert_eq!(v.solve_values(&case).cost_bits(), opt, "BOS-V on {case:?}");
-            assert_eq!(b.solve_values(&case).cost_bits(), opt, "BOS-B on {case:?}");
+            let opt = solve_values(&oracle, &case).cost_bits();
+            assert_eq!(
+                solve_values(&v, &case).cost_bits(),
+                opt,
+                "BOS-V on {case:?}"
+            );
+            assert_eq!(
+                solve_values(&b, &case).cost_bits(),
+                opt,
+                "BOS-B on {case:?}"
+            );
         }
     }
 
@@ -144,8 +152,8 @@ mod tests {
         ) {
             if case.len() == len {
                 assert_eq!(
-                    v.solve_values(case).cost_bits(),
-                    oracle.solve_values(case).cost_bits(),
+                    solve_values(v, case).cost_bits(),
+                    solve_values(oracle, case).cost_bits(),
                     "mismatch on {case:?}"
                 );
                 return;
@@ -164,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "brute-force oracle limited")]
     fn wide_ranges_are_rejected() {
-        BruteForceSolver::new().solve_values(&[0, 1 << 40]);
+        solve_values(&BruteForceSolver::new(), &[0, 1 << 40]);
     }
 }

@@ -243,12 +243,12 @@ pub(super) fn search(
 mod tests {
     use super::*;
     use crate::cost::SortedBlock;
-    use crate::solver::{BitWidthSolver, Solver, ValueSolver};
+    use crate::solver::{solve_values, BitWidthSolver, ValueSolver};
 
     /// BOS-M's cost bookkeeping must agree with the exact evaluator for the
     /// separation it returns.
     fn assert_cost_consistent(values: &[i64]) {
-        let sol = MedianSolver::new().solve_values(values);
+        let sol = solve_values(&MedianSolver::new(), values);
         if let Solution::Separated { sep, cost_bits } = sol {
             let block = SortedBlock::from_values(values);
             assert_eq!(
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn intro_example_beats_plain() {
-        let sol = MedianSolver::new().solve_values(&[3, 2, 4, 5, 3, 2, 0, 8]);
+        let sol = solve_values(&MedianSolver::new(), &[3, 2, 4, 5, 3, 2, 0, 8]);
         // Plain costs 32 bits; the symmetric window around the median must
         // at least find the 8 (and possibly the 0) as outliers.
         assert!(sol.cost_bits() <= 32);
@@ -292,8 +292,8 @@ mod tests {
         ];
         let opt = BitWidthSolver::new();
         for case in cases {
-            let m = MedianSolver::new().solve_values(&case);
-            let o = opt.solve_values(&case);
+            let m = solve_values(&MedianSolver::new(), &case);
+            let o = solve_values(&opt, &case);
             let n = case.len() as u64;
             let plain = if case.is_empty() {
                 0
@@ -326,16 +326,16 @@ mod tests {
         }
         values.push(100_000);
         values.push(-90_000);
-        let m = MedianSolver::new().solve_values(&values).cost_bits();
-        let o = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let m = solve_values(&MedianSolver::new(), &values).cost_bits();
+        let o = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         assert!(m <= 2 * o, "approx {m} vs optimal {o}");
     }
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(MedianSolver::new().solve_values(&[]).cost_bits(), 0);
+        assert_eq!(solve_values(&MedianSolver::new(), &[]).cost_bits(), 0);
         assert!(matches!(
-            MedianSolver::new().solve_values(&[9]),
+            solve_values(&MedianSolver::new(), &[9]),
             Solution::Plain { .. }
         ));
     }
@@ -345,7 +345,7 @@ mod tests {
         let mut values: Vec<i64> = (0..100).map(|i| i % 13).collect();
         values.push(1_000_000);
         values.push(-1_000_000);
-        let sol = MedianSolver::upper_only().solve_values(&values);
+        let sol = solve_values(&MedianSolver::upper_only(), &values);
         if let Some(sep) = sol.separation() {
             assert_eq!(sep.xl, None);
         }

@@ -75,9 +75,9 @@ impl SolverScratch {
 /// the Figure 10c / 15 experiments). What the [`SolverScratch`] amortizes is
 /// the *allocations* behind that build, not the work itself.
 ///
-/// The object-safe surface is [`Solver::solve_into`]; the
-/// [`Solver::solve_values`] convenience shim is excluded from trait objects
-/// (`Self: Sized`), so `Box<dyn Solver>` callers hold a scratch themselves.
+/// The trait is exactly a label and the scratch-reusing entry point, so it
+/// is object-safe and no impl can route around the scratch. One-shot
+/// callers use the free function [`solve_values`].
 pub trait Solver {
     /// Human-readable name used in experiment output ("BOS-V", …).
     fn name(&self) -> &'static str;
@@ -87,24 +87,12 @@ pub trait Solver {
     /// must not let scratch contents from a previous block influence the
     /// result.
     fn solve_into(&mut self, values: &[i64], scratch: &mut SolverScratch) -> Solution;
+}
 
-    /// Creates a scratch suited to this solver. The default empty scratch
-    /// fits every shipping solver; the hook exists so future solvers can
-    /// pre-size theirs.
-    fn scratch(&self) -> SolverScratch {
-        SolverScratch::new()
-    }
-
-    /// Convenience wrapper: one-shot solve with a throwaway scratch.
-    ///
-    /// Takes `&self` (the pre-overhaul signature) by cloning, so existing
-    /// call sites that only solve occasionally keep working unchanged.
-    fn solve_values(&self, values: &[i64]) -> Solution
-    where
-        Self: Sized + Clone,
-    {
-        self.clone().solve_into(values, &mut SolverScratch::new())
-    }
+/// One-shot solve with a throwaway scratch. Solves on a clone, so
+/// `solver` itself is left untouched.
+pub fn solve_values<S: Solver + Clone>(solver: &S, values: &[i64]) -> Solution {
+    solver.clone().solve_into(values, &mut SolverScratch::new())
 }
 
 /// Picks the cheaper of the current best and a candidate separation.

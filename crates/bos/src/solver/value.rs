@@ -175,10 +175,16 @@ impl ValueSolver {
         let m = vals.len();
 
         let li_end = if self.config.upper_only { 1 } else { m + 1 };
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(PARALLEL_MAX_THREADS);
-        let merged = if li_end > PARALLEL_MIN_DISTINCT && threads > 1 {
+        // Threshold first: `available_parallelism` allocates on every call,
+        // and most blocks are far below the parallel threshold.
+        let threads = if li_end > PARALLEL_MIN_DISTINCT {
+            std::thread::available_parallelism()
+                .map_or(1, usize::from)
+                .min(PARALLEL_MAX_THREADS)
+        } else {
+            1
+        };
+        let merged = if threads > 1 {
             Self::solve_parallel(block, li_end - 1, threads)
         } else {
             search_range(block, 0, li_end)
@@ -251,13 +257,14 @@ impl ValueSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::solve_values;
 
     #[test]
     fn intro_example_finds_both_outliers() {
         // X = (3,2,4,5,3,2,0,8): the optimal separation stores 0 and 8
         // apart, costing 24 bits against 32 for plain packing.
         let solver = ValueSolver::new();
-        let sol = solver.solve_values(&[3, 2, 4, 5, 3, 2, 0, 8]);
+        let sol = solve_values(&solver, &[3, 2, 4, 5, 3, 2, 0, 8]);
         assert_eq!(sol.cost_bits(), 24);
         let sep = sol.separation().expect("separates");
         assert_eq!(sep.xl, Some(0));
@@ -269,7 +276,7 @@ mod tests {
         // No outliers to exploit: separation would only add the bitmap.
         let solver = ValueSolver::new();
         let values: Vec<i64> = (0..64).collect();
-        let sol = solver.solve_values(&values);
+        let sol = solve_values(&solver, &values);
         assert!(matches!(sol, Solution::Plain { .. }));
         assert_eq!(sol.cost_bits(), 64 * 6);
     }
@@ -277,7 +284,7 @@ mod tests {
     #[test]
     fn constant_block_stays_plain() {
         let solver = ValueSolver::new();
-        let sol = solver.solve_values(&[42; 100]);
+        let sol = solve_values(&solver, &[42; 100]);
         assert!(matches!(sol, Solution::Plain { .. }));
         assert_eq!(sol.cost_bits(), 0);
     }
@@ -285,14 +292,14 @@ mod tests {
     #[test]
     fn empty_block() {
         let solver = ValueSolver::new();
-        let sol = solver.solve_values(&[]);
+        let sol = solve_values(&solver, &[]);
         assert_eq!(sol.cost_bits(), 0);
     }
 
     #[test]
     fn single_value() {
         let solver = ValueSolver::new();
-        let sol = solver.solve_values(&[123]);
+        let sol = solve_values(&solver, &[123]);
         assert!(matches!(sol, Solution::Plain { .. }));
     }
 
@@ -304,7 +311,7 @@ mod tests {
         let mut values = vec![0i64, 1, 2, 3];
         values.extend([1_000_000, 1_000_001, 1_000_002, 1_000_003]);
         let solver = ValueSolver::new();
-        let sol = solver.solve_values(&values);
+        let sol = solve_values(&solver, &values);
         let plain = SortedBlock::from_values(&values).plain_cost_bits();
         assert!(sol.cost_bits() < plain);
         // 8 values × (2 value bits + ~2 bitmap bits) ≈ 32 bits, far below
@@ -316,12 +323,12 @@ mod tests {
     fn upper_only_never_separates_lower() {
         let values = [3i64, 2, 4, 5, 3, 2, 0, 8];
         let solver = ValueSolver::upper_only();
-        let sol = solver.solve_values(&values);
+        let sol = solve_values(&solver, &values);
         if let Some(sep) = sol.separation() {
             assert_eq!(sep.xl, None);
         }
         // And it can never beat the unrestricted solver.
-        let full = ValueSolver::new().solve_values(&values);
+        let full = solve_values(&ValueSolver::new(), &values);
         assert!(sol.cost_bits() >= full.cost_bits());
     }
 
@@ -334,8 +341,8 @@ mod tests {
         }
         values.push(0);
         values.push(1);
-        let full = ValueSolver::new().solve_values(&values);
-        let upper = ValueSolver::upper_only().solve_values(&values);
+        let full = solve_values(&ValueSolver::new(), &values);
+        let upper = solve_values(&ValueSolver::upper_only(), &values);
         assert!(full.cost_bits() < upper.cost_bits());
     }
 

@@ -139,7 +139,7 @@ pub fn analyze_series_dyn(
     block_size: usize,
 ) -> SeriesStats {
     assert!(block_size >= 1);
-    let mut scratch = solver.scratch();
+    let mut scratch = SolverScratch::new();
     let mut agg = SeriesStats::default();
     for chunk in values.chunks(block_size) {
         let s = analyze_into(solver, chunk, &mut scratch);

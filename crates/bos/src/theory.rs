@@ -39,7 +39,7 @@ pub fn plain_bits_per_value(sigma: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{BitWidthSolver, MedianSolver, Solver};
+    use crate::solver::{solve_values, BitWidthSolver, MedianSolver};
 
     #[test]
     fn bound_shape() {
@@ -83,11 +83,10 @@ mod tests {
                     (z * sigma).round() as i64
                 })
                 .collect();
-            let opt = BitWidthSolver::new()
-                .solve_values(&values)
+            let opt = solve_values(&BitWidthSolver::new(), &values)
                 .cost_bits()
                 .max(1);
-            let approx = MedianSolver::new().solve_values(&values).cost_bits();
+            let approx = solve_values(&MedianSolver::new(), &values).cost_bits();
             let rho = approx as f64 / opt as f64;
             assert!(
                 rho <= median_approx_bound(sigma),

@@ -11,9 +11,9 @@
 //!   valid, truncated, bit-flipped and random bytes.
 
 use bos::kpart::{decode_kpart, encode_kpart, solve_kpart};
-use bos::solver::BruteForceSolver;
+use bos::solver::{solve_values, BruteForceSolver};
 use bos::{
-    decode, encode_block_with_solution, BitWidthSolver, BosCodec, MedianSolver, Solution, Solver,
+    decode, encode_block_with_solution, BitWidthSolver, BosCodec, MedianSolver, Solution,
     SolverKind, SortedBlock, ValueSolver,
 };
 use proptest::prelude::*;
@@ -100,22 +100,22 @@ proptest! {
 
     #[test]
     fn bosb_equals_bosv_outlier_blocks(values in outlier_blocks()) {
-        let v = ValueSolver::new().solve_values(&values).cost_bits();
-        let b = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let v = solve_values(&ValueSolver::new(), &values).cost_bits();
+        let b = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         prop_assert_eq!(b, v);
     }
 
     #[test]
     fn bosb_equals_bosv_arbitrary(values in arbitrary_blocks()) {
-        let v = ValueSolver::new().solve_values(&values).cost_bits();
-        let b = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let v = solve_values(&ValueSolver::new(), &values).cost_bits();
+        let b = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         prop_assert_eq!(b, v);
     }
 
     #[test]
     fn bosb_equals_bosv_small_domain(values in small_domain_blocks()) {
-        let v = ValueSolver::new().solve_values(&values).cost_bits();
-        let b = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let v = solve_values(&ValueSolver::new(), &values).cost_bits();
+        let b = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         prop_assert_eq!(b, v);
     }
 
@@ -123,23 +123,23 @@ proptest! {
     fn proposition1_certified_by_oracle(values in prop::collection::vec(0i64..2000, 1..60)) {
         // BOS-V searches only thresholds from X; the oracle searches every
         // integer threshold in the range. Proposition 1 says they agree.
-        let oracle = BruteForceSolver::new().solve_values(&values).cost_bits();
-        let v = ValueSolver::new().solve_values(&values).cost_bits();
+        let oracle = solve_values(&BruteForceSolver::new(), &values).cost_bits();
+        let v = solve_values(&ValueSolver::new(), &values).cost_bits();
         prop_assert_eq!(v, oracle);
     }
 
     #[test]
     fn upper_only_variants_agree(values in outlier_blocks()) {
-        let v = ValueSolver::upper_only().solve_values(&values).cost_bits();
-        let b = BitWidthSolver::upper_only().solve_values(&values).cost_bits();
+        let v = solve_values(&ValueSolver::upper_only(), &values).cost_bits();
+        let b = solve_values(&BitWidthSolver::upper_only(), &values).cost_bits();
         prop_assert_eq!(b, v);
     }
 
     #[test]
     fn median_between_optimal_and_plain(values in outlier_blocks()) {
         prop_assume!(!values.is_empty());
-        let opt = BitWidthSolver::new().solve_values(&values).cost_bits();
-        let med = MedianSolver::new().solve_values(&values).cost_bits();
+        let opt = solve_values(&BitWidthSolver::new(), &values).cost_bits();
+        let med = solve_values(&MedianSolver::new(), &values).cost_bits();
         let plain = SortedBlock::from_values(&values).plain_cost_bits();
         prop_assert!(med >= opt);
         prop_assert!(med <= plain);
@@ -148,7 +148,7 @@ proptest! {
     #[test]
     fn median_cost_is_exact_for_its_separation(values in outlier_blocks()) {
         prop_assume!(!values.is_empty());
-        let sol = MedianSolver::new().solve_values(&values);
+        let sol = solve_values(&MedianSolver::new(), &values);
         if let Solution::Separated { sep, cost_bits } = sol {
             let block = SortedBlock::from_values(&values);
             prop_assert_eq!(block.evaluate(sep).cost_bits, cost_bits);
@@ -260,7 +260,7 @@ proptest! {
         prop_assume!(!values.is_empty());
         let block = SortedBlock::from_values(&values);
         let kp = solve_kpart(&block, 3).cost_bits;
-        let bos = BitWidthSolver::new().solve_values(&values).cost_bits();
+        let bos = solve_values(&BitWidthSolver::new(), &values).cost_bits();
         prop_assert!(kp <= bos);
     }
 
@@ -269,8 +269,8 @@ proptest! {
         prop_assume!(!values.is_empty());
         let block = SortedBlock::from_values(&values);
         for sol in [
-            ValueSolver::new().solve_values(&values),
-            BitWidthSolver::new().solve_values(&values),
+            solve_values(&ValueSolver::new(), &values),
+            solve_values(&BitWidthSolver::new(), &values),
         ] {
             match sol {
                 Solution::Plain { cost_bits } => {

@@ -12,6 +12,7 @@
 
 mod reference;
 
+use bos::solver::solve_values;
 use bos::{
     BitWidthSolver, MedianSolver, Solver, SolverConfig, SolverKind, SolverScratch, ValueSolver,
 };
@@ -70,14 +71,14 @@ proptest! {
     #[test]
     fn bosb_bit_identical_to_frozen_reference(values in adversarial_blocks()) {
         let expected = reference::bitwidth_solve(full(), &values);
-        let got = BitWidthSolver::new().solve_values(&values);
+        let got = solve_values(&BitWidthSolver::new(), &values);
         prop_assert_eq!(got, expected);
     }
 
     #[test]
     fn bosb_upper_only_bit_identical_to_frozen_reference(values in adversarial_blocks()) {
         let expected = reference::bitwidth_solve(upper_only(), &values);
-        let got = BitWidthSolver::upper_only().solve_values(&values);
+        let got = solve_values(&BitWidthSolver::upper_only(), &values);
         prop_assert_eq!(got, expected);
     }
 
@@ -86,14 +87,14 @@ proptest! {
     #[test]
     fn bosv_bit_identical_to_frozen_reference(values in adversarial_blocks()) {
         let expected = reference::value_solve(full(), &values);
-        let got = ValueSolver::new().solve_values(&values);
+        let got = solve_values(&ValueSolver::new(), &values);
         prop_assert_eq!(got, expected);
     }
 
     #[test]
     fn bosv_upper_only_bit_identical_to_frozen_reference(values in adversarial_blocks()) {
         let expected = reference::value_solve(upper_only(), &values);
-        let got = ValueSolver::upper_only().solve_values(&values);
+        let got = solve_values(&ValueSolver::upper_only(), &values);
         prop_assert_eq!(got, expected);
     }
 
@@ -104,7 +105,7 @@ proptest! {
     fn dirty_scratch_never_leaks(a in adversarial_blocks(), b in adversarial_blocks()) {
         for kind in SolverKind::ALL {
             let mut solver = kind.build();
-            let mut shared = solver.scratch();
+            let mut shared = SolverScratch::new();
             let _ = solver.solve_into(&a, &mut shared);
             let dirty = solver.solve_into(&b, &mut shared);
             let fresh = kind.build().solve_into(&b, &mut SolverScratch::new());
@@ -120,7 +121,7 @@ proptest! {
         let mut solver = MedianSolver::new();
         let mut scratch = SolverScratch::new();
         let with_scratch = solver.solve_into(&values, &mut scratch);
-        let one_shot = MedianSolver::new().solve_values(&values);
+        let one_shot = solve_values(&MedianSolver::new(), &values);
         prop_assert_eq!(with_scratch, one_shot);
     }
 }
@@ -136,7 +137,7 @@ fn bosv_parallel_path_bit_identical_to_frozen_reference() {
     values.push(i64::MAX - 17);
     values.extend([-5_000_000, 5_000_000, 0, 0, 0]);
     let expected = reference::value_solve(full(), &values);
-    let got = ValueSolver::new().solve_values(&values);
+    let got = solve_values(&ValueSolver::new(), &values);
     assert_eq!(got, expected);
     assert!(got.cost_bits() <= expected.cost_bits());
 }
@@ -149,6 +150,6 @@ fn bosb_large_block_bit_identical_to_frozen_reference() {
     values.push(-(1 << 50));
     values.push(1 << 50);
     let expected = reference::bitwidth_solve(full(), &values);
-    let got = BitWidthSolver::new().solve_values(&values);
+    let got = solve_values(&BitWidthSolver::new(), &values);
     assert_eq!(got, expected);
 }

@@ -1038,7 +1038,7 @@ impl<'a> TsFileReader<'a> {
         let time_name = format!("{name}/time");
         let value_name = format!("{name}/value");
         let tinfo = self.info(&time_name)?.clone();
-        let (_, payload_times) = self.read_chunk_raw(&tinfo)?;
+        let (_, payload_times) = self.read_chunk(&tinfo)?;
         let values = self.read_ints(&value_name)?;
         if payload_times.len() != values.len() {
             return Err(TsFileError::Corrupt("time/value length mismatch"));
@@ -1101,12 +1101,6 @@ impl<'a> TsFileReader<'a> {
                 TimedSalvage::Unrecovered { skipped }
             }
         })
-    }
-
-    /// Reads a chunk as raw integers, decoding timestamp chunks with the
-    /// self-describing TS2DIFF path.
-    fn read_chunk_raw(&self, info: &SeriesInfo) -> Result<(Option<u8>, Vec<i64>), TsFileError> {
-        self.read_chunk(info)
     }
 
     /// Reads a float series by name.

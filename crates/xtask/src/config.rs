@@ -24,13 +24,6 @@ pub struct Config {
     /// Crate source roots (e.g. `crates/bos`) whose public `encode_*`
     /// functions must have decode counterparts and roundtrip tests.
     pub pairing_crates: Vec<String>,
-    /// Files holding the width-dispatch kernel tables (`PACK_LANE` /
-    /// `UNPACK_LANE`), each required to list all 65 widths in order.
-    pub kernel_table_files: Vec<String>,
-    /// Names of the block-codec trait (and its re-exports) whose `name()`
-    /// labels must be unique across the workspace — bench tables and
-    /// persisted artifacts key rows on them.
-    pub codec_label_traits: Vec<String>,
     /// Constructor patterns (`CounterHandle::new`, `obs::span`, ...) whose
     /// string-literal arguments are `obs` metric names; every literal must
     /// be unique across the workspace, or two call sites silently share
@@ -47,15 +40,6 @@ pub struct Config {
     /// least one test — a never-emitted event is dead provenance, and an
     /// untested one can silently rot its payload.
     pub trail_event_enums: Vec<String>,
-    /// Directory prefixes whose shipping functions must join every thread
-    /// handle they spawn.
-    pub join_spawn_dirs: Vec<String>,
-    /// Solver implementation files: every shipping `impl Solver` there
-    /// must define the scratch-reusing `solve_into` entry point (and not
-    /// override the `solve_values` shim), and the file must not call
-    /// `SortedBlock::from_values` — solver working memory comes from the
-    /// scratch, not per-block allocations.
-    pub solver_entry_scratch: Vec<String>,
     /// Storage-tier files whose shipping functions must pair every
     /// `File::create` / `fs::write` with fsync + rename in the same
     /// function (the temp-file → fsync → rename durability protocol).
@@ -74,14 +58,10 @@ impl Config {
             "no-narrowing-casts",
             "len-read-bounded",
             "encode-decode-pairing",
-            "kernel-table-complete",
-            "codec-label-unique",
             "obs-label-unique",
             "unchecked-arith-in-decode",
             "error-variant-coverage",
             "trail-event-paired",
-            "join-all-spawns",
-            "solver-entry-scratch",
             "durable-rename",
             "uncovered-ok",
         ]
@@ -107,11 +87,9 @@ impl Config {
             let key = key.trim();
             let expected_key = match section.as_str() {
                 "encode-decode-pairing" => "crates",
-                "codec-label-unique" => "traits",
                 "obs-label-unique" => "patterns",
                 "error-variant-coverage" => "enums",
                 "trail-event-paired" => "enums",
-                "join-all-spawns" => "dirs",
                 _ => "files",
             };
             if section.is_empty() || key != expected_key {
@@ -157,14 +135,10 @@ impl Config {
                 "no-narrowing-casts" => config.no_narrowing_casts = values,
                 "len-read-bounded" => config.len_read_bounded = values,
                 "encode-decode-pairing" => config.pairing_crates = values,
-                "kernel-table-complete" => config.kernel_table_files = values,
-                "codec-label-unique" => config.codec_label_traits = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
                 "unchecked-arith-in-decode" => config.unchecked_arith = values,
                 "error-variant-coverage" => config.error_variant_enums = values,
                 "trail-event-paired" => config.trail_event_enums = values,
-                "join-all-spawns" => config.join_spawn_dirs = values,
-                "solver-entry-scratch" => config.solver_entry_scratch = values,
                 "durable-rename" => config.durable_rename = values,
                 "uncovered-ok" => config.uncovered_ok = values,
                 // The section set was validated at the header; an unknown
@@ -207,12 +181,6 @@ files = []
 [encode-decode-pairing]
 crates = ["crates/bos"]
 
-[kernel-table-complete]
-files = ["k/unrolled.rs"]
-
-[codec-label-unique]
-traits = ["BlockCodec", "Codec"]
-
 [obs-label-unique]
 patterns = ["CounterHandle::new", "obs::span"]
 "#;
@@ -221,18 +189,10 @@ patterns = ["CounterHandle::new", "obs::span"]
         assert_eq!(c.no_indexing, vec!["a/b.rs"]);
         assert!(c.no_narrowing_casts.is_empty());
         assert_eq!(c.pairing_crates, vec!["crates/bos"]);
-        assert_eq!(c.kernel_table_files, vec!["k/unrolled.rs"]);
-        assert_eq!(c.codec_label_traits, vec!["BlockCodec", "Codec"]);
         assert_eq!(
             c.obs_label_patterns,
             vec!["CounterHandle::new", "obs::span"]
         );
-    }
-
-    #[test]
-    fn codec_label_section_requires_traits_key() {
-        assert!(Config::parse("[codec-label-unique]\nfiles = []").is_err());
-        assert!(Config::parse("[codec-label-unique]\ntraits = [\"Codec\"]").is_ok());
     }
 
     #[test]
@@ -253,12 +213,6 @@ enums = ["DecodeError", "SkipReason"]
 [trail-event-paired]
 enums = ["Event"]
 
-[join-all-spawns]
-dirs = ["crates", "src"]
-
-[solver-entry-scratch]
-files = ["crates/bos/src/solver/value.rs"]
-
 [durable-rename]
 files = ["crates/store/src/lib.rs"]
 
@@ -269,11 +223,6 @@ files = ["crates/bench/src/main.rs"]
         assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/bits.rs"]);
         assert_eq!(c.error_variant_enums, vec!["DecodeError", "SkipReason"]);
         assert_eq!(c.trail_event_enums, vec!["Event"]);
-        assert_eq!(c.join_spawn_dirs, vec!["crates", "src"]);
-        assert_eq!(
-            c.solver_entry_scratch,
-            vec!["crates/bos/src/solver/value.rs"]
-        );
         assert_eq!(c.durable_rename, vec!["crates/store/src/lib.rs"]);
         assert_eq!(c.uncovered_ok, vec!["crates/bench/src/main.rs"]);
     }
@@ -284,8 +233,6 @@ files = ["crates/bench/src/main.rs"]
         assert!(Config::parse("[error-variant-coverage]\nenums = [\"E\"]").is_ok());
         assert!(Config::parse("[trail-event-paired]\nfiles = []").is_err());
         assert!(Config::parse("[trail-event-paired]\nenums = [\"Event\"]").is_ok());
-        assert!(Config::parse("[join-all-spawns]\nfiles = []").is_err());
-        assert!(Config::parse("[join-all-spawns]\ndirs = [\"crates\"]").is_ok());
         assert!(Config::parse("[durable-rename]\ndirs = []").is_err());
         assert!(Config::parse("[durable-rename]\nfiles = [\"a.rs\"]").is_ok());
     }
@@ -296,5 +243,16 @@ files = ["crates/bench/src/main.rs"]
         assert!(Config::parse("[no-panic]\npaths = []").is_err());
         assert!(Config::parse("[no-panic]\nfiles = [unquoted]").is_err());
         assert!(Config::parse("[no-panic]\nfiles = [\n  \"x.rs\",").is_err());
+        // Sections of retired rules: a stale `lint.toml` must fail loudly,
+        // not silently configure nothing.
+        for retired in [
+            "kernel-table-complete",
+            "join-all-spawns",
+            "codec-label-unique",
+            "solver-entry-scratch",
+        ] {
+            let err = Config::parse(&format!("[{retired}]\nfiles = []")).unwrap_err();
+            assert!(err.contains("unknown section"), "{retired}: {err}");
+        }
     }
 }

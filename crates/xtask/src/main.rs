@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint [--format text|json]
-//!                            [--baseline FILE] [--write-baseline FILE]
 //! ```
 //!
 //! `lint` is the custom static-analysis gate for this repository. It
@@ -13,15 +12,20 @@
 //!
 //! - **no-panic / no-indexing / no-narrowing-casts / len-read-bounded /
 //!   unchecked-arith-in-decode** — per-file decode-path hardening rules.
-//! - **encode-decode-pairing / kernel-table-complete /
-//!   codec-label-unique / obs-label-unique** — cross-file structural
+//! - **encode-decode-pairing / obs-label-unique** — cross-file structural
 //!   invariants of the codec and obs layers.
-//! - **error-variant-coverage / join-all-spawns** — semantic rules over
-//!   the item tree (dead error variants, detached threads).
+//! - **error-variant-coverage / trail-event-paired / durable-rename** —
+//!   semantic rules over the item tree (dead error variants and trail
+//!   events, non-atomic file writes in the storage tier).
 //! - **lint-config-hygiene / no-panic-coverage** — `lint.toml`
 //!   self-checks: listed files must exist, and every shipping file under
 //!   `crates/` is either in `[no-panic]` or allow-listed in
 //!   `[uncovered-ok]`.
+//!
+//! Invariants a type, a test or clippy can carry live there instead:
+//! detached threads are a `disallowed-methods` entry in the root
+//! `clippy.toml`, and the kernel dispatch tables and codec labels are
+//! pinned by unit tests (see DESIGN.md §7).
 //!
 //! Opting a single line out requires a written justification:
 //!
@@ -32,9 +36,7 @@
 //! An empty justification is itself an error.
 //!
 //! `--format json` prints a stable machine-readable report (schema
-//! `bos-xtask-lint/1`) to stdout. `--baseline FILE` suppresses findings
-//! recorded in FILE (for incremental adoption of a new rule);
-//! `--write-baseline FILE` records the current findings and exits 0.
+//! `bos-xtask-lint/2`) to stdout.
 //! Exit status: 0 clean, 1 findings, 2 configuration/IO problems.
 
 mod config;
@@ -63,8 +65,8 @@ fn workspace_root() -> PathBuf {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => match LintArgs::parse(args.get(1..).unwrap_or(&[])) {
-            Ok(opts) => lint(&opts),
+        Some("lint") => match json_format(args.get(1..).unwrap_or(&[])) {
+            Ok(json) => lint(json),
             Err(e) => {
                 eprintln!("xtask lint: {e}");
                 eprintln!("{USAGE}");
@@ -82,45 +84,26 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint [--format text|json] \
-                     [--baseline FILE] [--write-baseline FILE]";
+const USAGE: &str = "usage: cargo run -p xtask -- lint [--format text|json]";
 
-#[derive(Default)]
-struct LintArgs {
-    json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-impl LintArgs {
-    fn parse(args: &[String]) -> Result<LintArgs, String> {
-        let mut opts = LintArgs::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--format" => match it.next().map(String::as_str) {
-                    Some("text") => opts.json = false,
-                    Some("json") => opts.json = true,
-                    other => {
-                        return Err(format!("--format expects `text` or `json`, got {other:?}"))
-                    }
-                },
-                "--baseline" => {
-                    let v = it.next().ok_or("--baseline expects a file path")?;
-                    opts.baseline = Some(PathBuf::from(v));
-                }
-                "--write-baseline" => {
-                    let v = it.next().ok_or("--write-baseline expects a file path")?;
-                    opts.write_baseline = Some(PathBuf::from(v));
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
+/// Parses the `lint` flags; `true` selects the JSON report.
+fn json_format(args: &[String]) -> Result<bool, String> {
+    let mut json = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--format" => match it.next().map(String::as_str) {
+                Some("text") => json = false,
+                Some("json") => json = true,
+                other => return Err(format!("--format expects `text` or `json`, got {other:?}")),
+            },
+            other => return Err(format!("unknown flag {other:?}")),
         }
-        Ok(opts)
     }
+    Ok(json)
 }
 
-fn lint(opts: &LintArgs) -> ExitCode {
+fn lint(json: bool) -> ExitCode {
     let root = workspace_root();
     let config_path = root.join("lint.toml");
     let raw = match std::fs::read_to_string(&config_path) {
@@ -145,48 +128,13 @@ fn lint(opts: &LintArgs) -> ExitCode {
         }
     };
 
-    if let Some(path) = &opts.write_baseline {
-        let contents = report::write_baseline(&report.findings);
-        if let Err(e) = std::fs::write(path, contents) {
-            eprintln!("cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask lint: wrote {} finding(s) to baseline {}",
-            report.findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (findings, suppressed) = match &opts.baseline {
-        Some(path) => {
-            let raw = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let keys = match report::parse_baseline(&raw) {
-                Ok(k) => k,
-                Err(e) => {
-                    eprintln!("baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            report::apply_baseline(report.findings, &keys)
-        }
-        None => (report.findings, 0),
-    };
-
-    let rendered = if opts.json {
-        report::render_json(&findings, &report.coverage, suppressed)
+    let rendered = if json {
+        report::render_json(&report.findings, &report.coverage)
     } else {
-        report::render_text(&findings, &report.coverage, suppressed)
+        report::render_text(&report.findings, &report.coverage)
     };
     print!("{rendered}");
-    if findings.is_empty() {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,16 +1,9 @@
-//! Finding type, text/JSON rendering, and the baseline suppression file.
+//! Finding type and text/JSON rendering.
 //!
 //! The JSON shape is a stable machine-readable contract (schema
-//! `bos-xtask-lint/1`): findings sorted by (file, line, col, rule), a
-//! `coverage` block mirroring the `lint.toml` hygiene report, and a
-//! `suppressed` count when a baseline is in play. The tier-1 recipe
-//! archives it as `lint_report.json`.
-//!
-//! A baseline file records findings to tolerate during incremental
-//! adoption of a new rule: one record per line, `rule<TAB>file<TAB>message`.
-//! Line numbers are deliberately *not* part of the key, so unrelated edits
-//! shifting a file do not invalidate the baseline; any change to the
-//! finding's message (which embeds the offending expression) does.
+//! `bos-xtask-lint/2`): findings sorted by (file, line, col, rule), a
+//! `total`, and a `coverage` block mirroring the `lint.toml` hygiene
+//! report. The tier-1 recipe archives it as `lint_report.json`.
 
 use std::fmt::Write as _;
 
@@ -26,15 +19,8 @@ pub struct Finding {
     pub col: usize,
     /// Rule name as listed in `lint.toml` / DESIGN.md.
     pub rule: &'static str,
-    /// Human-readable explanation; part of the baseline key.
+    /// Human-readable explanation.
     pub message: String,
-}
-
-impl Finding {
-    /// The baseline key: everything except the line/col position.
-    fn key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.file, self.message)
-    }
 }
 
 /// Coverage numbers for the `lint.toml` hygiene report.
@@ -65,7 +51,7 @@ impl Coverage {
 }
 
 /// Renders findings as the classic `file:line:col: [rule] message` lines.
-pub fn render_text(findings: &[Finding], coverage: &Coverage, suppressed: usize) -> String {
+pub fn render_text(findings: &[Finding], coverage: &Coverage) -> String {
     let mut out = String::new();
     for f in findings {
         let _ = writeln!(
@@ -75,9 +61,6 @@ pub fn render_text(findings: &[Finding], coverage: &Coverage, suppressed: usize)
         );
     }
     let _ = writeln!(out, "{}", coverage.render());
-    if suppressed > 0 {
-        let _ = writeln!(out, "baseline: {suppressed} finding(s) suppressed");
-    }
     match findings.len() {
         0 => {
             let _ = writeln!(out, "xtask lint: clean");
@@ -90,8 +73,8 @@ pub fn render_text(findings: &[Finding], coverage: &Coverage, suppressed: usize)
 }
 
 /// Renders the stable JSON report.
-pub fn render_json(findings: &[Finding], coverage: &Coverage, suppressed: usize) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bos-xtask-lint/1\",\n  \"findings\": [");
+pub fn render_json(findings: &[Finding], coverage: &Coverage) -> String {
+    let mut out = String::from("{\n  \"schema\": \"bos-xtask-lint/2\",\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -109,9 +92,8 @@ pub fn render_json(findings: &[Finding], coverage: &Coverage, suppressed: usize)
     }
     let _ = write!(
         out,
-        "],\n  \"total\": {},\n  \"suppressed\": {},\n  \"coverage\": {{\"eligible\": {}, \"no_panic\": {}, \"uncovered_ok\": {}}}\n}}\n",
+        "],\n  \"total\": {},\n  \"coverage\": {{\"eligible\": {}, \"no_panic\": {}, \"uncovered_ok\": {}}}\n}}\n",
         findings.len(),
-        suppressed,
         coverage.eligible,
         coverage.covered,
         coverage.uncovered_ok
@@ -140,51 +122,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Serializes findings into baseline file contents.
-pub fn write_baseline(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "# xtask lint baseline v1 — one tolerated finding per line:\n\
-         # rule<TAB>file<TAB>message. Delete lines as the findings are fixed.\n",
-    );
-    for f in findings {
-        let _ = writeln!(out, "{}", f.key());
-    }
-    out
-}
-
-/// Parses a baseline file; returns the set of tolerated keys.
-pub fn parse_baseline(raw: &str) -> Result<std::collections::BTreeSet<String>, String> {
-    let mut keys = std::collections::BTreeSet::new();
-    for (lno, line) in raw.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.split('\t').count() != 3 {
-            return Err(format!(
-                "baseline line {}: expected `rule<TAB>file<TAB>message`",
-                lno + 1
-            ));
-        }
-        keys.insert(line.to_string());
-    }
-    Ok(keys)
-}
-
-/// Splits findings into (kept, suppressed-count) under a baseline.
-pub fn apply_baseline(
-    findings: Vec<Finding>,
-    baseline: &std::collections::BTreeSet<String>,
-) -> (Vec<Finding>, usize) {
-    let before = findings.len();
-    let kept: Vec<Finding> = findings
-        .into_iter()
-        .filter(|f| !baseline.contains(&f.key()))
-        .collect();
-    let suppressed = before - kept.len();
-    (kept, suppressed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,12 +147,11 @@ mod tests {
 
     #[test]
     fn text_render_includes_positions_and_summary() {
-        let t = render_text(&probe(), &Coverage::default(), 0);
+        let t = render_text(&probe(), &Coverage::default());
         assert!(t.contains("a.rs:3:7: [no-panic]"));
         assert!(t.contains("2 finding(s)"));
-        let clean = render_text(&[], &Coverage::default(), 2);
+        let clean = render_text(&[], &Coverage::default());
         assert!(clean.contains("clean"));
-        assert!(clean.contains("2 finding(s) suppressed"));
     }
 
     #[test]
@@ -229,45 +165,13 @@ mod tests {
                 covered: 6,
                 uncovered_ok: 4,
             },
-            1,
         );
-        assert!(j.contains("\"schema\": \"bos-xtask-lint/1\""));
+        assert!(j.contains("\"schema\": \"bos-xtask-lint/2\""));
         assert!(j.contains("\\\"quote\\\"\\nand\\ttab"));
         assert!(j.contains("\"total\": 2"));
-        assert!(j.contains("\"suppressed\": 1"));
         assert!(j.contains("\"eligible\": 10"));
         // Empty report still well-formed.
-        let empty = render_json(&[], &Coverage::default(), 0);
+        let empty = render_json(&[], &Coverage::default());
         assert!(empty.contains("\"findings\": []"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_suppresses_everything() {
-        let findings = probe();
-        let file = write_baseline(&findings);
-        let keys = parse_baseline(&file).expect("parses");
-        assert_eq!(keys.len(), 2);
-        let (kept, suppressed) = apply_baseline(findings, &keys);
-        assert!(kept.is_empty());
-        assert_eq!(suppressed, 2);
-    }
-
-    #[test]
-    fn baseline_survives_line_shifts_but_not_message_edits() {
-        let mut findings = probe();
-        let keys = parse_baseline(&write_baseline(&findings)).expect("parses");
-        findings[0].line = 99; // file shifted underneath the baseline
-        let (kept, _) = apply_baseline(findings.clone(), &keys);
-        assert!(kept.is_empty());
-        findings[0].message = "different".into();
-        let (kept, suppressed) = apply_baseline(findings, &keys);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(suppressed, 1);
-    }
-
-    #[test]
-    fn malformed_baseline_is_an_error() {
-        assert!(parse_baseline("just-one-field\n").is_err());
-        assert!(parse_baseline("# comment\n\n").expect("ok").is_empty());
     }
 }

@@ -168,13 +168,9 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
         }
     }
     pairing(root, &ws, config, &mut findings)?;
-    kernel_tables(&ws, config, &mut findings);
-    codec_labels(&ws, config, &mut findings);
     obs_labels(&ws, config, &mut findings);
     error_variants(&ws, config, &mut findings);
     trail_events(&ws, config, &mut findings);
-    join_all_spawns(&ws, config, &mut findings);
-    solver_entry_scratch(&ws, config, &mut findings);
     durable_rename(&ws, config, &mut findings);
 
     findings
@@ -281,6 +277,16 @@ fn allow_in_text(text: &str, rule: &str) -> Allow {
     }
 }
 
+/// All items in a file, flattened, excluding test code.
+fn shipping_items(f: &SourceFile) -> Vec<&Item> {
+    let mut all = Vec::new();
+    tree::walk_items(&f.items, &mut all, false);
+    all.into_iter()
+        .filter(|(_, in_test)| !in_test)
+        .map(|(i, _)| i)
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // lint.toml hygiene + no-panic coverage
 // ---------------------------------------------------------------------------
@@ -295,7 +301,6 @@ fn hygiene(root: &Path, config: &Config, ws: &Workspace, findings: &mut Vec<Find
         ("no-indexing", &config.no_indexing),
         ("no-narrowing-casts", &config.no_narrowing_casts),
         ("len-read-bounded", &config.len_read_bounded),
-        ("kernel-table-complete", &config.kernel_table_files),
         ("unchecked-arith-in-decode", &config.unchecked_arith),
         ("uncovered-ok", &config.uncovered_ok),
     ];
@@ -693,251 +698,6 @@ fn operand_right(f: &SourceFile, start: usize) -> Operand {
 }
 
 // ---------------------------------------------------------------------------
-// kernel-table-complete
-// ---------------------------------------------------------------------------
-
-/// The number of bit widths a kernel dispatch table must cover (0..=64).
-const KERNEL_WIDTHS: usize = 65;
-
-/// Rule: the width-dispatch tables in each configured file must name every
-/// specialized kernel, in width order. The tables are required to be plain
-/// 65-entry source literals (not macro-generated) precisely so this check
-/// can read them; a missing or reordered entry would silently route one
-/// width to the wrong kernel.
-fn kernel_tables(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    for rel in &config.kernel_table_files {
-        let Some(f) = ws.get(rel) else { continue };
-        for (table, prefix) in [("PACK_LANE", "pack_w"), ("UNPACK_LANE", "unpack_w")] {
-            check_kernel_table(f, table, prefix, findings);
-        }
-    }
-}
-
-fn check_kernel_table(f: &SourceFile, table: &str, prefix: &str, findings: &mut Vec<Finding>) {
-    let rule = "kernel-table-complete";
-    let mut fail = |line: usize, col: usize, message: String| {
-        findings.push(Finding {
-            file: f.rel.clone(),
-            line,
-            col,
-            rule,
-            message,
-        });
-    };
-    let decl = (0..f.tokens.len())
-        .find(|&i| f.is_ident(i, "const") && f.is_ident(i + 1, table) && f.is_punct(i + 2, b':'));
-    let Some(decl) = decl else {
-        fail(1, 0, format!("no `const {table}:` dispatch table found"));
-        return;
-    };
-    let (line, col) = f.position(decl);
-    // Type: `[Fn; 65]` — the length literal sits right before the `]`.
-    let ty_open = decl + 3;
-    let ty_close = tree::matching(&f.tokens, ty_open, f.tokens.len(), b'[', b']');
-    let Some(ty_close) = ty_close else {
-        fail(line, col, format!("`{table}` is not typed as an array"));
-        return;
-    };
-    let len_ok = ty_close > 0
-        && f.tok(ty_close - 1).map(|t| t.kind) == Some(TokenKind::NumLit)
-        && f.text(ty_close - 1) == "65";
-    if !len_ok {
-        fail(
-            line,
-            col,
-            format!("`{table}` must be declared with length {KERNEL_WIDTHS} (widths 0..=64)"),
-        );
-    }
-    if !f.is_punct(ty_close + 1, b'=') {
-        fail(line, col, format!("`{table}` has no initializer"));
-        return;
-    }
-    let body_open = ty_close + 2;
-    let body_close = tree::matching(&f.tokens, body_open, f.tokens.len(), b'[', b']');
-    let Some(body_close) = body_close else {
-        fail(
-            line,
-            col,
-            format!("`{table}` initializer is not an array literal"),
-        );
-        return;
-    };
-    let entries: Vec<&str> = (body_open + 1..body_close)
-        .filter(|&i| f.tok(i).map(|t| t.kind) == Some(TokenKind::Ident))
-        .map(|i| f.text(i))
-        .collect();
-    if entries.len() != KERNEL_WIDTHS {
-        fail(
-            line,
-            col,
-            format!(
-                "`{table}` covers {} widths, must cover all {KERNEL_WIDTHS} (0..=64)",
-                entries.len()
-            ),
-        );
-        return;
-    }
-    for (w, entry) in entries.iter().enumerate() {
-        let expected = format!("{prefix}{w}");
-        if *entry != expected {
-            fail(
-                line,
-                col,
-                format!("`{table}` entry for width {w} is `{entry}`, expected `{expected}`"),
-            );
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// impl-header helpers (shared by codec-label-unique and solver-entry-scratch)
-// ---------------------------------------------------------------------------
-
-/// For an `impl` item: the final segment of the *trait* path (`None` for
-/// inherent impls). `impl bitpack::BlockCodec for Bos` → `BlockCodec`;
-/// `impl<C: Codec> Display for W<C>` → `Display`; `impl From<u8> for X`
-/// → `From`.
-fn impl_trait_segment(f: &SourceFile, item: &Item) -> Option<String> {
-    let (start, end) = item.header;
-    // Find `for` at angle-bracket depth zero (skipping the generics of
-    // `impl<...>` and of the trait path itself).
-    let mut depth = 0usize;
-    let mut for_idx = None;
-    for i in start..end {
-        let Some(t) = f.tok(i) else { break };
-        if t.is_punct(b'<') {
-            depth += 1;
-        } else if t.is_punct(b'>') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && t.is_ident(&f.src, "for") {
-            for_idx = Some(i);
-            break;
-        }
-    }
-    let for_idx = for_idx?;
-    segment_before(f, start, for_idx)
-}
-
-/// The last path-segment identifier strictly before token `end`, skipping
-/// one trailing generic-argument group (`Foo<T>` → `Foo`).
-fn segment_before(f: &SourceFile, start: usize, end: usize) -> Option<String> {
-    let mut k = end.checked_sub(1)?;
-    if f.is_punct(k, b'>') {
-        let mut depth = 1usize;
-        while depth > 0 {
-            k = k.checked_sub(1)?;
-            if k < start {
-                return None;
-            }
-            if f.is_punct(k, b'>') {
-                depth += 1;
-            } else if f.is_punct(k, b'<') {
-                depth -= 1;
-            }
-        }
-        k = k.checked_sub(1)?;
-    }
-    (k >= start && f.tok(k).map(|t| t.kind) == Some(TokenKind::Ident))
-        .then(|| f.text(k).to_string())
-}
-
-/// All items in a file, flattened, excluding test code.
-fn shipping_items(f: &SourceFile) -> Vec<&Item> {
-    let mut all = Vec::new();
-    tree::walk_items(&f.items, &mut all, false);
-    all.into_iter()
-        .filter(|(_, in_test)| !in_test)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// codec-label-unique
-// ---------------------------------------------------------------------------
-
-/// Rule: the `name()` labels across every impl of the configured block-codec
-/// traits must be pairwise distinct. Bench tables, BENCH_*.json artifacts,
-/// and tsfile metadata all key on these strings, so two codecs sharing a
-/// label would silently merge their rows.
-fn codec_labels(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    if config.codec_label_traits.is_empty() {
-        return;
-    }
-    let mut seen: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    let mut total = 0usize;
-    for f in &ws.files {
-        if f.is_test_file {
-            continue;
-        }
-        for (tok_idx, label) in name_labels(f, &config.codec_label_traits) {
-            total += 1;
-            let (line, col) = f.position(tok_idx);
-            match seen.get(&label) {
-                Some((first_file, first_line)) => findings.push(Finding {
-                    file: f.rel.clone(),
-                    line,
-                    col,
-                    rule: "codec-label-unique",
-                    message: format!(
-                        "codec label {label:?} already used at {first_file}:{first_line}; \
-                         bench tables key on labels, so every `name()` must be distinct"
-                    ),
-                }),
-                None => {
-                    seen.insert(label, (f.rel.clone(), line));
-                }
-            }
-        }
-    }
-    if total == 0 {
-        findings.push(Finding {
-            file: "lint.toml".to_string(),
-            line: 1,
-            col: 0,
-            rule: "codec-label-unique",
-            message: format!(
-                "no `name()` labels found for traits {:?}; the scan is broken or the \
-                 config lists the wrong trait names",
-                config.codec_label_traits
-            ),
-        });
-    }
-}
-
-/// Every string literal inside a `fn name` body of an impl of one of
-/// `traits`, as (token index, label text).
-pub(crate) fn name_labels(f: &SourceFile, traits: &[String]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for item in shipping_items(f) {
-        if item.kind != ItemKind::Impl {
-            continue;
-        }
-        let Some(seg) = impl_trait_segment(f, item) else {
-            continue;
-        };
-        if !traits.contains(&seg) {
-            continue;
-        }
-        for child in &item.children {
-            if child.kind != ItemKind::Fn || child.name.as_deref() != Some("name") {
-                continue;
-            }
-            let Some((b0, b1)) = child.body else { continue };
-            for i in b0..b1 {
-                let Some(t) = f.tok(i) else { break };
-                if t.kind == TokenKind::StrLit {
-                    if let Some(label) = t.str_content(&f.src) {
-                        out.push((i, label.to_string()));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // obs-label-unique
 // ---------------------------------------------------------------------------
 
@@ -1240,143 +1000,6 @@ fn reference_is_pattern(f: &SourceFile, v_idx: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// join-all-spawns
-// ---------------------------------------------------------------------------
-
-/// Rule: every `spawn(..)` call in shipping code must be in a function
-/// that also `join`s — a detached thread can outlive the encoder and drop
-/// its result (or its panic) on the floor. The check is per innermost
-/// containing function, so `std::thread::scope` blocks with explicit
-/// join loops pass naturally.
-fn join_all_spawns(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    for f in &ws.files {
-        if f.is_test_file
-            || !config
-                .join_spawn_dirs
-                .iter()
-                .any(|d| f.rel.starts_with(&format!("{d}/")))
-        {
-            continue;
-        }
-        push_hits(f, "join-all-spawns", join_spawn_hits(f), findings);
-    }
-}
-
-pub(crate) fn join_spawn_hits(f: &SourceFile) -> Vec<(usize, String)> {
-    // Function bodies, innermost-first lookup by smallest containing span.
-    let mut fns: Vec<(usize, usize)> = shipping_items(f)
-        .into_iter()
-        .filter(|i| i.kind == ItemKind::Fn)
-        .filter_map(|i| i.body)
-        .collect();
-    fns.sort_by_key(|&(b0, b1)| b1 - b0);
-    let mut hits = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !f.is_shipping(i) || !f.is_ident(i, "spawn") || !f.is_punct(i + 1, b'(') {
-            continue;
-        }
-        let called =
-            (i > 0 && f.is_punct(i - 1, b'.')) || (i >= 2 && f.glued_pair(i - 2, b':', b':'));
-        if !called {
-            continue;
-        }
-        let Some(&(b0, b1)) = fns.iter().find(|&&(b0, b1)| b0 <= i && i < b1) else {
-            continue;
-        };
-        let joined = (b0..b1).any(|j| f.is_ident(j, "join"));
-        if !joined {
-            hits.push((
-                i,
-                "thread handle from `spawn` is never `join`ed in this function; a \
-                 detached thread can outlive the caller and drop its result (join \
-                 the handle, or lint:allow with the handoff explained)"
-                    .to_string(),
-            ));
-        }
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------------
-// solver-entry-scratch
-// ---------------------------------------------------------------------------
-
-/// Rule: every shipping `impl Solver for …` in the configured solver
-/// files must route through the scratch-reusing entry point — the impl
-/// defines `fn solve_into` and does not override the `solve_values`
-/// convenience shim (overriding it would quietly reintroduce a one-shot,
-/// allocation-per-block path under the old name). The files must also not
-/// call `from_values` in shipping code: solver working memory is rebuilt
-/// into the scratch (`SortedBlock::rebuild`), never freshly allocated in
-/// the search loops.
-fn solver_entry_scratch(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    if config.solver_entry_scratch.is_empty() {
-        return;
-    }
-    let mut impls_seen = 0usize;
-    for rel in &config.solver_entry_scratch {
-        let Some(f) = ws.get(rel) else { continue };
-        if f.is_test_file {
-            continue;
-        }
-        let mut hits = Vec::new();
-        for item in shipping_items(f) {
-            if item.kind != ItemKind::Impl
-                || impl_trait_segment(f, item).as_deref() != Some("Solver")
-            {
-                continue;
-            }
-            impls_seen += 1;
-            let has_fn = |name: &str| {
-                item.children
-                    .iter()
-                    .any(|c| c.kind == ItemKind::Fn && c.name.as_deref() == Some(name))
-            };
-            if !has_fn("solve_into") {
-                hits.push((
-                    item.header.0,
-                    "`impl Solver` does not define `solve_into`; every shipping solver \
-                     must expose the scratch-reusing entry point"
-                        .to_string(),
-                ));
-            }
-            if has_fn("solve_values") {
-                hits.push((
-                    item.header.0,
-                    "`impl Solver` overrides the `solve_values` shim; solvers must \
-                     route through `solve_into` so drivers can reuse scratch memory"
-                        .to_string(),
-                ));
-            }
-        }
-        for i in 0..f.tokens.len() {
-            if f.is_shipping(i) && f.is_ident(i, "from_values") {
-                hits.push((
-                    i,
-                    "`from_values` allocates a fresh block summary; solver files must \
-                     rebuild into the scratch (`SortedBlock::rebuild`) instead"
-                        .to_string(),
-                ));
-            }
-        }
-        push_hits(f, "solver-entry-scratch", hits, findings);
-    }
-    if impls_seen == 0 {
-        findings.push(Finding {
-            file: "lint.toml".to_string(),
-            line: 1,
-            col: 0,
-            rule: "solver-entry-scratch",
-            message: format!(
-                "no `impl Solver` found for files {:?}; the scan is broken or the \
-                 config lists the wrong files",
-                config.solver_entry_scratch
-            ),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // durable-rename
 // ---------------------------------------------------------------------------
 
@@ -1612,7 +1235,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{apply_baseline, parse_baseline, write_baseline};
     use crate::strip;
 
     fn file(rel: &str, src: &str) -> SourceFile {
@@ -1734,17 +1356,6 @@ fn d(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(no-indexing): wrong rule
         assert_eq!(lines, vec![5, 6, 7, 8, 10]);
     }
 
-    // -- join-all-spawns (fixture) ----------------------------------------
-
-    #[test]
-    fn join_spawns_fixture_flags_only_the_detached_worker() {
-        let f = file(
-            "crates/x/src/par.rs",
-            include_str!("../fixtures/join_spawns.rs"),
-        );
-        assert_eq!(hit_lines(&f, join_spawn_hits(&f)), vec![7]);
-    }
-
     // -- durable-rename ---------------------------------------------------
 
     #[test]
@@ -1794,100 +1405,6 @@ mod tests { fn t(p: &std::path::Path) { std::fs::write(p, b\"x\").unwrap(); } }
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "durable-rename");
         assert!(findings[0].message.contains("scan is broken"));
-    }
-
-    // -- solver-entry-scratch ---------------------------------------------
-
-    fn solver_config(files: &[&str]) -> Config {
-        Config {
-            solver_entry_scratch: files.iter().map(|s| s.to_string()).collect(),
-            ..Config::default()
-        }
-    }
-
-    #[test]
-    fn solver_entry_scratch_accepts_a_compliant_impl() {
-        let src = "\
-impl Solver for ValueSolver {
-    fn name(&self) -> &'static str { \"BOS-V\" }
-    fn solve_into(&mut self, values: &[i64], scratch: &mut SolverScratch) -> Solution {
-        scratch.block.rebuild(values, &mut scratch.buf);
-        self.solve(&scratch.block)
-    }
-}
-#[cfg(test)]
-mod tests {
-    fn t() { let b = SortedBlock::from_values(&[1, 2]); }
-}
-";
-        let ws = Workspace::from_files(vec![file("crates/bos/src/solver/value.rs", src)]);
-        let mut findings = Vec::new();
-        solver_entry_scratch(
-            &ws,
-            &solver_config(&["crates/bos/src/solver/value.rs"]),
-            &mut findings,
-        );
-        assert!(findings.is_empty(), "{findings:#?}");
-    }
-
-    #[test]
-    fn solver_entry_scratch_flags_missing_entry_override_and_from_values() {
-        let src = "\
-impl Solver for OldSolver {
-    fn name(&self) -> &'static str { \"old\" }
-    fn solve_values(&self, values: &[i64]) -> Solution {
-        let block = SortedBlock::from_values(values);
-        self.solve(&block)
-    }
-}
-";
-        let ws = Workspace::from_files(vec![file("crates/bos/src/solver/old.rs", src)]);
-        let mut findings = Vec::new();
-        solver_entry_scratch(
-            &ws,
-            &solver_config(&["crates/bos/src/solver/old.rs"]),
-            &mut findings,
-        );
-        let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("does not define `solve_into`")),
-            "{findings:#?}"
-        );
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("overrides the `solve_values` shim")),
-            "{findings:#?}"
-        );
-        assert!(
-            msgs.iter().any(|m| m.contains("`from_values`")),
-            "{findings:#?}"
-        );
-    }
-
-    #[test]
-    fn solver_entry_scratch_empty_scan_is_itself_a_finding() {
-        let ws = Workspace::from_files(vec![file(
-            "crates/bos/src/solver/value.rs",
-            "fn helper() {}",
-        )]);
-        let mut findings = Vec::new();
-        solver_entry_scratch(
-            &ws,
-            &solver_config(&["crates/bos/src/solver/value.rs"]),
-            &mut findings,
-        );
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].file, "lint.toml");
-        assert!(findings[0].message.contains("no `impl Solver` found"));
-    }
-
-    #[test]
-    fn solver_entry_scratch_unconfigured_is_silent() {
-        let ws = Workspace::from_files(vec![file("crates/x/src/lib.rs", "fn f() {}")]);
-        let mut findings = Vec::new();
-        solver_entry_scratch(&ws, &Config::default(), &mut findings);
-        assert!(findings.is_empty());
     }
 
     // -- error-variant-coverage -------------------------------------------
@@ -1942,63 +1459,7 @@ mod tests { fn t() { let _ = DecodeError::Truncated; } }
         assert!(findings[0].message.contains("was not found"));
     }
 
-    // -- kernel-table-complete --------------------------------------------
-
-    fn table_src(n: usize, prefix: &str) -> String {
-        let entries: Vec<String> = (0..n).map(|w| format!("{prefix}{w}")).collect();
-        format!(
-            "pub const PACK_LANE: [PackFn; 65] = [{}];\n",
-            entries.join(", ")
-        )
-    }
-
-    #[test]
-    fn kernel_table_full_passes_short_and_swapped_fail() {
-        let mut findings = Vec::new();
-        let good = file("crates/x/src/k.rs", &table_src(65, "pack_w"));
-        check_kernel_table(&good, "PACK_LANE", "pack_w", &mut findings);
-        assert!(findings.is_empty(), "{findings:#?}");
-
-        let short = file("crates/x/src/k.rs", &table_src(64, "pack_w"));
-        check_kernel_table(&short, "PACK_LANE", "pack_w", &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("covers 64 widths"));
-
-        findings.clear();
-        let swapped_src = table_src(65, "pack_w").replace("pack_w7, pack_w8", "pack_w8, pack_w7");
-        let swapped = file("crates/x/src/k.rs", &swapped_src);
-        check_kernel_table(&swapped, "PACK_LANE", "pack_w", &mut findings);
-        assert!(findings[0].message.contains("width 7"));
-    }
-
-    // -- codec-label-unique / obs-label-unique ----------------------------
-
-    #[test]
-    fn codec_label_duplicates_and_empty_scan_are_findings() {
-        let a = file(
-            "crates/a/src/lib.rs",
-            "pub struct A;\nimpl BlockCodec for A { fn name(&self) -> &'static str { \"bp\" } }\n",
-        );
-        let b = file(
-            "crates/b/src/lib.rs",
-            "pub struct B;\nimpl BlockCodec for B { fn name(&self) -> &'static str { \"bp\" } }\n",
-        );
-        let config = Config {
-            codec_label_traits: vec!["BlockCodec".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        codec_labels(&Workspace::from_files(vec![a, b]), &config, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0]
-            .message
-            .contains("already used at crates/a/src/lib.rs:2"));
-
-        let empty = Workspace::from_files(vec![file("crates/a/src/lib.rs", "fn f() {}")]);
-        findings.clear();
-        codec_labels(&empty, &config, &mut findings);
-        assert!(findings[0].message.contains("no `name()` labels found"));
-    }
+    // -- obs-label-unique -------------------------------------------------
 
     #[test]
     fn obs_label_duplicates_are_findings_and_runtime_names_skipped() {
@@ -2056,29 +1517,6 @@ fn dynamic(name: &'static str) { let _ = CounterHandle::new(name); }
         assert!(findings
             .iter()
             .any(|f| f.message.contains("already covered")));
-    }
-
-    // -- baseline round-trip with engine findings -------------------------
-
-    #[test]
-    fn baseline_roundtrips_engine_findings() {
-        let f = file(
-            "crates/x/src/decode.rs",
-            include_str!("../fixtures/unchecked_arith.rs"),
-        );
-        let mut findings = Vec::new();
-        push_hits(
-            &f,
-            "unchecked-arith-in-decode",
-            unchecked_arith_hits(&f),
-            &mut findings,
-        );
-        assert!(!findings.is_empty());
-        let baseline = parse_baseline(&write_baseline(&findings)).expect("baseline parses");
-        let total = findings.len();
-        let (kept, suppressed) = apply_baseline(findings, &baseline);
-        assert!(kept.is_empty(), "{kept:#?}");
-        assert_eq!(suppressed, total);
     }
 
     // -- whole-workspace checks -------------------------------------------

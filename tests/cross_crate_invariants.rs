@@ -5,9 +5,10 @@
 use bos_repro::bitpack::codec::decode_blocks;
 use bos_repro::bitpack::zigzag::write_varint;
 use bos_repro::bos::kpart::solve_kpart;
+use bos_repro::bos::solver::solve_values;
 use bos_repro::bos::BosCodec;
 use bos_repro::bos::{
-    BitWidthSolver, MedianSolver, Solution, Solver, SolverKind, SortedBlock, ValueSolver,
+    BitWidthSolver, MedianSolver, Solution, SolverKind, SortedBlock, ValueSolver,
 };
 use bos_repro::datasets::all_datasets;
 use bos_repro::encodings::ts2diff::Ts2DiffEncoding;
@@ -34,8 +35,8 @@ fn bosb_equals_bosv_on_all_dataset_blocks() {
     let b = BitWidthSolver::new();
     for block in real_blocks() {
         assert_eq!(
-            b.solve_values(&block).cost_bits(),
-            v.solve_values(&block).cost_bits(),
+            solve_values(&b, &block).cost_bits(),
+            solve_values(&v, &block).cost_bits(),
             "exact solvers disagree on a real block"
         );
     }
@@ -46,8 +47,8 @@ fn median_is_sandwiched_on_all_dataset_blocks() {
     let b = BitWidthSolver::new();
     let m = MedianSolver::new();
     for block in real_blocks() {
-        let opt = b.solve_values(&block).cost_bits();
-        let med = m.solve_values(&block).cost_bits();
+        let opt = solve_values(&b, &block).cost_bits();
+        let med = solve_values(&m, &block).cost_bits();
         let plain = SortedBlock::from_values(&block).plain_cost_bits();
         assert!(
             opt <= med && med <= plain,
@@ -81,8 +82,8 @@ fn upper_only_ablation_never_beats_full_bos() {
     let mut strictly_better = 0usize;
     let blocks = real_blocks();
     for block in &blocks {
-        let f = full.solve_values(block).cost_bits();
-        let u = upper.solve_values(block).cost_bits();
+        let f = solve_values(&full, block).cost_bits();
+        let u = solve_values(&upper, block).cost_bits();
         assert!(f <= u, "full {f} > upper-only {u}");
         if f < u {
             strictly_better += 1;

@@ -1,8 +1,9 @@
-//! Regenerates the fault-injection artifact implemented in
-//! `bos_bench::experiments::faults` (writes `BENCH_PR5.json`).
+//! Runs the fault-injection sweep implemented in
+//! `bos_bench::experiments::faults` and writes its tables to
+//! `target/bench/exp_faults.json`.
 //!
 //! Pass `--quick` for the tier-1 configuration: fewer seeds per fault
-//! class and no JSON artifact.
+//! class and no file.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,8 +1,9 @@
-//! Regenerates the PR 9 flight-recorder artifact implemented in
-//! `bos_bench::experiments::obs` (writes `BENCH_PR9.json`).
+//! Runs the flight-recorder gates implemented in
+//! `bos_bench::experiments::obs` and writes their tables to
+//! `target/bench/exp_obs.json`.
 //!
 //! Pass `--quick` for the tier-1 configuration: the same measurements and
-//! gates (the suite is cheap), and no JSON artifact.
+//! gates (the suite is cheap), and no file.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,8 +1,9 @@
-//! Regenerates the crash-consistency artifact implemented in
-//! `bos_bench::experiments::store` (writes `BENCH_PR10.json`).
+//! Runs the crash-consistency sweep implemented in
+//! `bos_bench::experiments::store` and writes its tables to
+//! `target/bench/exp_store.json`.
 //!
 //! Pass `--quick` for the tier-1 configuration: fewer crash points and
-//! seeds per class, and no JSON artifact.
+//! seeds per class, and no file.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,11 +1,11 @@
-//! Regenerates the throughput artifacts implemented in
-//! `bos_bench::experiments::throughput` (writes `BENCH_PR4.json` and
-//! `BENCH_PR8.json`).
+//! Runs the throughput experiment implemented in
+//! `bos_bench::experiments::throughput` and writes its tables and gates
+//! to `target/bench/exp_throughput.json`.
 //!
-//! Pass `--quick` for the tier-1 configuration: only the PR 8 solver
-//! section (per-solver encode throughput and bytes through
-//! scratch-reusing sessions), skipping the kernel and operator sweeps
-//! and writing no JSON artifact.
+//! Pass `--quick` for the tier-1 configuration: only the solver section
+//! (per-solver encode throughput and bytes through scratch-reusing
+//! sessions), skipping the kernel and operator sweeps and writing no
+//! file.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

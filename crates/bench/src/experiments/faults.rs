@@ -1,4 +1,4 @@
-//! PR5 fault injection — the robustness artifact.
+//! Fault injection: the robustness gates.
 //!
 //! Sweeps seeded [`faultsim`] corruption plans over TsFile-lite containers
 //! built with every [`PackerKind`] operator, on two datasets with distinct
@@ -23,17 +23,16 @@
 //! the per-class rates.
 //!
 //! Full mode (the default) runs [`SEEDS_FULL`] seeds per fault class —
-//! ≥ 200 distinct fault plans per codec — and writes `BENCH_PR5.json` at
-//! the workspace root. `--quick` runs [`SEEDS_QUICK`] seeds and skips the
-//! artifact, sized for the tier-1 gate.
+//! ≥ 200 distinct fault plans per codec — and writes its tables and
+//! gates to `target/bench/exp_faults.json`. `--quick` runs
+//! [`SEEDS_QUICK`] seeds and writes nothing, sized for the tier-1 gate.
 
-use crate::harness::Config;
+use crate::harness::{Config, Report, Table};
 use datasets::{generate, Dataset};
 use encodings::{OuterKind, PackerKind};
 use faultsim::{drop_exact, Fault, FaultPlan};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use tsfile::{EncodingChoice, TsFileReader, TsFileWriter};
 
 /// Series per fixture file (distinct chunks, so partial recovery is
@@ -338,8 +337,6 @@ struct Agg {
     recovered_exact: usize,
     skipped: usize,
     mismatched: usize,
-    missing: usize,
-    footer_rebuilt: usize,
 }
 
 impl Agg {
@@ -349,8 +346,6 @@ impl Agg {
         self.recovered_exact += t.recovered_exact;
         self.skipped += t.skipped;
         self.mismatched += t.mismatched;
-        self.missing += t.missing;
-        self.footer_rebuilt += usize::from(t.footer_rebuilt);
     }
 
     /// Series recovered bit-exact per trial (0..=[`SERIES`]).
@@ -368,8 +363,8 @@ struct DatasetResult {
     abbr: &'static str,
     per_class: Vec<(&'static str, Agg)>,
     per_codec: Vec<(&'static str, Agg)>,
-    /// `(counter suffix, delta over this dataset's sweep)`.
-    salvage_counters: Vec<(&'static str, u64)>,
+    /// Delta of each [`SALVAGE_COUNTERS`] entry over this dataset's sweep.
+    salvage_counters: Vec<u64>,
 }
 
 /// Global salvage counters whose per-dataset deltas get mirrored into
@@ -429,7 +424,7 @@ fn sweep_dataset(abbr: &'static str, cfg: &Config, seeds: u64) -> DatasetResult 
     for (global, suffix) in SALVAGE_COUNTERS {
         let delta = after.counter(global).saturating_sub(before.counter(global));
         obs::counter(&format!("tsfile.salvage.dataset.{abbr}.{suffix}")).add(delta);
-        salvage_counters.push((suffix, delta));
+        salvage_counters.push(delta);
     }
     DatasetResult {
         abbr,
@@ -439,92 +434,14 @@ fn sweep_dataset(abbr: &'static str, cfg: &Config, seeds: u64) -> DatasetResult 
     }
 }
 
-fn jrate(v: f64) -> String {
-    format!("{v:.4}")
-}
-
-fn render_json(cfg: &Config, seeds: u64, results: &[DatasetResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(
-        "  \"bench\": \"PR5 fault injection: salvage reader survival and recovery rates\",\n",
-    );
-    let plans_per_codec = seeds as usize * classes().len() * results.len();
-    s.push_str(&format!(
-        "  \"config\": {{ \"n\": {}, \"series\": {}, \"seeds_per_class\": {}, \
-         \"fault_plans_per_codec\": {} }},\n",
-        cfg.n, SERIES, seeds, plans_per_codec
-    ));
-    s.push_str("  \"datasets\": [\n");
-    for (di, r) in results.iter().enumerate() {
-        s.push_str(&format!("    {{ \"abbr\": \"{}\",\n", r.abbr));
-        s.push_str("      \"salvage_counters\": { ");
-        for (i, (suffix, v)) in r.salvage_counters.iter().enumerate() {
-            s.push_str(&format!(
-                "\"{suffix}\": {v}{}",
-                if i + 1 < r.salvage_counters.len() {
-                    ", "
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str(" },\n");
-        s.push_str("      \"classes\": [\n");
-        for (i, (name, a)) in r.per_class.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{ \"class\": \"{name}\", \"trials\": {}, \"panics\": {}, \
-                 \"strict_open_ok\": {}, \"chunks_recovered_exact\": {}, \
-                 \"chunks_skipped\": {}, \"silent_mismatches\": {}, \
-                 \"series_missing\": {}, \"footer_rebuilt\": {}, \
-                 \"recovery_rate\": {} }}{}\n",
-                a.trials,
-                a.panics,
-                a.strict_open_ok,
-                a.recovered_exact,
-                a.skipped,
-                a.mismatched,
-                a.missing,
-                a.footer_rebuilt,
-                jrate(a.recovery_rate()),
-                if i + 1 < r.per_class.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ],\n");
-        s.push_str("      \"codecs\": [\n");
-        for (i, (name, a)) in r.per_codec.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{ \"name\": \"{name}\", \"fault_plans\": {}, \"panics\": {}, \
-                 \"recovery_rate\": {} }}{}\n",
-                a.trials,
-                a.panics,
-                jrate(a.recovery_rate()),
-                if i + 1 < r.per_codec.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ]\n");
-        s.push_str(&format!(
-            "    }}{}\n",
-            if di + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Workspace-root path for the artifact.
-fn output_path() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR5.json")
-}
-
-/// Runs the sweep; `quick` shrinks the seed count and skips the JSON
-/// artifact (the tier-1 configuration).
+/// Runs the sweep; `quick` shrinks the seed count and writes nothing
+/// (the tier-1 configuration).
 pub fn run(cfg: &Config, quick: bool) {
     super::banner(
-        "PR5 fault injection: salvage survival/recovery across the stack",
+        "Fault injection: salvage survival/recovery across the stack",
         cfg,
     );
+    let mut report = Report::new("exp_faults", cfg);
     let seeds = if quick { SEEDS_QUICK } else { SEEDS_FULL };
     let plans_per_codec = seeds as usize * classes().len() * DATASETS.len();
     println!(
@@ -545,9 +462,15 @@ pub fn run(cfg: &Config, quick: bool) {
     let mut total_trials = 0usize;
     let mut total_panics = 0usize;
     for r in &results {
-        println!("Dataset {} — per fault class:", r.abbr);
-        let mut table = crate::harness::Table::new([
-            "class", "trials", "panics", "open ok", "exact", "skipped", "mismatch", "recovery",
+        let mut table = Table::new([
+            "class",
+            "trials",
+            "panics",
+            "open ok",
+            "exact",
+            "skipped",
+            "mismatch",
+            "recovery %",
         ]);
         for (name, a) in &r.per_class {
             total_trials += a.trials;
@@ -560,21 +483,23 @@ pub fn run(cfg: &Config, quick: bool) {
                 a.recovered_exact.to_string(),
                 a.skipped.to_string(),
                 a.mismatched.to_string(),
-                format!("{:.1}%", a.recovery_rate() * 100.0),
+                format!("{:.1}", a.recovery_rate() * 100.0),
             ]);
         }
-        table.print();
-        print!("salvage counters:");
-        for (suffix, v) in &r.salvage_counters {
-            print!(" {suffix}={v}");
-        }
-        println!();
-        println!();
+        report.table(format!("Dataset {} — per fault class", r.abbr), table);
     }
 
+    let mut table = Table::new(
+        std::iter::once("dataset").chain(SALVAGE_COUNTERS.iter().map(|&(_, suffix)| suffix)),
+    );
+    for r in &results {
+        let deltas = r.salvage_counters.iter().map(u64::to_string);
+        table.row(std::iter::once(r.abbr.to_string()).chain(deltas));
+    }
+    report.table("Salvage counter deltas (tsfile.salvage.*)", table);
+
     let plans_per_row = seeds as usize * classes().len();
-    println!("Per-codec survival ({plans_per_row} fault plans per dataset row):");
-    let mut table = crate::harness::Table::new(["codec", "dataset", "plans", "panics", "recovery"]);
+    let mut table = Table::new(["codec", "dataset", "plans", "panics", "recovery %"]);
     for r in &results {
         for (name, a) in &r.per_codec {
             table.row([
@@ -582,25 +507,21 @@ pub fn run(cfg: &Config, quick: bool) {
                 r.abbr.to_string(),
                 a.trials.to_string(),
                 a.panics.to_string(),
-                format!("{:.1}%", a.recovery_rate() * 100.0),
+                format!("{:.1}", a.recovery_rate() * 100.0),
             ]);
         }
     }
-    table.print();
-    println!();
+    report.table(
+        format!("Per-codec survival ({plans_per_row} fault plans per dataset row)"),
+        table,
+    );
 
+    report.gate("panics", total_panics, "== 0");
     assert_eq!(
         total_panics, 0,
         "fault sweep must be panic-free ({total_trials} trials)"
     );
     println!("{total_trials} trials, 0 panics; all class gates held.");
-
-    if quick {
-        println!("(--quick: BENCH_PR5.json not written)");
-    } else {
-        let json = render_json(cfg, seeds, &results);
-        let path = output_path();
-        std::fs::write(&path, &json).expect("write BENCH_PR5.json");
-        println!("Wrote {}", path.display());
-    }
+    println!();
+    report.finish(quick);
 }

@@ -1,15 +1,13 @@
-//! PR9 observability — the flight-recorder acceptance artifact.
+//! Observability: the flight-recorder gates.
 //!
-//! Three claims are measured and gated, then written to `BENCH_PR9.json`:
+//! Three claims are measured and gated:
 //!
-//! * **Overhead**: with the trail recorder at default capacity and
-//!   sampling, the kernel unpack path must stay within
-//!   [`KERNEL_OVERHEAD_GATE`] of the recorder-off time (the recorder
-//!   never touches the kernels, so this documents that the layer is free
-//!   where it matters most), and the full BOS-A encode pipeline — which
-//!   *does* emit per-block provenance events — must stay within
-//!   [`PIPELINE_OVERHEAD_GATE`]. Both A/Bs alternate on/off rounds and
-//!   keep per-state minima, the same discipline as the PR 4 gate.
+//! * **Overhead**: with the trail recorder on, the kernel unpack path
+//!   must stay within [`KERNEL_OVERHEAD_GATE`] of the recorder-off time
+//!   (the recorder never touches the kernels, so this documents that the
+//!   layer is free where it matters most), and the full BOS-A encode
+//!   pipeline — which *does* emit per-block provenance events — must stay
+//!   within [`PIPELINE_OVERHEAD_GATE`]. Both A/Bs run through [`ab_min`].
 //! * **Transparency**: toggling the recorder must not change a single
 //!   output byte, and re-encoding a fixed input must produce the exact
 //!   same per-label event counts (the trail is deterministic provenance,
@@ -17,20 +15,19 @@
 //! * **Export sanity**: the drained trail renders to a non-empty Chrome
 //!   `trace_event` array carrying the required `ph`/`ts`/`pid`/`tid`/
 //!   `name` fields (the structural round-trip lives in
-//!   `tests/trail_trace.rs`; this keeps the artifact honest about size).
+//!   `tests/trail_trace.rs`; this only checks a real encode exports).
 //!
-//! The artifact also records `p50/p90/p99` for the key shape histograms
-//! (separated widths, partition sizes, worker wall-time) using the PR 9
-//! bucket-interpolated percentiles, so later PRs can diff distribution
-//! shifts, not just totals. The whole experiment is cheap enough that
-//! `--quick` runs every measurement and gate; it is part of the tier-1
-//! recipe and writes no artifact.
+//! The run also reports `p50/p90/p99` for the key shape histograms
+//! (separated widths, partition sizes, worker wall-time), so distribution
+//! shifts show, not just totals. A full run writes its tables and gates
+//! to `target/bench/exp_obs.json`. The whole experiment is cheap enough
+//! that `--quick` runs every measurement and gate; it is part of the
+//! tier-1 recipe and writes nothing.
 
-use crate::harness::{time_stats, Config};
+use crate::harness::{ab_min, ab_table, time_stats, AbTimes, Config, Report, Table};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::unrolled::{pack_words_unrolled, unpack_words_unrolled};
 use bos::{BosCodec, SolverKind};
-use std::path::PathBuf;
 
 use super::throughput::{masked_values, outlier_series};
 
@@ -38,17 +35,13 @@ use super::throughput::{masked_values, outlier_series};
 const BLOCK: usize = 1024;
 
 /// Maximum recorder-on / recorder-off time ratio on the kernel unpack
-/// path (PR 9 acceptance bar; the recorder never runs there).
+/// path (the recorder never runs there).
 const KERNEL_OVERHEAD_GATE: f64 = 1.05;
 
 /// Maximum recorder-on / recorder-off time ratio on the full BOS-A
 /// encode pipeline, which emits one provenance event per block plus the
-/// adaptive verdicts (PR 9 acceptance bar).
+/// adaptive verdicts.
 const PIPELINE_OVERHEAD_GATE: f64 = 1.10;
-
-/// Smallest `BOS_N` at which the ratio gates are enforced — below this a
-/// timed run is about a microsecond and the ratio is mostly timer noise.
-const GATE_MIN_N: usize = 10_000;
 
 /// Alternating on/off rounds per A/B (min of each state is kept).
 const AB_ROUNDS: usize = 3;
@@ -61,24 +54,13 @@ const KERNEL_AB_ROUNDS: usize = 7;
 /// Minimum timing repetitions per kernel round (see above).
 const KERNEL_MIN_REPEATS: usize = 9;
 
-/// Kernel width used for the unpack A/B (same shape as the PR 2 gate).
+/// Kernel width used for the unpack A/B (same shape as the speedup gate
+/// in `exp_throughput`).
 const KERNEL_WIDTH: u32 = 13;
 
 /// Worker threads for the determinism pass — two, so the parallel
 /// driver's dispatch/join provenance is part of the counted stream.
 const DETERMINISM_THREADS: usize = 2;
-
-/// One A/B measurement: recorder-on vs recorder-off minima.
-struct AbTimes {
-    on_ns: f64,
-    off_ns: f64,
-}
-
-impl AbTimes {
-    fn ratio(&self) -> f64 {
-        self.on_ns / self.off_ns.max(1.0)
-    }
-}
 
 /// Kernel unpack A/B: the recorder has no hook on this path, so the
 /// ratio is pure measurement noise — which is exactly the claim.
@@ -88,27 +70,15 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
     pack_words_unrolled(&deltas, KERNEL_WIDTH, &mut packed);
     let mut out = Vec::new();
     let repeats = cfg.repeats.max(KERNEL_MIN_REPEATS);
-    let mut time_unpack = || {
+    let times = ab_min(KERNEL_AB_ROUNDS, obs::trail::set_recording, |_| {
         let (_, ns) = time_stats(repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, &mut out).expect("unpack");
         });
         ns.min
-    };
-    let mut on = f64::MAX;
-    let mut off = f64::MAX;
-    for _ in 0..KERNEL_AB_ROUNDS {
-        obs::trail::set_recording(true);
-        on = on.min(time_unpack());
-        obs::trail::set_recording(false);
-        off = off.min(time_unpack());
-    }
-    obs::trail::set_recording(true);
+    });
     obs::trail::drain();
-    AbTimes {
-        on_ns: on,
-        off_ns: off,
-    }
+    times
 }
 
 /// Full-pipeline A/B: BOS-A (the chattiest solver — it emits a verdict
@@ -118,31 +88,16 @@ fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
     let codec = BosCodec::new(SolverKind::Adaptive);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
-    let mut on = f64::MAX;
-    let mut off = f64::MAX;
-    for _ in 0..AB_ROUNDS {
-        obs::trail::set_recording(true);
+    let times = ab_min(AB_ROUNDS, obs::trail::set_recording, |on| {
+        let buf = if on { &mut buf_on } else { &mut buf_off };
         let (_, ns) = time_stats(cfg.repeats, || {
-            buf_on.clear();
-            encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_on).expect("encode");
+            buf.clear();
+            encode_blocks_parallel(&codec, series, BLOCK, 1, buf).expect("encode");
         });
-        on = on.min(ns.min);
-        obs::trail::set_recording(false);
-        let (_, ns) = time_stats(cfg.repeats, || {
-            buf_off.clear();
-            encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_off).expect("encode");
-        });
-        off = off.min(ns.min);
-    }
-    obs::trail::set_recording(true);
+        ns.min
+    });
     obs::trail::drain();
-    (
-        AbTimes {
-            on_ns: on,
-            off_ns: off,
-        },
-        buf_on == buf_off,
-    )
+    (times, buf_on == buf_off)
 }
 
 /// Per-label event totals from one drained trail.
@@ -150,7 +105,7 @@ type EventCounts = Vec<(&'static str, u64)>;
 
 /// Encodes the fixed series twice, draining the trail after each pass,
 /// and returns the two per-label count vectors plus the second trail's
-/// chrome-trace export size (for the artifact).
+/// chrome-trace export size.
 fn determinism_check(series: &[i64]) -> (EventCounts, EventCounts, usize) {
     let codec = BosCodec::new(SolverKind::Adaptive);
     // The recorder ring may hold leftovers from the A/B warm-ups; a
@@ -172,7 +127,7 @@ fn determinism_check(series: &[i64]) -> (EventCounts, EventCounts, usize) {
     (first.counts(), second.counts(), chrome.len())
 }
 
-/// Key shape histograms reported with percentiles in the artifact.
+/// Key shape histograms reported with percentiles.
 const PERCENTILE_HISTOGRAMS: [&str; 4] = [
     "bos.separated.alpha",
     "bos.separated.nu",
@@ -180,115 +135,34 @@ const PERCENTILE_HISTOGRAMS: [&str; 4] = [
     "driver.parallel.worker_ns",
 ];
 
-/// `(name, p50, p90, p99)` for every present [`PERCENTILE_HISTOGRAMS`].
-fn percentile_rows(snap: &obs::Snapshot) -> Vec<(&'static str, f64, f64, f64)> {
-    PERCENTILE_HISTOGRAMS
-        .iter()
-        .filter_map(|&name| {
-            snap.histogram(name)
-                .map(|h| (name, h.p50(), h.p90(), h.p99()))
-        })
-        .collect()
-}
-
-/// Determinism-section results bundled for [`render_json`].
-struct EventsReport<'a> {
-    counts: &'a [(&'static str, u64)],
-    deterministic: bool,
-    chrome_bytes: usize,
-}
-
-fn render_json(
-    cfg: &Config,
-    kernel: &AbTimes,
-    pipeline: &AbTimes,
-    byte_identical: bool,
-    events: &EventsReport<'_>,
-    percentiles: &[(&'static str, f64, f64, f64)],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(
-        "  \"bench\": \"PR9 flight recorder: trail overhead, determinism, \
-         chrome-trace export\",\n",
-    );
-    s.push_str(&format!(
-        "  \"config\": {{ \"n\": {}, \"repeats\": {}, \"block\": {}, \
-         \"sampling\": {}, \"ab_rounds\": {} }},\n",
-        cfg.n,
-        cfg.repeats,
-        BLOCK,
-        obs::trail::sampling(),
-        AB_ROUNDS
-    ));
-    s.push_str(&format!(
-        "  \"kernel\": {{ \"gate\": {KERNEL_OVERHEAD_GATE}, \"on_ns\": {:.0}, \
-         \"off_ns\": {:.0}, \"ratio\": {:.3} }},\n",
-        kernel.on_ns,
-        kernel.off_ns,
-        kernel.ratio()
-    ));
-    s.push_str(&format!(
-        "  \"pipeline\": {{ \"gate\": {PIPELINE_OVERHEAD_GATE}, \"on_ns\": {:.0}, \
-         \"off_ns\": {:.0}, \"ratio\": {:.3}, \"byte_identical\": {byte_identical} }},\n",
-        pipeline.on_ns,
-        pipeline.off_ns,
-        pipeline.ratio()
-    ));
-    let total: u64 = events.counts.iter().map(|&(_, n)| n).sum();
-    s.push_str(&format!(
-        "  \"events\": {{ \"deterministic\": {}, \"total\": {total}, \
-         \"chrome_trace_bytes\": {}, \"counts\": {{\n",
-        events.deterministic, events.chrome_bytes
-    ));
-    for (i, (label, n)) in events.counts.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{label}\": {n}{}\n",
-            if i + 1 < events.counts.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  } },\n");
-    s.push_str("  \"histogram_percentiles\": [\n");
-    for (i, (name, p50, p90, p99)) in percentiles.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"p50\": {p50:.1}, \"p90\": {p90:.1}, \
-             \"p99\": {p99:.1} }}{}\n",
-            if i + 1 < percentiles.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Workspace-root path for the artifact.
-fn output_path() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR9.json")
-}
-
-/// Runs the PR 9 recorder acceptance suite and writes `BENCH_PR9.json`.
-/// Cheap enough that `quick` (tier-1) runs every measurement and gate;
-/// it only skips writing the artifact.
+/// Runs the recorder gates and, unless `quick`, writes
+/// `target/bench/exp_obs.json`. Cheap enough that `quick` (tier-1) runs
+/// every measurement and gate.
 pub fn run(cfg: &Config, quick: bool) {
-    super::banner("PR9 flight recorder: overhead, determinism, export", cfg);
+    super::banner("Flight recorder: overhead, determinism, export", cfg);
     if !obs::enabled() {
         println!("obs feature off: recorder inert, nothing to measure");
         return;
     }
+    let mut report = Report::new("exp_obs", cfg);
 
     let kernel = kernel_ab(cfg);
-    println!(
-        "kernel unpack (w = {KERNEL_WIDTH}): recorder on/off {:.3}x \
-         (gate: <= {KERNEL_OVERHEAD_GATE}x)",
-        kernel.ratio()
-    );
-
     let series = outlier_series(cfg.n);
     let (pipeline, byte_identical) = pipeline_ab(cfg, &series);
-    println!(
-        "BOS-A encode pipeline: recorder on/off {:.3}x (gate: <= \
-         {PIPELINE_OVERHEAD_GATE}x), byte-identical across toggle: {byte_identical}",
-        pipeline.ratio()
+    report.table(
+        format!(
+            "Recorder on/off A/B (fastest of {KERNEL_AB_ROUNDS} kernel / {AB_ROUNDS} \
+             pipeline alternating rounds)"
+        ),
+        ab_table(&[
+            (&format!("kernel unpack (w = {KERNEL_WIDTH})"), kernel),
+            ("BOS-A encode pipeline", pipeline),
+        ]),
+    );
+    report.gate(
+        "byte-identical across the recorder switch",
+        byte_identical,
+        "true",
     );
     assert!(
         byte_identical,
@@ -297,37 +171,49 @@ pub fn run(cfg: &Config, quick: bool) {
 
     let (first, second, chrome_bytes) = determinism_check(&series);
     let deterministic = first == second;
-    let total: u64 = second.iter().map(|&(_, n)| n).sum();
-    println!(
-        "determinism: {} labels, {total} events per encode, counts stable \
-         across re-encode: {deterministic}",
-        second.len()
-    );
+    let mut table = Table::new(["event", "count"]);
     for (label, n) in &second {
-        println!("  {label:<24} {n}");
+        table.row([(*label).to_string(), n.to_string()]);
     }
+    report.table("Trail events per BOS-A encode", table);
+    report.gate(
+        "event counts stable across re-encode",
+        deterministic,
+        "true",
+    );
     assert!(
         deterministic,
         "re-encoding a fixed input must produce identical event counts: \
          {first:?} vs {second:?}"
     );
     println!("chrome-trace export: {chrome_bytes} bytes");
-
-    let snap = obs::snapshot();
-    let percentiles = percentile_rows(&snap);
-    for (name, p50, p90, p99) in &percentiles {
-        println!("  {name:<30} p50 {p50:.1}  p90 {p90:.1}  p99 {p99:.1}");
-    }
     println!();
 
-    // Same enforcement rule as every other timing gate in the suite: the
-    // ratios only mean anything on optimized builds with enough work per
-    // timed run to rise above timer noise.
-    if cfg!(debug_assertions) {
-        println!("(debug build: overhead gates reported but not enforced)");
-    } else if cfg.n < GATE_MIN_N {
-        println!("(BOS_N < {GATE_MIN_N}: overhead gates reported but not enforced)");
-    } else {
+    let snap = obs::snapshot();
+    let mut table = Table::new(["histogram", "p50", "p90", "p99"]);
+    for name in PERCENTILE_HISTOGRAMS {
+        if let Some(h) = snap.histogram(name) {
+            table.row([
+                name.to_string(),
+                format!("{:.1}", h.p50()),
+                format!("{:.1}", h.p90()),
+                format!("{:.1}", h.p99()),
+            ]);
+        }
+    }
+    report.table("Shape histogram percentiles", table);
+
+    let enforced = report.timing_gate(
+        "recorder-on/off kernel unpack",
+        kernel.ratio(),
+        &format!("<= {KERNEL_OVERHEAD_GATE}"),
+    );
+    report.timing_gate(
+        "recorder-on/off BOS-A pipeline",
+        pipeline.ratio(),
+        &format!("<= {PIPELINE_OVERHEAD_GATE}"),
+    );
+    if enforced {
         assert!(
             kernel.ratio() <= KERNEL_OVERHEAD_GATE,
             "recorder-on kernel unpack must stay within {KERNEL_OVERHEAD_GATE}x \
@@ -341,24 +227,5 @@ pub fn run(cfg: &Config, quick: bool) {
             pipeline.ratio()
         );
     }
-
-    if quick {
-        println!("(--quick: BENCH_PR9.json not written)");
-        return;
-    }
-    let json = render_json(
-        cfg,
-        &kernel,
-        &pipeline,
-        byte_identical,
-        &EventsReport {
-            counts: &second,
-            deterministic,
-            chrome_bytes,
-        },
-        &percentiles,
-    );
-    let path = output_path();
-    std::fs::write(&path, &json).expect("write BENCH_PR9.json");
-    println!("Wrote {}", path.display());
+    report.finish(quick);
 }

@@ -1,4 +1,4 @@
-//! PR10 crash-consistency sweep — the storage-tier robustness artifact.
+//! Crash-consistency sweep: the storage-tier robustness gates.
 //!
 //! Drives a real on-disk [`store::Store`] through a committed baseline
 //! (three sealed files), then arms a deterministic
@@ -31,15 +31,15 @@
 //!   CRC resynchronization must skip exactly that record and recovery
 //!   must rebuild its effect from the directory.
 //!
-//! Full mode writes `BENCH_PR10.json` with per-class tallies and
-//! recovery latency percentiles. `--quick` (tier-1) runs the 8 × 16 × 3
-//! = 384-trial configuration and skips the artifact.
+//! Full mode writes the per-class tallies, with p99 recovery latency, and
+//! the gates to `target/bench/exp_store.json`. `--quick` (tier-1) runs
+//! the 8 × 16 × 3 = 384-trial configuration and writes nothing.
 
-use crate::harness::Config;
+use crate::harness::{Config, Report, Table};
 use faultsim::{CrashPoint, CrashSchedule, CrashTear};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 use store::{manifest, Store, StoreError, StoreOptions};
 
@@ -335,7 +335,6 @@ fn run_trial(base: &Path, trial: u64, point: usize, seed: u64, class: FaultClass
 #[derive(Default)]
 struct Agg {
     trials: usize,
-    panics: usize,
     crashes_fired: usize,
     recoveries_acted: usize,
     compactions_rolled_forward: usize,
@@ -371,69 +370,11 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[rank - 1]
 }
 
-fn render_json(quick_label: &str, points: usize, seeds: u64, aggs: &[(FaultClass, Agg)]) -> String {
-    let mut all_ns: Vec<u64> = aggs
-        .iter()
-        .flat_map(|(_, a)| a.recovery_ns.iter().copied())
-        .collect();
-    all_ns.sort_unstable();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"PR10 crash consistency: store recovery across crash points\",\n");
-    s.push_str(&format!(
-        "  \"config\": {{ \"mode\": \"{quick_label}\", \"crash_points\": {points}, \
-         \"seeds_per_point\": {seeds}, \"classes\": {}, \"trials\": {} }},\n",
-        aggs.len(),
-        aggs.iter().map(|(_, a)| a.trials).sum::<usize>()
-    ));
-    s.push_str(&format!(
-        "  \"recovery_latency_ns\": {{ \"p50\": {}, \"p99\": {}, \"max\": {} }},\n",
-        percentile(&all_ns, 50),
-        percentile(&all_ns, 99),
-        all_ns.last().copied().unwrap_or(0)
-    ));
-    s.push_str("  \"classes\": [\n");
-    for (i, (class, a)) in aggs.iter().enumerate() {
-        let mut ns = a.recovery_ns.clone();
-        ns.sort_unstable();
-        s.push_str(&format!(
-            "    {{ \"class\": \"{}\", \"trials\": {}, \"panics\": {}, \
-             \"crashes_fired\": {}, \"recoveries_acted\": {}, \
-             \"compactions_rolled_forward\": {}, \"compactions_rolled_back\": {}, \
-             \"seals_rolled_forward\": {}, \"orphans_adopted\": {}, \
-             \"torn_tails_truncated\": {}, \"manifest_frames_skipped\": {}, \
-             \"recovery_p99_ns\": {} }}{}\n",
-            class.name(),
-            a.trials,
-            a.panics,
-            a.crashes_fired,
-            a.recoveries_acted,
-            a.compactions_rolled_forward,
-            a.compactions_rolled_back,
-            a.sealed_rolled_forward,
-            a.orphans_adopted,
-            a.torn_tail_truncated,
-            a.frames_skipped,
-            percentile(&ns, 99),
-            if i + 1 < aggs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Workspace-root path for the artifact.
-fn output_path() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR10.json")
-}
-
 /// Runs the sweep; `quick` is the tier-1 configuration (fewer points
-/// and seeds, no JSON artifact).
+/// and seeds, no artifact).
 pub fn run(cfg: &Config, quick: bool) {
-    super::banner(
-        "PR10 crash consistency: reopen gates across crash points",
-        cfg,
-    );
+    super::banner("Crash consistency: reopen gates across crash points", cfg);
+    let mut report = Report::new("exp_store", cfg);
     let (points, seeds) = if quick {
         (POINTS_QUICK, SEEDS_QUICK)
     } else {
@@ -470,7 +411,6 @@ pub fn run(cfg: &Config, quick: bool) {
                 );
                 if t.violation.as_deref() == Some("panic during reopen") {
                     panics += 1;
-                    aggs[ci].1.panics += 1;
                 }
                 aggs[ci].1.absorb(&t);
             }
@@ -478,7 +418,7 @@ pub fn run(cfg: &Config, quick: bool) {
     }
     let _ = std::fs::remove_dir_all(&base);
 
-    let mut table = crate::harness::Table::new([
+    let mut table = Table::new([
         "class",
         "trials",
         "crashes",
@@ -508,22 +448,15 @@ pub fn run(cfg: &Config, quick: bool) {
             format!("{:.3}", percentile(&ns, 99) as f64 / 1e6),
         ]);
     }
-    table.print();
-    println!();
+    report.table("Reopen outcomes per post-crash manifest class", table);
 
     let total: usize = aggs.iter().map(|(_, a)| a.trials).sum();
+    report.gate("reopen panics", panics, "== 0");
     assert_eq!(panics, 0, "reopen must never panic ({total} trials)");
     println!(
         "{total} reopen trials: 0 panics, 0 committed-then-lost records, 0 duplicates, \
          seal atomicity held."
     );
-
-    if quick {
-        println!("(--quick: BENCH_PR10.json not written)");
-    } else {
-        let json = render_json("full", points, seeds, &aggs);
-        let path = output_path();
-        std::fs::write(&path, &json).expect("write BENCH_PR10.json");
-        println!("Wrote {}", path.display());
-    }
+    println!();
+    report.finish(quick);
 }

@@ -1,4 +1,5 @@
-//! PR4 throughput — speed artifact extended with the `obs` metrics layer.
+//! Throughput: kernel, operator and solver speed, plus the cost of the
+//! `obs` metrics layer.
 //!
 //! Four layers are measured:
 //!
@@ -7,27 +8,24 @@
 //!   variants, for every width 1..=64 on `BOS_N` uniformly-masked values.
 //! * **Operators**: every [`PackerKind`] (the PFOR family plus the three
 //!   BOS solvers) encoding/decoding the paper's datasets in 1024-value
-//!   blocks — the block size the paper's experiments use. Since PR 4 each
-//!   row carries the full timing spread (min/mean/max/stddev), not just
-//!   the min point estimate.
-//! * **Metrics** (new in PR 4): the `obs` instrumentation itself —
-//!   per-solver candidate/prune tallies and the solver-search vs
-//!   payload-packing wall-time split from the span registry, plus an
-//!   obs-on/obs-off A/B overhead check. With metrics on, the kernel path
-//!   must stay within [`OBS_OVERHEAD_GATE`], and toggling the runtime
-//!   kill-switch must not change a single output byte.
+//!   blocks — the block size the paper's experiments use. Each row
+//!   reports the fastest run and the decode spread (stddev/mean).
+//! * **Metrics**: the `obs` instrumentation itself — per-solver
+//!   candidate/prune tallies and the solver-search vs payload-packing
+//!   wall-time split from the span registry, plus an obs-on/obs-off A/B
+//!   overhead check. With metrics on, the kernel path must stay within
+//!   [`OBS_OVERHEAD_GATE`], and toggling the runtime kill-switch must not
+//!   change a single output byte.
+//! * **Solvers**: every [`SolverKind`] encoding the outlier dataset
+//!   through a scratch-reusing [`bitpack::EncodeSession`]. This section
+//!   also runs alone under `--quick` as part of the tier-1 recipe.
 //!
-//! * **Solvers** (new in PR 8): every [`SolverKind`] encoding the
-//!   outlier dataset through a scratch-reusing [`bitpack::EncodeSession`].
-//!   This section also runs alone under `--quick` as part of the tier-1
-//!   recipe, which writes no artifact.
-//!
-//! Results are written to `BENCH_PR4.json` at the workspace root so later
-//! PRs can diff their numbers against this artifact; the solver section
-//! writes its own `BENCH_PR8.json`. Timings use [`time_stats`] (warmup +
-//! min-of-`BOS_REPEATS`) for reproducibility.
+//! A full run writes every printed table and the gates to
+//! `target/bench/exp_throughput.json` (see [`Report`]); `--quick` writes
+//! nothing. Timings use [`time_stats`] (warmup + min-of-`BOS_REPEATS`)
+//! for reproducibility.
 
-use crate::harness::{time_stats, Config, Table, TimeStats};
+use crate::harness::{ab_min, ab_table, time_stats, AbTimes, Config, Report, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::kernels::{pack_words, unpack_words};
 use bitpack::unrolled::{
@@ -37,7 +35,6 @@ use bitpack::BlockCodec;
 use bos::{BosCodec, SolverKind};
 use datasets::all_datasets;
 use encodings::PackerKind;
-use std::path::PathBuf;
 
 /// Block size used for the operator measurements (the paper's default).
 const BLOCK: usize = 1024;
@@ -59,20 +56,17 @@ const GATE_SPEEDUP: f64 = 2.0;
 /// Required minimum per-width unpack speedup on [`GATE_WIDTHS`].
 const GATE_WIDTH_FLOOR: f64 = 1.5;
 
-/// Smallest `BOS_N` at which the speedup gate is enforced (below this a
-/// timed run is about a microsecond and the ratio is mostly timer noise;
-/// the default config of 30 000 is well above it).
-const GATE_MIN_N: usize = 10_000;
-
 /// Outlier share of the solver dataset: 1 value in 50 (2%).
 const OUTLIER_DIVISOR: u64 = 50;
 
 /// Maximum obs-on / obs-off time ratio allowed on the kernel unpack path
 /// (the instrumentation never touches the kernels, so this documents that
 /// the layer is free where it matters most; ≤ 5% leaves room for timer
-/// noise). Enforced under the same release-build / `BOS_N` conditions as
-/// the other gates.
+/// noise). A timing gate, enforced by [`Report::timing_gate`]'s rule.
 const OBS_OVERHEAD_GATE: f64 = 1.05;
+
+/// Alternating on/off rounds per obs A/B (min of each state is kept).
+const AB_ROUNDS: usize = 3;
 
 struct KernelRow {
     width: u32,
@@ -98,8 +92,6 @@ struct OperatorRow {
     /// Decode throughput (values/s) from the fastest run.
     decode: f64,
     ratio: f64,
-    /// Raw per-run encode timing spread (ns).
-    encode_ns: TimeStats,
     /// Raw per-run decode timing spread (ns).
     decode_ns: TimeStats,
 }
@@ -129,11 +121,11 @@ impl SolverMetricsRow {
 
 /// Obs-on vs obs-off A/B results.
 struct Overhead {
-    /// Kernel unpack time ratio (on/off) — gated at [`OBS_OVERHEAD_GATE`].
-    kernel_ratio: f64,
-    /// BOS-M driver encode time ratio (on/off) — reported, not gated (the
-    /// driver path *is* instrumented, but solver cost dominates).
-    driver_encode_ratio: f64,
+    /// Kernel unpack — gated at [`OBS_OVERHEAD_GATE`].
+    kernel: AbTimes,
+    /// BOS-M driver encode — reported, not gated (the driver path *is*
+    /// instrumented, but solver cost dominates).
+    driver: AbTimes,
     /// Whether the obs-off encode produced byte-identical output.
     byte_identical: bool,
 }
@@ -244,7 +236,6 @@ fn operator_rows(cfg: &Config) -> Vec<OperatorRow> {
                 encode: vps(ints.len(), encode_ns.min),
                 decode: vps(ints.len(), decode_ns.min),
                 ratio: dataset.uncompressed_bytes() as f64 / buf.len() as f64,
-                encode_ns,
                 decode_ns,
             });
         }
@@ -369,67 +360,19 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
     rows
 }
 
-/// Renders the PR 8 solver artifact.
-fn render_pr8_json(cfg: &Config, encode_rows: &[SolverEncodeRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(
-        "  \"bench\": \"PR8 solver-search overhaul: scratch-reusing sessions, \
-         seeded pruning, adaptive ladder\",\n",
-    );
-    s.push_str(&format!(
-        "  \"config\": {{ \"n\": {}, \"repeats\": {}, \"block\": {}, \
-         \"outlier_pct\": {:.1} }},\n",
-        cfg.n,
-        cfg.repeats,
-        BLOCK,
-        100.0 / OUTLIER_DIVISOR as f64
-    ));
-    s.push_str("  \"solver_encode\": [\n");
-    for (i, r) in encode_rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"encode\": {}, \"bytes\": {} }}{}\n",
-            r.name,
-            jnum(r.encode),
-            r.bytes,
-            if i + 1 < encode_rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Workspace-root path for the PR 8 solver artifact.
-fn pr8_output_path() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR8.json")
-}
-
-/// Runs the PR 8 solver section: per-solver encode throughput through
-/// scratch-reusing sessions. Writes `BENCH_PR8.json` unless `quick`.
-fn solver_section(cfg: &Config, quick: bool) {
+/// The solver section: per-solver encode throughput through
+/// scratch-reusing sessions.
+fn solver_section(cfg: &Config, report: &mut Report) {
     let series = outlier_series(cfg.n);
-
-    let encode_rows = solver_encode_rows(cfg, &series);
-    println!(
-        "Solver encode throughput (million values/s, scratch-reusing \
-         sessions, 2% outlier dataset):"
-    );
     let mut table = Table::new(["solver", "encode", "bytes"]);
-    for r in &encode_rows {
+    for r in &solver_encode_rows(cfg, &series) {
         table.row([r.name.to_string(), fmt_mvps(r.encode), r.bytes.to_string()]);
     }
-    table.print();
-    println!();
-
-    if quick {
-        println!("(--quick: BENCH_PR8.json not written)");
-    } else {
-        let json = render_pr8_json(cfg, &encode_rows);
-        let path = pr8_output_path();
-        std::fs::write(&path, &json).expect("write BENCH_PR8.json");
-        println!("Wrote {}", path.display());
-    }
+    report.table(
+        "Solver encode throughput (million values/s, scratch-reusing \
+         sessions, 2% outlier dataset)",
+        table,
+    );
 }
 
 /// A/B comparison with the runtime kill-switch: kernel unpack and BOS-M
@@ -444,26 +387,13 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     let mut packed = Vec::new();
     pack_words_unrolled(&deltas, 13, &mut packed);
     let mut out = Vec::new();
-    let mut time_unpack = |repeats| {
-        let (_, ns) = time_stats(repeats, || {
+    let kernel = ab_min(AB_ROUNDS, obs::set_enabled, |_| {
+        let (_, ns) = time_stats(cfg.repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), 13, &mut out).expect("unpack");
         });
         ns.min
-    };
-    // Alternate on/off rounds and keep the per-state minimum: the paths
-    // under test run in hundreds of microseconds, so a single ordered
-    // A-then-B measurement confounds the toggle with scheduler/cache
-    // drift and can misreport the ratio by tens of percent.
-    let mut kernel_on = f64::MAX;
-    let mut kernel_off = f64::MAX;
-    for _ in 0..3 {
-        obs::set_enabled(true);
-        kernel_on = kernel_on.min(time_unpack(cfg.repeats));
-        obs::set_enabled(false);
-        kernel_off = kernel_off.min(time_unpack(cfg.repeats));
-    }
-    obs::set_enabled(true);
+    });
 
     // Driver path: BOS-M through the instrumented parallel driver (single
     // thread, so only the metering itself differs between runs).
@@ -472,27 +402,18 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     let codec = BosCodec::new(SolverKind::Median);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
-    let mut driver_on = f64::MAX;
-    let mut driver_off = f64::MAX;
-    for _ in 0..3 {
-        obs::set_enabled(true);
+    let driver = ab_min(AB_ROUNDS, obs::set_enabled, |on| {
+        let buf = if on { &mut buf_on } else { &mut buf_off };
         let (_, ns) = time_stats(cfg.repeats, || {
-            buf_on.clear();
-            encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_on).expect("encode");
+            buf.clear();
+            encode_blocks_parallel(&codec, &ints, BLOCK, 1, buf).expect("encode");
         });
-        driver_on = driver_on.min(ns.min);
-        obs::set_enabled(false);
-        let (_, ns) = time_stats(cfg.repeats, || {
-            buf_off.clear();
-            encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_off).expect("encode");
-        });
-        driver_off = driver_off.min(ns.min);
-    }
-    obs::set_enabled(true);
+        ns.min
+    });
 
     Some(Overhead {
-        kernel_ratio: kernel_on / kernel_off.max(1.0),
-        driver_encode_ratio: driver_on / driver_off.max(1.0),
+        kernel,
+        driver,
         byte_identical: buf_on == buf_off,
     })
 }
@@ -501,141 +422,28 @@ fn fmt_mvps(v: f64) -> String {
     format!("{:.1}", v / 1e6)
 }
 
-/// One JSON number with sane formatting (no NaN/inf can reach here).
-fn jnum(v: f64) -> String {
-    format!("{v:.1}")
-}
-
-/// One JSON object for a [`TimeStats`] spread (integer ns — sub-ns
-/// resolution is below the timer's).
-fn jstats(t: &TimeStats) -> String {
-    format!(
-        "{{ \"min\": {:.0}, \"mean\": {:.0}, \"max\": {:.0}, \"stddev\": {:.0} }}",
-        t.min, t.mean, t.max, t.stddev
-    )
-}
-
-fn render_json(
-    cfg: &Config,
-    kernels: &[KernelRow],
-    operators: &[OperatorRow],
-    metrics: &[SolverMetricsRow],
-    overhead: Option<&Overhead>,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"PR4 throughput: obs metrics layer over the PR3 speed artifact\",\n");
-    s.push_str("  \"units\": \"values_per_second\",\n");
-    s.push_str(&format!(
-        "  \"config\": {{ \"n\": {}, \"repeats\": {}, \"block\": {} }},\n",
-        cfg.n, cfg.repeats, BLOCK
-    ));
-    s.push_str("  \"kernels\": [\n");
-    for (i, r) in kernels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"width\": {}, \"pack_generic\": {}, \"pack_unrolled\": {}, \
-             \"pack_fused\": {}, \"unpack_generic\": {}, \"unpack_unrolled\": {}, \
-             \"unpack_fused\": {}, \"unpack_speedup\": {} }}{}\n",
-            r.width,
-            jnum(r.pack_generic),
-            jnum(r.pack_unrolled),
-            jnum(r.pack_fused),
-            jnum(r.unpack_generic),
-            jnum(r.unpack_unrolled),
-            jnum(r.unpack_fused),
-            format_args!("{:.2}", r.unpack_speedup()),
-            if i + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let gate: Vec<&KernelRow> = kernels
-        .iter()
-        .filter(|r| GATE_WIDTHS.contains(&r.width))
-        .collect();
-    let min_speedup = gate
-        .iter()
-        .map(|r| r.unpack_speedup())
-        .fold(f64::INFINITY, f64::min);
-    let geomean =
-        (gate.iter().map(|r| r.unpack_speedup().ln()).sum::<f64>() / gate.len() as f64).exp();
-    s.push_str(&format!(
-        "  \"kernel_summary\": {{ \"gate_widths\": \"1..=20\", \
-         \"min_unpack_speedup\": {:.2}, \"geomean_unpack_speedup\": {:.2} }},\n",
-        min_speedup, geomean
-    ));
-    s.push_str("  \"operators\": [\n");
-    for (i, r) in operators.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"dataset\": \"{}\", \"encode\": {}, \
-             \"decode\": {}, \"ratio\": {}, \"encode_ns\": {}, \"decode_ns\": {} }}{}\n",
-            r.name,
-            r.dataset,
-            jnum(r.encode),
-            jnum(r.decode),
-            format_args!("{:.2}", r.ratio),
-            jstats(&r.encode_ns),
-            jstats(&r.decode_ns),
-            if i + 1 < operators.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"metrics\": {\n");
-    s.push_str(&format!("    \"obs_enabled\": {},\n", obs::enabled()));
-    s.push_str("    \"solvers\": [\n");
-    for (i, r) in metrics.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"blocks\": {}, \"candidates\": {}, \
-             \"prunes\": {}, \"solver_search_ns\": {}, \"pack_payload_ns\": {}, \
-             \"search_share\": {} }}{}\n",
-            r.name,
-            r.blocks,
-            r.candidates,
-            r.prunes,
-            r.search_ns,
-            r.pack_ns,
-            format_args!("{:.3}", r.search_share()),
-            if i + 1 < metrics.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ],\n");
-    match overhead {
-        Some(o) => s.push_str(&format!(
-            "    \"overhead\": {{ \"gate\": {OBS_OVERHEAD_GATE}, \"kernel_ratio\": {:.3}, \
-             \"driver_encode_ratio\": {:.3}, \"byte_identical_runtime_toggle\": {} }}\n",
-            o.kernel_ratio, o.driver_encode_ratio, o.byte_identical
-        )),
-        None => s.push_str("    \"overhead\": null\n"),
-    }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Workspace-root path for the artifact.
-fn output_path() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR4.json")
-}
-
-/// Runs only the PR 8 solver section (the tier-1 `--quick` recipe):
+/// Runs only the solver section (the tier-1 `--quick` recipe):
 /// per-solver encode throughput, skipping the kernel/operator sweeps and
 /// writing no artifact.
 pub fn run_quick(cfg: &Config) {
     super::banner(
-        "PR8 solver throughput (quick): scratch-reusing sessions (values/s)",
+        "Solver throughput (quick): scratch-reusing sessions (values/s)",
         cfg,
     );
-    solver_section(cfg, true);
+    let mut report = Report::new("exp_throughput", cfg);
+    solver_section(cfg, &mut report);
+    report.finish(true);
 }
 
-/// Runs the experiment and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
+/// Runs the experiment and writes `target/bench/exp_throughput.json`.
 pub fn run(cfg: &Config) {
     super::banner(
-        "PR4 throughput: kernels, operators, and obs metrics (values/s)",
+        "Throughput: kernels, operators, obs metrics and solvers (values/s)",
         cfg,
     );
+    let mut report = Report::new("exp_throughput", cfg);
 
     let kernels = kernel_rows(cfg);
-    println!("Kernel throughput (million values/s), generic vs unrolled vs fused:");
     let mut table = Table::new([
         "width",
         "pack gen",
@@ -658,8 +466,10 @@ pub fn run(cfg: &Config) {
             format!("{:.2}", r.unpack_speedup()),
         ]);
     }
-    table.print();
-    println!();
+    report.table(
+        "Kernel throughput (million values/s), generic vs unrolled vs fused",
+        table,
+    );
 
     let gate: Vec<&KernelRow> = kernels
         .iter()
@@ -671,21 +481,18 @@ pub fn run(cfg: &Config) {
         .fold(f64::INFINITY, f64::min);
     let geomean_speedup =
         (gate.iter().map(|r| r.unpack_speedup().ln()).sum::<f64>() / gate.len() as f64).exp();
-    println!(
-        "Unpack speedup over widths {}..={}: geomean {geomean_speedup:.2}x \
-         (gate: >= {GATE_SPEEDUP}x), min {min_speedup:.2}x (floor: >= {GATE_WIDTH_FLOOR}x)",
-        GATE_WIDTHS.start(),
-        GATE_WIDTHS.end()
+    let widths = format!("widths {}..={}", GATE_WIDTHS.start(), GATE_WIDTHS.end());
+    let enforced = report.timing_gate(
+        &format!("unpack speedup geomean, {widths}"),
+        geomean_speedup,
+        &format!(">= {GATE_SPEEDUP}"),
     );
-    // The gate is only meaningful on optimized builds — in debug the
-    // "unrolled" loop is not unrolled at all — and with enough values per
-    // timed run for the ratio to rise above timer noise (a few thousand
-    // values unpack in ~1 µs).
-    if cfg!(debug_assertions) {
-        println!("(debug build: speedup gate reported but not enforced)");
-    } else if cfg.n < GATE_MIN_N {
-        println!("(BOS_N < {GATE_MIN_N}: speedup gate reported but not enforced)");
-    } else {
+    report.timing_gate(
+        &format!("unpack speedup min, {widths}"),
+        min_speedup,
+        &format!(">= {GATE_WIDTH_FLOOR}"),
+    );
+    if enforced {
         assert!(
             geomean_speedup >= GATE_SPEEDUP,
             "unrolled unpack must average >= {GATE_SPEEDUP}x generic on widths 1..=20, got {geomean_speedup:.2}x"
@@ -695,15 +502,11 @@ pub fn run(cfg: &Config) {
             "every width in 1..=20 must unpack >= {GATE_WIDTH_FLOOR}x generic, got {min_speedup:.2}x"
         );
     }
-    println!();
 
     let operators = operator_rows(cfg);
-    println!(
-        "Operator throughput (million values/s, from fastest of {} runs), \
-         1024-value blocks; spread = decode stddev/mean:",
-        cfg.repeats
-    );
-    let mut table = Table::new(["operator", "dataset", "encode", "decode", "ratio", "spread"]);
+    let mut table = Table::new([
+        "operator", "dataset", "encode", "decode", "ratio", "spread %",
+    ]);
     for r in &operators {
         let spread = if r.decode_ns.mean > 0.0 {
             r.decode_ns.stddev / r.decode_ns.mean
@@ -716,11 +519,17 @@ pub fn run(cfg: &Config) {
             fmt_mvps(r.encode),
             fmt_mvps(r.decode),
             format!("{:.2}", r.ratio),
-            format!("{:.1}%", spread * 100.0),
+            format!("{:.1}", spread * 100.0),
         ]);
     }
-    table.print();
-    println!();
+    report.table(
+        format!(
+            "Operator throughput (million values/s, from fastest of {} runs), \
+             1024-value blocks; spread = decode stddev/mean",
+            cfg.repeats
+        ),
+        table,
+    );
 
     // Overhead A/B first (it flips the kill-switch), then the solver
     // metrics pass, which resets the registry per solver — order matters.
@@ -729,7 +538,6 @@ pub fn run(cfg: &Config) {
     if metrics.is_empty() {
         println!("obs feature off: metrics section empty");
     } else {
-        println!("BOS solver search effort and search-vs-pack split (obs registry):");
         let mut table = Table::new([
             "solver",
             "blocks",
@@ -747,38 +555,45 @@ pub fn run(cfg: &Config) {
                 r.prunes.to_string(),
                 format!("{:.2}", r.search_ns as f64 / 1e6),
                 format!("{:.2}", r.pack_ns as f64 / 1e6),
-                format!("{:.1}%", r.search_share() * 100.0),
+                format!("{:.1}", r.search_share() * 100.0),
             ]);
         }
-        table.print();
-        println!();
+        report.table(
+            "BOS solver search effort and search-vs-pack split (obs registry)",
+            table,
+        );
     }
     if let Some(o) = &overhead {
-        println!(
-            "obs overhead: kernel unpack on/off {:.3}x (gate: <= {OBS_OVERHEAD_GATE}x), \
-             BOS-M driver encode on/off {:.3}x, byte-identical across toggle: {}",
-            o.kernel_ratio, o.driver_encode_ratio, o.byte_identical
+        report.table(
+            format!("obs kill-switch A/B (fastest of {AB_ROUNDS} alternating rounds)"),
+            ab_table(&[
+                ("kernel unpack (w = 13)", o.kernel),
+                ("BOS-M driver encode", o.driver),
+            ]),
+        );
+        report.gate(
+            "byte-identical across the obs kill-switch",
+            o.byte_identical,
+            "true",
         );
         assert!(
             o.byte_identical,
             "toggling the obs kill-switch must not change encoded bytes"
         );
-        if !cfg!(debug_assertions) && cfg.n >= GATE_MIN_N {
+        if report.timing_gate(
+            "obs-on/obs-off kernel unpack",
+            o.kernel.ratio(),
+            &format!("<= {OBS_OVERHEAD_GATE}"),
+        ) {
             assert!(
-                o.kernel_ratio <= OBS_OVERHEAD_GATE,
+                o.kernel.ratio() <= OBS_OVERHEAD_GATE,
                 "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
                  got {:.3}x",
-                o.kernel_ratio
+                o.kernel.ratio()
             );
         }
-        println!();
     }
 
-    let json = render_json(cfg, &kernels, &operators, &metrics, overhead.as_ref());
-    let path = output_path();
-    std::fs::write(&path, &json).expect("write BENCH_PR4.json");
-    println!("Wrote {}", path.display());
-    println!();
-
-    solver_section(cfg, false);
+    solver_section(cfg, &mut report);
+    report.finish(false);
 }

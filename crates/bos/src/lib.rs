@@ -182,7 +182,7 @@ impl BosCodec {
     /// variants report under their base family (BOS-V / BOS-B): the
     /// search they time is the same algorithm on a restricted candidate
     /// set, and keeping the span cardinality at three keeps the
-    /// search-vs-pack split in `BENCH_PR*.json` readable.
+    /// search-vs-pack split in `exp_throughput`'s tables readable.
     fn span_names(&self) -> (&'static str, &'static str) {
         match self.kind {
             SolverKind::Value | SolverKind::ValueUpperOnly => {

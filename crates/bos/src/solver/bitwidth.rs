@@ -29,7 +29,7 @@ use bitpack::width::{range_u64, width, width1};
 // by the seeded incumbent bound, and the classic early exits (an empty
 // region above xl, a Prop. 3 width that reached down past xl). The
 // candidates/prunes split is what proves the seeded cut rate in
-// BENCH_PR8.
+// `exp_throughput`'s search-effort table.
 static CANDIDATES: obs::CounterHandle = obs::CounterHandle::new("solver.BOS-B.candidates");
 static PRUNES: obs::CounterHandle = obs::CounterHandle::new("solver.BOS-B.prunes");
 static BLOCKS: obs::CounterHandle = obs::CounterHandle::new("solver.BOS-B.blocks");

@@ -134,7 +134,7 @@ mod tests {
             assert_eq!(out, values, "{}", packer.name());
             assert_eq!(kind.label(), packer.name());
         }
-        // Bench tables and BENCH_*.json rows key on these labels.
+        // Bench tables and artifact rows key on these labels.
         let labels: std::collections::BTreeSet<&str> =
             PackerKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), PackerKind::ALL.len(), "duplicate label");

@@ -21,12 +21,12 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
-use crate::trail::{Event, Trail, TrailEvent, SAMPLE_CLASSES};
+use crate::trail::{Event, Trail, TrailEvent};
 
 /// Runtime kill-switch on top of the compile-time feature gate. Starts
 /// `true`; benchmarks flip it to A/B instrumentation overhead in-process.
@@ -75,45 +75,6 @@ impl Counter {
 
     /// Current value (always 0 without the feature).
     pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.v.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Last-write-wins signed level (queue depths, configured thread counts).
-#[derive(Debug)]
-pub struct Gauge {
-    v: AtomicI64,
-}
-
-impl Gauge {
-    const fn zero() -> Self {
-        Self {
-            v: AtomicI64::new(0),
-        }
-    }
-
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if cfg!(feature = "enabled") {
-            self.v.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adjusts the level by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if cfg!(feature = "enabled") {
-            self.v.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Current level (always 0 without the feature).
-    pub fn get(&self) -> i64 {
         self.v.load(Ordering::Relaxed)
     }
 
@@ -263,7 +224,6 @@ impl SpanStat {
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
-    gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
     spans: Mutex<BTreeMap<String, &'static SpanStat>>,
 }
@@ -301,16 +261,6 @@ pub fn counter(name: &str) -> &'static Counter {
         return &INERT;
     }
     get_or_insert(&registry().counters, name, Counter::zero)
-}
-
-/// Looks up (registering on first use) the gauge called `name`.
-/// Without the feature, returns a shared inert cell; nothing is registered.
-pub fn gauge(name: &str) -> &'static Gauge {
-    static INERT: Gauge = Gauge::zero();
-    if !cfg!(feature = "enabled") {
-        return &INERT;
-    }
-    get_or_insert(&registry().gauges, name, Gauge::zero)
 }
 
 /// Looks up (registering on first use) the histogram called `name`.
@@ -368,53 +318,6 @@ impl CounterHandle {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell().get()
-    }
-
-    /// The bound metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Const-constructible handle binding a literal name to a [`Gauge`].
-#[derive(Debug)]
-pub struct GaugeHandle {
-    name: &'static str,
-    slot: OnceLock<&'static Gauge>,
-}
-
-impl GaugeHandle {
-    /// Binds `name`; place the result in a `static`.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            slot: OnceLock::new(),
-        }
-    }
-
-    #[inline]
-    fn cell(&self) -> &'static Gauge {
-        if !cfg!(feature = "enabled") {
-            return gauge(self.name); // the inert cell; nothing to cache
-        }
-        self.slot.get_or_init(|| gauge(self.name))
-    }
-
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.cell().set(v);
-    }
-
-    /// Adjusts the level by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.cell().add(delta);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
         self.cell().get()
     }
 
@@ -544,27 +447,12 @@ impl Drop for SpanGuard {
 
 // --- trail recorder -------------------------------------------------------
 
-/// Default per-shard ring capacity, in events.
-const TRAIL_DEFAULT_CAPACITY: usize = 16 * 1024;
+/// Per-shard ring capacity, in events.
+const TRAIL_CAPACITY: usize = 16 * 1024;
 
 /// Trail on/off switch, layered under the metric kill-switch: recording
 /// requires [`enabled`] *and* this flag.
 static TRAIL_ON: AtomicBool = AtomicBool::new(true);
-
-/// The 1-in-N sampling knob for block-scoped events (1 = record all).
-static TRAIL_SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
-
-/// Ring capacity applied at push time, so changes take effect on every
-/// shard immediately.
-static TRAIL_CAPACITY: AtomicUsize = AtomicUsize::new(TRAIL_DEFAULT_CAPACITY);
-
-/// Per-category sampling tickets; zeroed by [`trail_set_sampling`] so a
-/// fixed workload records `ceil(emitted / N)` events per category.
-static TRAIL_TICKETS: [AtomicU64; SAMPLE_CLASSES] = {
-    #[allow(clippy::declare_interior_mutable_const)] // array-init seed, immediately moved
-    const Z: AtomicU64 = AtomicU64::new(0);
-    [Z; SAMPLE_CLASSES]
-};
 
 /// Shard ids are handed out once and never reused (shards themselves
 /// are, via the free list).
@@ -585,8 +473,7 @@ impl TrailRing {
             self.buf.push((ts_ns, event));
             return;
         }
-        // Full (or over-full after a capacity cut): overwrite the
-        // oldest record round-robin.
+        // Full: overwrite the oldest record round-robin.
         if self.next >= self.buf.len() {
             self.next = 0;
         }
@@ -690,55 +577,15 @@ pub fn trail_set_recording(on: bool) {
     TRAIL_ON.store(on, Ordering::Relaxed);
 }
 
-/// Sets the 1-in-N sampling knob for block-scoped events: category
-/// ticket `t` is recorded when `t % every == 0`. Zero is clamped to 1
-/// (record everything, the default). Resets the ticket counters so a
-/// fixed workload records a deterministic `ceil(emitted / N)` per
-/// category regardless of thread interleaving. Inert without the
-/// feature, where [`trail_sampling`] stays 1.
-pub fn trail_set_sampling(every: u64) {
-    if !cfg!(feature = "enabled") {
-        return;
-    }
-    TRAIL_SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
-    for ticket in &TRAIL_TICKETS {
-        ticket.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The current 1-in-N sampling setting.
-pub fn trail_sampling() -> u64 {
-    TRAIL_SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
-/// Sets the per-shard ring capacity, effective immediately on every
-/// shard (rings over the new capacity overwrite in place until the
-/// next drain). Clamped to at least 16 events.
-pub fn trail_set_capacity(cap: usize) {
-    TRAIL_CAPACITY.store(cap.max(16), Ordering::Relaxed);
-}
-
-/// Records `event` into the calling thread's shard: one relaxed load,
+/// Records `event` into the calling thread's shard: two relaxed loads,
 /// an uncontended mutex lock, and a ring write — no allocation once the
-/// ring has grown to capacity. Block-scoped events are subject to the
-/// sampling knob; lifecycle events are always recorded.
+/// ring has grown to capacity.
 pub fn trail_emit(event: Event) {
     if !trail_recording() {
         return;
     }
-    if let Some(class) = event.sample_class() {
-        let every = TRAIL_SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
-        if every > 1 {
-            if let Some(ticket) = TRAIL_TICKETS.get(class) {
-                if ticket.fetch_add(1, Ordering::Relaxed) % every != 0 {
-                    return;
-                }
-            }
-        }
-    }
     let ts_ns = trail_now_ns();
-    let cap = TRAIL_CAPACITY.load(Ordering::Relaxed);
-    with_shard(|shard| lock(&shard.ring).push(cap, ts_ns, event));
+    with_shard(|shard| lock(&shard.ring).push(TRAIL_CAPACITY, ts_ns, event));
 }
 
 /// Empties every shard and merges the records into one [`Trail`]
@@ -778,10 +625,6 @@ pub fn snapshot() -> Snapshot {
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
             .collect(),
-        gauges: lock(&r.gauges)
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get()))
-            .collect(),
         histograms: lock(&r.histograms)
             .iter()
             .map(|(n, h)| (n.clone(), h.snapshot()))
@@ -799,9 +642,6 @@ pub fn reset() {
     let r = registry();
     for c in lock(&r.counters).values() {
         c.reset();
-    }
-    for g in lock(&r.gauges).values() {
-        g.reset();
     }
     for h in lock(&r.histograms).values() {
         h.reset();
@@ -834,17 +674,12 @@ mod inert_tests {
         assert!(!enabled(), "runtime switch must be inert when compiled out");
         counter("noop.c").add(5);
         assert_eq!(counter("noop.c").get(), 0);
-        gauge("noop.g").set(-3);
-        assert_eq!(gauge("noop.g").get(), 0);
         histogram("noop.h").record(42);
         assert_eq!(histogram("noop.h").count(), 0);
         static C: CounterHandle = CounterHandle::new("noop.hc");
         C.inc();
         assert_eq!(C.get(), 0);
         assert_eq!(C.name(), "noop.hc");
-        static G: GaugeHandle = GaugeHandle::new("noop.hg");
-        G.add(1);
-        assert_eq!(G.get(), 0);
         static H: HistogramHandle = HistogramHandle::new("noop.hh");
         H.record(7);
         {
@@ -853,9 +688,6 @@ mod inert_tests {
         trail_set_recording(true);
         assert!(!trail_recording(), "trail must be inert when compiled out");
         trail_emit(Event::BlockPlain { n: 1, width: 1 });
-        trail_set_sampling(4);
-        assert_eq!(trail_sampling(), 1);
-        trail_set_capacity(8);
         assert!(trail_drain().is_empty(), "no-op trail must stay empty");
         let snap = snapshot();
         assert!(!snap.enabled);
@@ -873,20 +705,15 @@ mod tests {
     // unique to its test so parallel execution cannot interfere.
 
     #[test]
-    fn counters_and_gauges_roundtrip() {
+    fn counters_roundtrip() {
         let c = counter("test.imp.counter");
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         assert!(std::ptr::eq(c, counter("test.imp.counter")));
-        let g = gauge("test.imp.gauge");
-        g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
         let snap = snapshot();
         assert!(snap.enabled);
         assert_eq!(snap.counter("test.imp.counter"), 5);
-        assert_eq!(snap.gauge("test.imp.gauge"), 5);
     }
 
     #[test]
@@ -920,9 +747,6 @@ mod tests {
                 .map(|h| h.count),
             Some(1)
         );
-        static G: GaugeHandle = GaugeHandle::new("test.imp.handle_gauge");
-        G.set(11);
-        assert_eq!(G.get(), 11);
     }
 
     // Single test for all span behavior: the runtime kill-switch is
@@ -975,14 +799,13 @@ mod tests {
         assert!(r.contains("test.imp.report_counter"));
     }
 
-    // Single test for all recorder behavior: drains are process-global,
+    // Single test for all draining behavior: drains are process-global,
     // so two draining tests running in parallel would steal each
     // other's events. Assertions filter on marker payloads unique to
     // this test, because concurrent tests may emit their own events.
     #[test]
-    fn trail_records_samples_and_drains() {
+    fn trail_records_and_drains() {
         assert!(trail_recording(), "recorder must default to on");
-        assert_eq!(trail_sampling(), 1, "sampling must default to all");
 
         // Emission and time-ordered drain.
         trail_emit(Event::SalvageSkip {
@@ -1023,62 +846,6 @@ mod tests {
         trail_set_recording(true);
         assert!(mine(&trail_drain()).is_empty(), "switch-off still recorded");
 
-        // 1-in-N sampling on a block-scoped category: 7 emits at N=3
-        // record tickets 0, 3, 6 — ceil(7/3) = 3 events.
-        trail_set_sampling(3);
-        for i in 0..7u64 {
-            trail_emit(Event::BlockSolved {
-                solver: "test.imp.trail_sample",
-                separated: false,
-                cost_bits: i,
-                candidates: 0,
-                prunes: 0,
-            });
-        }
-        trail_set_sampling(1);
-        let sampled: Vec<TrailEvent> = trail_drain()
-            .events
-            .into_iter()
-            .filter(|e| {
-                matches!(
-                    e.event,
-                    Event::BlockSolved {
-                        solver: "test.imp.trail_sample",
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(sampled.len(), 3, "ceil(7/3) block events expected");
-
-        // Capacity: after a drain the shard ring is empty, so pushing
-        // 40 marker events at capacity 16 keeps the newest 16 and
-        // counts the overwrites.
-        trail_set_capacity(16);
-        for i in 0..40u64 {
-            trail_emit(Event::SalvageSkip {
-                reason: "test.imp.trail_marker",
-                offset: 100 + i,
-            });
-        }
-        trail_set_capacity(TRAIL_DEFAULT_CAPACITY);
-        let full = trail_drain();
-        let kept = mine(&full);
-        assert_eq!(kept.len(), 16, "ring must cap at the set capacity");
-        let offsets: Vec<u64> = kept
-            .iter()
-            .map(|e| match e.event {
-                Event::SalvageSkip { offset, .. } => offset,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(
-            offsets,
-            (124..140).collect::<Vec<u64>>(),
-            "oldest-first drain of the wrapped ring"
-        );
-        assert!(full.dropped >= 24, "overwrites must be counted");
-
         // Spans are mirrored into the trail by the drop hook.
         {
             let _g = span("test.imp.trail_span");
@@ -1097,5 +864,29 @@ mod tests {
             })
             .collect();
         assert_eq!(spans.len(), 1, "span must be mirrored exactly once");
+    }
+
+    #[test]
+    fn full_ring_overwrites_oldest_and_counts_drops() {
+        let mut ring = TrailRing::default();
+        for i in 0..40u64 {
+            ring.push(
+                16,
+                i,
+                Event::SalvageSkip {
+                    reason: "test.imp.ring",
+                    offset: i,
+                },
+            );
+        }
+        let (records, dropped) = ring.drain();
+        let kept: Vec<u64> = records.iter().map(|&(ts, _)| ts).collect();
+        assert_eq!(
+            kept,
+            (24..40).collect::<Vec<u64>>(),
+            "oldest-first drain of the wrapped ring"
+        );
+        assert_eq!(dropped, 24, "overwrites must be counted");
+        assert_eq!(ring.drain(), (Vec::new(), 0), "drain must empty the ring");
     }
 }

@@ -1,4 +1,4 @@
-//! Zero-dependency observability: counters, gauges, power-of-two-bucket
+//! Zero-dependency observability: counters, power-of-two-bucket
 //! histograms, and RAII span timers over a process-wide registry.
 //!
 //! Everything lives behind the `enabled` cargo feature. With it on, the
@@ -16,7 +16,7 @@
 //! * **Static handles** for hot paths with literal names:
 //!   `static BLOCKS: obs::CounterHandle = obs::CounterHandle::new("x.blocks");`
 //!   — the registry lookup happens once, on first use.
-//! * **Dynamic lookups** ([`counter`], [`gauge`], [`histogram`]) for
+//! * **Dynamic lookups** ([`counter`], [`histogram`]) for
 //!   names composed at runtime (e.g. per codec label). Resolve once per
 //!   batch, not per element, and skip the `format!` entirely when
 //!   [`enabled`] is false.
@@ -34,7 +34,7 @@
 //! Aggregates answer *how much*; the [`trail`] flight recorder answers
 //! *what happened*: per-block provenance events in per-thread ring
 //! buffers, drained into a time-ordered [`trail::Trail`] and exported
-//! as Chrome `trace_event` JSON or JSONL. Like everything else it
+//! as Chrome `trace_event` JSON. Like everything else it
 //! compiles to no-ops without the feature.
 
 #![forbid(unsafe_code)]
@@ -43,10 +43,10 @@
 mod snapshot;
 pub mod trail;
 
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
+pub use snapshot::{push_json_str, HistogramSnapshot, Snapshot, SpanSnapshot};
 
 mod imp;
 pub use imp::{
-    counter, enabled, gauge, histogram, report, reset, set_enabled, snapshot, span, Counter,
-    CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, SpanGuard,
+    counter, enabled, histogram, report, reset, set_enabled, snapshot, span, Counter,
+    CounterHandle, Histogram, HistogramHandle, SpanGuard,
 };

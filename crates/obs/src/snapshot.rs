@@ -111,8 +111,6 @@ pub struct Snapshot {
     pub enabled: bool,
     /// Counter name → value.
     pub counters: Vec<(String, u64)>,
-    /// Gauge name → value.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram name → state.
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Span name → aggregate timings.
@@ -123,14 +121,6 @@ impl Snapshot {
     /// Value of a counter, or 0 if it was never registered.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Value of a gauge, or 0 if it was never registered.
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
@@ -152,10 +142,7 @@ impl Snapshot {
     /// True when no metric of any kind is present (always true for the
     /// no-op build).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Renders the snapshot as a single JSON object (hand-built — this
@@ -167,15 +154,6 @@ impl Snapshot {
         s.push_str(if self.enabled { "true" } else { "false" });
         s.push_str(",\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_json_str(&mut s, name);
-            s.push_str(&format!(": {v}"));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -234,13 +212,6 @@ impl Snapshot {
                 .max()
                 .unwrap_or(0);
             for (name, v) in &self.counters {
-                s.push_str(&format!("  {name:<w$}  {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            s.push_str("gauges\n");
-            let w = self.gauges.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (name, v) in &self.gauges {
                 s.push_str(&format!("  {name:<w$}  {v}\n"));
             }
         }
@@ -303,8 +274,8 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Appends `name` as a JSON string literal (quotes + minimal escaping;
 /// metric names are ASCII identifiers-with-dots in practice). Shared
-/// with the trail exporters.
-pub(crate) fn push_json_str(out: &mut String, name: &str) {
+/// with the trail exporters and the bench artifacts.
+pub fn push_json_str(out: &mut String, name: &str) {
     out.push('"');
     for c in name.chars() {
         match c {
@@ -328,7 +299,6 @@ mod tests {
     fn lookup_helpers_default_to_zero_or_none() {
         let s = Snapshot::default();
         assert_eq!(s.counter("missing"), 0);
-        assert_eq!(s.gauge("missing"), 0);
         assert!(s.histogram("missing").is_none());
         assert!(s.span("missing").is_none());
         assert!(s.is_empty());
@@ -339,7 +309,6 @@ mod tests {
         let s = Snapshot {
             enabled: true,
             counters: vec![("a.b".to_string(), 3), ("weird\"name".to_string(), 1)],
-            gauges: vec![("g".to_string(), -2)],
             histograms: vec![(
                 "h".to_string(),
                 HistogramSnapshot {
@@ -379,12 +348,11 @@ mod tests {
         let s = Snapshot {
             enabled: true,
             counters: vec![("c".to_string(), 1)],
-            gauges: vec![("g".to_string(), 2)],
             histograms: vec![("h".to_string(), HistogramSnapshot::default())],
             spans: vec![("sp".to_string(), SpanSnapshot::default())],
         };
         let r = s.render();
-        for section in ["counters", "gauges", "histograms", "spans"] {
+        for section in ["counters", "histograms", "spans"] {
             assert!(r.contains(section), "missing {section} in:\n{r}");
         }
     }
@@ -449,7 +417,6 @@ mod tests {
         let s = Snapshot {
             enabled: true,
             counters: Vec::new(),
-            gauges: Vec::new(),
             histograms: vec![(
                 "h".to_string(),
                 HistogramSnapshot {

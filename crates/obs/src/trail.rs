@@ -1,12 +1,12 @@
-//! Flight-recorder trail: compact timestamped event records with
-//! chrome-trace and JSONL exporters.
+//! Flight-recorder trail: compact timestamped event records with a
+//! chrome-trace exporter.
 //!
 //! The data model here is shared by both builds (like
 //! [`crate::snapshot`]): [`Event`], [`TrailEvent`], [`Trail`], and the
-//! exporters are plain data and pure functions. The recording machinery
-//! — per-thread sharded ring buffers, the process epoch clock, the
-//! sampling knob — lives in `imp.rs`, re-exported here under short names
-//! ([`emit`], [`drain`], [`set_sampling`], ...). Call sites therefore use
+//! exporter are plain data and pure functions. The recording machinery
+//! — per-thread sharded ring buffers and the process epoch clock — lives
+//! in `imp.rs`, re-exported here under short names ([`emit`], [`drain`],
+//! [`set_recording`], [`recording`]). Call sites therefore use
 //! `obs::trail::` unconditionally; with the feature off everything
 //! compiles to no-ops and [`drain`] returns the empty trail.
 //!
@@ -19,10 +19,7 @@
 //! * Timestamps are nanosecond deltas against a process-wide epoch
 //!   (first recorder use), so events from different shards merge onto
 //!   one timeline.
-//! * Block-scoped events (see [`Event::sample_class`]) honor the 1-in-N
-//!   sampling knob ([`set_sampling`]); lifecycle events (driver
-//!   dispatch/join, chunk seals, salvage skips, spans) are always
-//!   recorded so the trail's structure survives aggressive sampling.
+//! * Every emitted event is recorded while the recorder is on.
 //! * [`drain`] empties every shard and merges the records into one
 //!   [`Trail`] ordered by `(ts_ns, tid)` — deterministic for a given
 //!   set of records regardless of drain timing.
@@ -33,14 +30,8 @@ use crate::snapshot::push_json_str;
 
 pub use crate::imp::{
     trail_drain as drain, trail_emit as emit, trail_recording as recording,
-    trail_sampling as sampling, trail_set_capacity as set_capacity,
-    trail_set_recording as set_recording, trail_set_sampling as set_sampling,
+    trail_set_recording as set_recording,
 };
-
-/// Number of distinct block-scoped sampling categories (the `Some`
-/// range of [`Event::sample_class`]); sized for the ticket array in the
-/// instrumented build.
-pub const SAMPLE_CLASSES: usize = 4;
 
 /// Identity helper marking a string literal as a trail event label.
 /// The `obs-label-unique` xtask lint scans `event_label("...")` call
@@ -165,8 +156,8 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable label for this event kind, used as the JSONL `kind` and
-    /// the chrome-trace instant name.
+    /// Stable label for this event kind, used as the chrome-trace instant
+    /// name and the [`Trail::counts`] key.
     pub fn label(&self) -> &'static str {
         match self {
             Event::BlockSolved { .. } => event_label("trail.block_solved"),
@@ -181,22 +172,6 @@ impl Event {
             Event::ManifestCommit { .. } => event_label("trail.manifest_commit"),
             Event::CompactionPhase { .. } => event_label("trail.compaction_phase"),
             Event::Span { .. } => event_label("trail.span"),
-        }
-    }
-
-    /// Sampling category for the 1-in-N knob: `Some` for per-block
-    /// events (one per encoded block, the high-volume kinds), `None`
-    /// for lifecycle events that are always recorded. Each category
-    /// draws tickets from its own counter, so the recorded count per
-    /// category is `ceil(emitted / N)` regardless of thread
-    /// interleaving — deterministic for a fixed input.
-    pub fn sample_class(&self) -> Option<usize> {
-        match self {
-            Event::BlockSolved { .. } => Some(0),
-            Event::BlockPlain { .. } => Some(1),
-            Event::BlockSeparated { .. } => Some(2),
-            Event::AdaptiveVerdict { .. } => Some(3),
-            _ => None,
         }
     }
 
@@ -372,24 +347,6 @@ pub fn to_chrome_trace(trail: &Trail) -> String {
     s
 }
 
-/// Exports a trail as JSON Lines — one object per event with `ts_ns`,
-/// `tid`, `kind`, and the payload under `args` — for machine diffing
-/// (`sort`, `jq`, line-wise comparison).
-pub fn to_jsonl(trail: &Trail) -> String {
-    let mut s = String::with_capacity(trail.events.len() * 80);
-    for ev in &trail.events {
-        s.push_str(&format!(
-            "{{\"ts_ns\": {}, \"tid\": {}, \"kind\": ",
-            ev.ts_ns, ev.tid
-        ));
-        push_json_str(&mut s, ev.event.label());
-        s.push_str(", \"args\": {");
-        ev.event.push_args(&mut s);
-        s.push_str("}}\n");
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,18 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_classes_cover_block_events_only() {
-        let mut seen = std::collections::BTreeSet::new();
-        for ev in one_of_each() {
-            if let Some(class) = ev.sample_class() {
-                assert!(class < SAMPLE_CLASSES, "class {class} out of range");
-                assert!(seen.insert(class), "class {class} assigned twice");
-            }
-        }
-        assert_eq!(seen.len(), SAMPLE_CLASSES, "unused sampling category");
-    }
-
-    #[test]
     fn counts_aggregate_by_label() {
         let mut events = one_of_each();
         events.push(Event::BlockPlain { n: 5, width: 2 });
@@ -532,23 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_event() {
-        let trail = trail_of(one_of_each());
-        let jsonl = to_jsonl(&trail);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), trail.len());
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"kind\": \"trail."), "{line}");
-        }
-    }
-
-    #[test]
     fn exports_of_the_empty_trail_are_empty() {
         let empty = Trail::default();
         assert!(empty.is_empty());
         assert_eq!(to_chrome_trace(&empty), "[\n]\n");
-        assert_eq!(to_jsonl(&empty), "");
         assert!(empty.counts().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //!   (the recorder never touches the kernels, so this documents that the
 //!   layer is free where it matters most), and the full BOS-A encode
 //!   pipeline — which *does* emit per-block provenance events — must stay
-//!   within [`PIPELINE_OVERHEAD_GATE`]. Both A/Bs run through [`ab_min`].
+//!   within [`PIPELINE_OVERHEAD_GATE`]. Both A/Bs run through [`ab_paired`].
 //! * **Transparency**: toggling the recorder must not change a single
 //!   output byte, and re-encoding a fixed input must produce the exact
 //!   same per-label event counts (the trail is deterministic provenance,
@@ -24,7 +24,7 @@
 //! that `--quick` runs every measurement and gate; it is part of the
 //! tier-1 recipe and writes nothing.
 
-use crate::harness::{ab_min, ab_table, time_stats, AbTimes, Config, Report, Table};
+use crate::harness::{ab_paired, ab_table, time_stats, AbTimes, Config, Report, Table};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::unrolled::{pack_words_unrolled, unpack_words_unrolled};
 use bos::{BosCodec, SolverKind};
@@ -43,15 +43,13 @@ const KERNEL_OVERHEAD_GATE: f64 = 1.05;
 /// adaptive verdicts.
 const PIPELINE_OVERHEAD_GATE: f64 = 1.10;
 
-/// Alternating on/off rounds per A/B (min of each state is kept).
-const AB_ROUNDS: usize = 3;
+/// Alternating-order (on, off) pairs per A/B; the gates hold the median
+/// of the per-pair ratios.
+const AB_PAIRS: usize = 15;
 
-/// Extra rounds/repeats floor for the kernel A/B: one unpack run is tens
-/// of microseconds, so the on/off ratio needs more samples than the
-/// millisecond-scale pipeline A/B before the minima converge.
-const KERNEL_AB_ROUNDS: usize = 7;
-
-/// Minimum timing repetitions per kernel round (see above).
+/// Minimum timing repetitions per kernel sample: one unpack run is tens
+/// of microseconds, so each sample keeps the fastest of more runs than
+/// the millisecond-scale pipeline samples do.
 const KERNEL_MIN_REPEATS: usize = 9;
 
 /// Kernel width used for the unpack A/B (same shape as the speedup gate
@@ -70,7 +68,7 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
     pack_words_unrolled(&deltas, KERNEL_WIDTH, &mut packed);
     let mut out = Vec::new();
     let repeats = cfg.repeats.max(KERNEL_MIN_REPEATS);
-    let times = ab_min(KERNEL_AB_ROUNDS, obs::trail::set_recording, |_| {
+    let times = ab_paired(AB_PAIRS, obs::trail::set_recording, |_| {
         let (_, ns) = time_stats(repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, &mut out).expect("unpack");
@@ -88,7 +86,7 @@ fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
     let codec = BosCodec::new(SolverKind::Adaptive);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
-    let times = ab_min(AB_ROUNDS, obs::trail::set_recording, |on| {
+    let times = ab_paired(AB_PAIRS, obs::trail::set_recording, |on| {
         let buf = if on { &mut buf_on } else { &mut buf_off };
         let (_, ns) = time_stats(cfg.repeats, || {
             buf.clear();
@@ -150,10 +148,7 @@ pub fn run(cfg: &Config, quick: bool) {
     let series = outlier_series(cfg.n);
     let (pipeline, byte_identical) = pipeline_ab(cfg, &series);
     report.table(
-        format!(
-            "Recorder on/off A/B (fastest of {KERNEL_AB_ROUNDS} kernel / {AB_ROUNDS} \
-             pipeline alternating rounds)"
-        ),
+        format!("Recorder on/off A/B ({AB_PAIRS} alternating-order pairs)"),
         ab_table(&[
             (&format!("kernel unpack (w = {KERNEL_WIDTH})"), kernel),
             ("BOS-A encode pipeline", pipeline),
@@ -205,26 +200,26 @@ pub fn run(cfg: &Config, quick: bool) {
 
     let enforced = report.timing_gate(
         "recorder-on/off kernel unpack",
-        kernel.ratio(),
+        kernel.ratio,
         &format!("<= {KERNEL_OVERHEAD_GATE}"),
     );
     report.timing_gate(
         "recorder-on/off BOS-A pipeline",
-        pipeline.ratio(),
+        pipeline.ratio,
         &format!("<= {PIPELINE_OVERHEAD_GATE}"),
     );
     if enforced {
         assert!(
-            kernel.ratio() <= KERNEL_OVERHEAD_GATE,
+            kernel.ratio <= KERNEL_OVERHEAD_GATE,
             "recorder-on kernel unpack must stay within {KERNEL_OVERHEAD_GATE}x \
              of recorder-off, got {:.3}x",
-            kernel.ratio()
+            kernel.ratio
         );
         assert!(
-            pipeline.ratio() <= PIPELINE_OVERHEAD_GATE,
+            pipeline.ratio <= PIPELINE_OVERHEAD_GATE,
             "recorder-on BOS-A pipeline must stay within {PIPELINE_OVERHEAD_GATE}x \
              of recorder-off, got {:.3}x",
-            pipeline.ratio()
+            pipeline.ratio
         );
     }
     report.finish(quick);

@@ -25,7 +25,7 @@
 //! nothing. Timings use [`time_stats`] (warmup + min-of-`BOS_REPEATS`)
 //! for reproducibility.
 
-use crate::harness::{ab_min, ab_table, time_stats, AbTimes, Config, Report, Table, TimeStats};
+use crate::harness::{ab_paired, ab_table, time_stats, AbTimes, Config, Report, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::kernels::{pack_words, unpack_words};
 use bitpack::unrolled::{
@@ -65,8 +65,9 @@ const OUTLIER_DIVISOR: u64 = 50;
 /// noise). A timing gate, enforced by [`Report::timing_gate`]'s rule.
 const OBS_OVERHEAD_GATE: f64 = 1.05;
 
-/// Alternating on/off rounds per obs A/B (min of each state is kept).
-const AB_ROUNDS: usize = 3;
+/// Alternating-order (on, off) pairs per obs A/B; the gate holds the
+/// median of the per-pair ratios.
+const AB_PAIRS: usize = 15;
 
 struct KernelRow {
     width: u32,
@@ -387,7 +388,7 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     let mut packed = Vec::new();
     pack_words_unrolled(&deltas, 13, &mut packed);
     let mut out = Vec::new();
-    let kernel = ab_min(AB_ROUNDS, obs::set_enabled, |_| {
+    let kernel = ab_paired(AB_PAIRS, obs::set_enabled, |_| {
         let (_, ns) = time_stats(cfg.repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), 13, &mut out).expect("unpack");
@@ -402,7 +403,7 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
     let codec = BosCodec::new(SolverKind::Median);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
-    let driver = ab_min(AB_ROUNDS, obs::set_enabled, |on| {
+    let driver = ab_paired(AB_PAIRS, obs::set_enabled, |on| {
         let buf = if on { &mut buf_on } else { &mut buf_off };
         let (_, ns) = time_stats(cfg.repeats, || {
             buf.clear();
@@ -565,7 +566,7 @@ pub fn run(cfg: &Config) {
     }
     if let Some(o) = &overhead {
         report.table(
-            format!("obs kill-switch A/B (fastest of {AB_ROUNDS} alternating rounds)"),
+            format!("obs kill-switch A/B ({AB_PAIRS} alternating-order pairs)"),
             ab_table(&[
                 ("kernel unpack (w = 13)", o.kernel),
                 ("BOS-M driver encode", o.driver),
@@ -582,14 +583,14 @@ pub fn run(cfg: &Config) {
         );
         if report.timing_gate(
             "obs-on/obs-off kernel unpack",
-            o.kernel.ratio(),
+            o.kernel.ratio,
             &format!("<= {OBS_OVERHEAD_GATE}"),
         ) {
             assert!(
-                o.kernel.ratio() <= OBS_OVERHEAD_GATE,
+                o.kernel.ratio <= OBS_OVERHEAD_GATE,
                 "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
                  got {:.3}x",
-                o.kernel.ratio()
+                o.kernel.ratio
             );
         }
     }

@@ -131,60 +131,74 @@ pub fn time_stats<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, TimeStats)
     )
 }
 
-/// Per-state minima of one A/B timing, in nanoseconds.
+/// One paired A/B timing, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbTimes {
     /// Fastest run with the switch on.
     pub on_ns: f64,
     /// Fastest run with the switch off.
     pub off_ns: f64,
+    /// Median of the per-pair on/off time ratios (each off time floored
+    /// at 1 ns): the statistic the overhead gates hold.
+    pub ratio: f64,
 }
 
-impl AbTimes {
-    /// On/off time ratio (the off time is floored at 1 ns).
-    pub fn ratio(&self) -> f64 {
-        self.on_ns / self.off_ns.max(1.0)
-    }
-}
-
-/// The one A/B timer: times the same work with a switch on, then off,
-/// for `rounds` rounds, keeps each state's minimum, and leaves the switch
-/// on. `set` flips the switch; `time` runs the work once in the given
-/// state and returns its nanoseconds, so each caller picks its own
-/// repeat count.
+/// The one A/B timer: times the same work in `pairs` adjacent (on, off)
+/// pairs, alternating which state goes first, and leaves the switch on.
+/// `set` flips the switch; `time` runs the work once in the given state
+/// and returns its nanoseconds, so each caller picks its own repeat
+/// count.
 ///
-/// Rounds alternate because the paths under test run in microseconds to
-/// milliseconds: a single ordered A-then-B measurement confounds the
-/// switch with scheduler and cache drift and can misreport the ratio by
-/// tens of percent.
-pub fn ab_min(
-    rounds: usize,
+/// The paths under test run in microseconds to milliseconds, and a
+/// shared host drifts on that scale. A slow patch hits both halves of a
+/// pair and cancels in its ratio, alternation cancels any bias of going
+/// first, and the median ignores the pairs a patch splits. Per-state
+/// minima would instead turn one slow patch during the "on" runs into
+/// measured overhead.
+pub fn ab_paired(
+    pairs: usize,
     mut set: impl FnMut(bool),
     mut time: impl FnMut(bool) -> f64,
 ) -> AbTimes {
-    let mut t = AbTimes {
-        on_ns: f64::MAX,
-        off_ns: f64::MAX,
-    };
-    for _ in 0..rounds {
-        set(true);
-        t.on_ns = t.on_ns.min(time(true));
-        set(false);
-        t.off_ns = t.off_ns.min(time(false));
+    assert!(pairs >= 1, "an A/B needs at least one pair");
+    let (mut on_ns, mut off_ns) = (f64::MAX, f64::MAX);
+    let mut ratios = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let on_first = pair % 2 == 0;
+        let mut ns = [0.0; 2]; // indexed by the switch state
+        for on in [on_first, !on_first] {
+            set(on);
+            ns[usize::from(on)] = time(on);
+        }
+        let [off, on] = ns;
+        on_ns = on_ns.min(on);
+        off_ns = off_ns.min(off);
+        ratios.push(on / off.max(1.0));
     }
     set(true);
-    t
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let ratio = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    AbTimes {
+        on_ns,
+        off_ns,
+        ratio,
+    }
 }
 
 /// A table of A/B results: one row per `(path, times)`.
 pub fn ab_table(rows: &[(&str, AbTimes)]) -> Table {
-    let mut table = Table::new(["path", "on ns", "off ns", "on/off"]);
+    let mut table = Table::new(["path", "min on ns", "min off ns", "median on/off"]);
     for (path, t) in rows {
         table.row([
             (*path).to_string(),
             format!("{:.0}", t.on_ns),
             format!("{:.0}", t.off_ns),
-            format!("{:.3}", t.ratio()),
+            format!("{:.3}", t.ratio),
         ]);
     }
     table
@@ -444,33 +458,38 @@ mod tests {
     }
 
     #[test]
-    fn ab_min_alternates_keeps_minima_and_leaves_the_switch_on() {
+    fn ab_paired_alternates_gates_on_the_pair_median_and_leaves_the_switch_on() {
         let log = std::cell::RefCell::new(Vec::new());
-        let mut times = [5.0, 9.0, 3.0, 8.0, 4.0, 10.0].into_iter();
-        let t = ab_min(
+        // Pair ratios on/off: 6/5 = 1.2; then off runs first, 8/4 = 2.0;
+        // then 3/10 = 0.3. The minima mix pairs: 3/4 would read 0.75.
+        let mut times = [6.0, 5.0, 4.0, 8.0, 3.0, 10.0].into_iter();
+        let t = ab_paired(
             3,
             |on| log.borrow_mut().push(("set", on)),
             |on| {
                 log.borrow_mut().push(("time", on));
-                times.next().expect("two timings per round")
+                times.next().expect("two timings per pair")
             },
         );
         assert_eq!(
             t,
             AbTimes {
                 on_ns: 3.0,
-                off_ns: 8.0
+                off_ns: 4.0,
+                ratio: 1.2
             }
         );
-        let round = [
-            ("set", true),
-            ("time", true),
-            ("set", false),
-            ("time", false),
-        ];
-        let mut expected: Vec<_> = round.iter().cycle().take(12).copied().collect();
+        let order = [true, false, false, true, true, false];
+        let mut expected: Vec<_> = order
+            .iter()
+            .flat_map(|&on| [("set", on), ("time", on)])
+            .collect();
         expected.push(("set", true));
         assert_eq!(log.into_inner(), expected);
+        // An even pair count takes the mean of the two middle ratios.
+        let mut times = [2.0, 1.0, 1.0, 1.0].into_iter();
+        let t = ab_paired(2, |_| {}, |_| times.next().expect("two pairs"));
+        assert_eq!(t.ratio, 1.5);
     }
 
     #[test]

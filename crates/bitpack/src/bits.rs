@@ -9,6 +9,8 @@
 //! conventional on-disk layout of IoTDB's bit-packing and making hex dumps
 //! human-readable.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::{DecodeError, DecodeResult};
 
 /// Appends bits to a growable byte buffer, MSB-first.

@@ -15,6 +15,8 @@
 //! driver: outer encodings with independent blocks (TS2DIFF) run their
 //! own per-block sessions through it behind their own stream header.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::{DecodeResult, EncodeError};
 use crate::width::{range_u64, width};
 use crate::zigzag::{read_varint, write_varint};

@@ -4,8 +4,8 @@
 //! format in `bos`, the PFOR family, the outer encodings, float codecs,
 //! general-purpose decompressors, and the `tsfile`/`query` readers — report
 //! failure through this one enum. A decoder must never panic on malformed
-//! input; the `xtask lint` gate enforces that the decode modules listed in
-//! `lint.toml` contain no `unwrap`/`expect`/`panic!`/unchecked indexing, and
+//! input; clippy holds the decode crates to no `unwrap`/`expect`/`panic!`
+//! and their decode modules to no unchecked indexing, and
 //! the adversarial proptests feed random, truncated, and bit-flipped buffers
 //! to confirm every failure surfaces as a `DecodeError`.
 

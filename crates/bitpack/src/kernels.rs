@@ -14,6 +14,9 @@
 //! MSB-first `BitWriter` stream. Each kernel pair is self-consistent; the
 //! equivalence test compares decoded values, not raw bytes.
 
+#![deny(clippy::indexing_slicing)]
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::{DecodeError, DecodeResult};
 use crate::width::width;
 
@@ -123,6 +126,10 @@ pub fn unpack_words(buf: &[u8], n: usize, w: u32, out: &mut Vec<u64>) -> DecodeR
 /// asserts in debug builds and lets the slice index panic surface in the
 /// worst case.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "caller validated the payload length via packed_size"
+)]
 pub(crate) fn read_word_exact(payload: &[u8], idx: usize) -> u64 {
     let start = idx * 8;
     debug_assert!(
@@ -131,7 +138,7 @@ pub(crate) fn read_word_exact(payload: &[u8], idx: usize) -> u64 {
         payload.len()
     );
     let mut word = [0u8; 8];
-    word.copy_from_slice(&payload[start..start + 8]); // lint:allow(no-indexing): caller validated the payload length via packed_size
+    word.copy_from_slice(&payload[start..start + 8]);
     u64::from_le_bytes(word)
 }
 

@@ -9,6 +9,8 @@
 //! [`Simple8bError::ValueTooLarge`]. The PFOR callers guarantee this by
 //! construction (exception high-bits are at most `64 − b` wide with `b ≥ 4`).
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::{DecodeError, DecodeResult};
 use crate::width::width;
 use crate::zigzag::{read_len_bounded, write_varint};

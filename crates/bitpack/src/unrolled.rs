@@ -35,6 +35,8 @@
 //! (`packed_size(n, w)` bytes). A property test asserts byte-identical
 //! output against the generic kernels for every width 0..=64.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::{DecodeError, DecodeResult};
 use crate::kernels::{self, packed_size};
 
@@ -78,16 +80,21 @@ macro_rules! unroll_lane {
 /// bounds checks on the fixed-size arrays vanish and the straddle `if`
 /// is resolved statically.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is a literal < LANE, and word (word + 1 on a straddle, which never \
+              starts in the last word) is a constant < W <= 64 after expansion"
+)]
 fn pack_lane<const W: u32>(values: &[u64; LANE], out: &mut [u64; LANE]) {
     let w = W as usize;
     unroll_lane!(i, {
-        let v = values[i]; // lint:allow(no-indexing): i is a literal < LANE
+        let v = values[i];
         let bit = i * w;
         let word = bit / 64;
         let shift = bit % 64;
-        out[word] |= v << shift; // lint:allow(no-indexing): word < W <= 64 is a constant after expansion
+        out[word] |= v << shift;
         if shift + w > 64 {
-            out[word + 1] |= v >> (64 - shift); // lint:allow(no-indexing): a straddle never starts in the last word, so word + 1 < W <= 64
+            out[word + 1] |= v >> (64 - shift);
         }
     });
 }
@@ -95,6 +102,11 @@ fn pack_lane<const W: u32>(values: &[u64; LANE], out: &mut [u64; LANE]) {
 /// Shared monomorphized body of the width-`W` unpack kernels (see
 /// [`pack_lane`] for why the steps are macro-expanded).
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is a literal < LANE, and word (word + 1 on a straddle, which never \
+              starts in the last word) is a constant < W <= 64 after expansion"
+)]
 fn unpack_lane<const W: u32>(words: &[u64; LANE], out: &mut [u64; LANE]) {
     let w = W as usize;
     let mask = if W == 64 { u64::MAX } else { (1u64 << W) - 1 };
@@ -102,11 +114,11 @@ fn unpack_lane<const W: u32>(words: &[u64; LANE], out: &mut [u64; LANE]) {
         let bit = i * w;
         let word = bit / 64;
         let shift = bit % 64;
-        let mut v = words[word] >> shift; // lint:allow(no-indexing): word < W <= 64 is a constant after expansion
+        let mut v = words[word] >> shift;
         if shift + w > 64 {
-            v |= words[word + 1] << (64 - shift); // lint:allow(no-indexing): a straddle never starts in the last word, so word + 1 < W <= 64
+            v |= words[word + 1] << (64 - shift);
         }
-        out[i] = v & mask; // lint:allow(no-indexing): i is a literal < LANE
+        out[i] = v & mask;
     });
 }
 
@@ -235,12 +247,16 @@ pub const UNPACK_LANE: [UnpackLaneFn; 65] = [
 /// bytes via a single stack staging buffer (one `extend_from_slice` per
 /// lane instead of one per word).
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "w <= 64, so w * 8 <= 512 = bytes.len()"
+)]
 fn spill_words(words: &[u64; LANE], w: usize, out: &mut Vec<u8>) {
     let mut bytes = [0u8; LANE * 8];
     for (chunk, &word) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(words.iter()) {
         *chunk = word.to_le_bytes();
     }
-    out.extend_from_slice(&bytes[..w * 8]); // lint:allow(no-indexing): w <= 64, so w * 8 <= 512 = bytes.len()
+    out.extend_from_slice(&bytes[..w * 8]);
 }
 
 /// Loads one lane's `w` little-endian words from its exact byte region.
@@ -255,18 +271,26 @@ fn load_lane_words(lane_bytes: &[u8], words: &mut [u64; LANE]) {
 /// [`pack_words`](crate::kernels::pack_words), dispatching full 64-value
 /// lanes through the unrolled kernel table. Values must fit in `w` bits.
 /// Returns the number of bytes appended.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the scratch fill: wn <= 64 = scratch.len()"
+)]
 pub fn pack_words_unrolled(values: &[u64], w: u32, out: &mut Vec<u8>) -> usize {
     assert!(w <= 64, "width {w} exceeds 64");
     let before = out.len();
     if w == 0 || values.is_empty() {
         return 0;
     }
-    let kernel = PACK_LANE[w as usize]; // lint:allow(no-indexing): w <= 64 asserted above, table has 65 entries
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "w <= 64 asserted above, table has 65 entries"
+    )]
+    let kernel = PACK_LANE[w as usize];
     let wn = w as usize;
     let mut scratch = [0u64; LANE];
     let (lanes, rem) = values.as_chunks::<LANE>();
     for lane in lanes {
-        scratch[..wn].fill(0); // lint:allow(no-indexing): wn <= 64 = scratch.len()
+        scratch[..wn].fill(0);
         kernel(lane, &mut scratch);
         spill_words(&scratch, wn, out);
     }
@@ -303,7 +327,11 @@ pub fn unpack_words_unrolled(
     // Unpack straight into the output vector: resize once, then each lane
     // kernel writes its 64 values in place (no per-lane scratch + memcpy).
     out.resize(start + full * LANE, 0);
-    let lanes_out = out[start..].as_chunks_mut::<LANE>().0; // lint:allow(no-indexing): start was out.len() before the resize above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start was out.len() before the resize above"
+    )]
+    let lanes_out = out[start..].as_chunks_mut::<LANE>().0;
     let mut words = [0u64; LANE];
     for (lane_bytes, vals) in payload.chunks_exact(wn * 8).zip(lanes_out) {
         load_lane_words(lane_bytes, &mut words);
@@ -325,13 +353,21 @@ pub fn unpack_words_unrolled(
 /// low bits); when every delta fits `w` bits this is exactly
 /// `for_transform` + `pack_words`. Returns the bytes appended
 /// (`packed_size(values.len(), w)`).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the scratch fill: wn <= 64 = scratch.len()"
+)]
 pub fn pack_words_for(values: &[i64], reference: i64, w: u32, out: &mut Vec<u8>) -> usize {
     assert!(w <= 64, "width {w} exceeds 64");
     let before = out.len();
     if w == 0 || values.is_empty() {
         return 0;
     }
-    let kernel = PACK_LANE[w as usize]; // lint:allow(no-indexing): w <= 64 asserted above, table has 65 entries
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "w <= 64 asserted above, table has 65 entries"
+    )]
+    let kernel = PACK_LANE[w as usize];
     let wn = w as usize;
     let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
     let mut deltas = [0u64; LANE];
@@ -341,7 +377,7 @@ pub fn pack_words_for(values: &[i64], reference: i64, w: u32, out: &mut Vec<u8>)
         for (slot, &v) in deltas.iter_mut().zip(lane.iter()) {
             *slot = (v.wrapping_sub(reference) as u64) & mask;
         }
-        scratch[..wn].fill(0); // lint:allow(no-indexing): wn <= 64 = scratch.len()
+        scratch[..wn].fill(0);
         kernel(&deltas, &mut scratch);
         spill_words(&scratch, wn, out);
     }
@@ -379,7 +415,11 @@ pub fn unpack_words_for(
     let full = n / LANE;
     let start = out.len();
     out.resize(start + full * LANE, 0);
-    let lanes_out = out[start..].as_chunks_mut::<LANE>().0; // lint:allow(no-indexing): start was out.len() before the resize above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start was out.len() before the resize above"
+    )]
+    let lanes_out = out[start..].as_chunks_mut::<LANE>().0;
     let mut words = [0u64; LANE];
     let mut vals = [0u64; LANE];
     for (lane_bytes, lane_out) in payload.chunks_exact(wn * 8).zip(lanes_out) {

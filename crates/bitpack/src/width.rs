@@ -12,6 +12,8 @@
 //!   `n − nl − nu`") show that each non-empty part pays at least one bit per
 //!   value, which is what the deployed encoder does.
 
+#![deny(clippy::cast_possible_truncation)]
+
 /// `⌈log2(range + 1)⌉`: bits needed for any value in `0..=range`.
 ///
 /// ```
@@ -68,6 +70,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "x < 4096, so w <= 12 and 2^(w - 1) fits u64"
+    )]
     fn width_is_ceil_log2_plus_one_domain() {
         for x in 0..4096u64 {
             let w = width(x);

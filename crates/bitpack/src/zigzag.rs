@@ -5,6 +5,8 @@
 //! exploit. Block headers (counts, minima) are stored as varints so small
 //! blocks stay small.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::{DecodeError, DecodeResult};
 
 /// Maps `i64` to `u64` such that small-magnitude values map to small

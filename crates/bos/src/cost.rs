@@ -6,6 +6,8 @@
 //! `O(log m)` via [`SortedBlock::evaluate`], whose result is bit-exact with
 //! what [`crate::format`] writes (payload + position bitmap).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use bitpack::width::{range_u64, width, width1};
 
 /// A candidate outlier separation `(xl, xu)`.
@@ -183,6 +185,10 @@ impl SortedBlock {
     }
 
     /// Largest value `xmax`. Panics on an empty block.
+    #[expect(
+        clippy::expect_used,
+        reason = "encoder-side planning: solvers only summarize non-empty blocks"
+    )]
     pub fn xmax(&self) -> i64 {
         *self.vals.last().expect("non-empty block")
     }
@@ -269,10 +275,12 @@ impl SortedBlock {
         // Center bounds: smallest distinct > xl and largest distinct < xu.
         let (min_xc, max_xc) = if nc > 0 {
             let lo = match sep.xl {
+                #[expect(clippy::expect_used, reason = "nc > 0: a center value lies above xl")]
                 Some(xl) => self.min_gt(xl).expect("nc > 0"),
                 None => xmin,
             };
             let hi = match sep.xu {
+                #[expect(clippy::expect_used, reason = "nc > 0: a center value lies below xu")]
                 Some(xu) => self.max_lt(xu).expect("nc > 0"),
                 None => xmax,
             };

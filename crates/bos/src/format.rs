@@ -40,6 +40,8 @@
 //! at most ~7 bytes of padding per region on top of that, which
 //! [`separated_payload_bytes`] accounts for exactly.
 
+#![deny(clippy::indexing_slicing)]
+
 #[cfg(test)]
 use crate::cost::Separation;
 use crate::cost::{Evaluation, Solution, SortedBlock};

@@ -225,15 +225,12 @@ impl ValueSolver {
         let ranges = balanced_ranges(m, threads);
         let mut chunk_bests: Vec<Option<RangeBest>> = Vec::new();
         chunk_bests.resize_with(ranges.len(), || None);
+        // The scope joins every worker and re-raises a worker's panic.
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ranges.len());
             for (slot, &(lo, hi)) in chunk_bests.iter_mut().zip(&ranges) {
-                handles.push(scope.spawn(move || {
+                scope.spawn(move || {
                     *slot = Some(search_range(block, lo, hi));
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("solver worker panicked");
+                });
             }
         });
         let mut merged = RangeBest {

@@ -11,6 +11,8 @@
 //! All arithmetic is wrapping, so the transform is a bijection on `i64`
 //! sequences and the inverse is exact for any input.
 
+#![deny(clippy::indexing_slicing)]
+
 /// Applies `order` rounds of wrapping differencing in place.
 ///
 /// After the call, `values[..order]` hold the original heads needed for

@@ -6,6 +6,8 @@
 //! synthetic float datasets in this reproduction are generated with a
 //! fixed decimal precision, so the conversion is exactly invertible.
 
+#![deny(clippy::indexing_slicing)]
+
 /// Largest decimal precision we ever infer (10^15 still fits f64's 53-bit
 /// mantissa for the magnitudes in the evaluation datasets).
 pub const MAX_PRECISION: u32 = 10;

@@ -5,6 +5,8 @@
 //! `floatint` module, producing exactly the method grid of
 //! Figure 10 ("RLE+BOS-B", "TS2DIFF+FASTPFOR", …).
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::rle::RleEncoding;
 use crate::sprintz::SprintzEncoding;
 use crate::ts2diff::Ts2DiffEncoding;

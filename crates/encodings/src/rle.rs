@@ -10,6 +10,8 @@
 //! `varint (len << 1 | is_run)` followed by `zigzag value` for runs or an
 //! operator block for literals.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::IntPacker;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};

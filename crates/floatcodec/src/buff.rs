@@ -16,6 +16,8 @@
 //!   u8 w_full · varint n_outliers · outlier bitmap (n bits) ·
 //!   normals at w_normal bits · outliers at w_full bits`.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::FloatCodec;
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::error::{DecodeError, DecodeResult};

@@ -12,6 +12,8 @@
 //! * `10` — same leading level as previous: `64 − lead` significant bits;
 //! * `11` — new leading level: 3 bits level, then `64 − lead` bits.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::FloatCodec;
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::error::{DecodeError, DecodeResult};

@@ -19,6 +19,8 @@
 //! This is the extension codec (not part of the paper's Figure 10 grid,
 //! which uses plain Chimp); see `ChimpCodec` for the grid baseline.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::FloatCodec;
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::error::{DecodeError, DecodeResult};

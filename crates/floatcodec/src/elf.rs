@@ -12,6 +12,8 @@
 //! XOR stream untouched (NaN/∞, sub-decimal values, or values where
 //! erasure saves nothing). The XOR backend is the Gorilla window coder.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::gorilla::{xor_decode_one, xor_encode_one};
 use crate::FloatCodec;
 use bitpack::bits::{BitReader, BitWriter};

@@ -9,6 +9,8 @@
 //! * `11` — new window: 5 bits leading-zero count (capped at 31), 6 bits
 //!   meaningful-bit count (stored as count − 1), then the bits.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::FloatCodec;
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::error::{DecodeError, DecodeResult};

@@ -17,6 +17,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod buff;
 pub mod chimp;

@@ -14,6 +14,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod lz4;
 pub mod lzma_lite;

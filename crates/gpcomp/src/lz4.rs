@@ -7,6 +7,8 @@
 //! then the literals, then a 2-byte little-endian offset. The final
 //! sequence is literals-only.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::ByteCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::zigzag::{read_varint, write_varint};

@@ -33,6 +33,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod bp;
 pub mod fastpfor;

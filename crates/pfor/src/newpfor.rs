@@ -26,6 +26,11 @@ const MAX_HIGH_BITS: u32 = 60;
 
 /// Encodes the shared NewPFD layout with a given slot width. Used by both
 /// NewPFOR (heuristic `b`) and OptPFOR (exact `b`).
+#[expect(
+    clippy::expect_used,
+    reason = "encode-side invariants: positions are i < MAX_BLOCK_VALUES < 2^60, and \
+              highs v >> b have <= MAX_HIGH_BITS bits"
+)]
 pub(crate) fn encode_pfd(values: &[i64], b: u32, out: &mut Vec<u8>) {
     debug_assert!(!values.is_empty());
     let min = values.iter().copied().min().unwrap_or(0);
@@ -51,8 +56,8 @@ pub(crate) fn encode_pfd(values: &[i64], b: u32, out: &mut Vec<u8>) {
     out.push(w_full as u8);
     out.push(b as u8);
     pack_words_for(values, min, b, out);
-    simple8b::encode(&positions, out).expect("positions fit 60 bits"); // lint:allow(no-panic): encode-side invariant, i < MAX_BLOCK_VALUES < 2^60
-    simple8b::encode(&highs, out).expect("high bits bounded by MAX_HIGH_BITS"); // lint:allow(no-panic): encode-side invariant, v >> b has <= MAX_HIGH_BITS <= 32 bits
+    simple8b::encode(&positions, out).expect("positions fit 60 bits");
+    simple8b::encode(&highs, out).expect("high bits bounded by MAX_HIGH_BITS");
 }
 
 /// Decodes the shared NewPFD layout.

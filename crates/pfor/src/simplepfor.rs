@@ -71,6 +71,10 @@ impl Codec for SimplePforCodec {
         "SIMPLEPFOR"
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side invariant: highs are (v >> b) < 2^60"
+    )]
     fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
         write_varint(out, values.len() as u64);
         if values.is_empty() {
@@ -99,7 +103,7 @@ impl Codec for SimplePforCodec {
             out[exc_at] = n_exc;
             pack_words_for(vblock, min, b, out);
         }
-        simple8b::encode(&highs, out).expect("high bits bounded by 60"); // lint:allow(no-panic): encode-side invariant, highs are (v >> b) < 2^60
+        simple8b::encode(&highs, out).expect("high bits bounded by 60");
     }
 
     fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {

@@ -24,6 +24,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(clippy::indexing_slicing)]
 
 use bitpack::error::DecodeError;
 use bitpack::zigzag::read_varint;

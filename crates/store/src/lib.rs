@@ -20,6 +20,13 @@
 //! damaged files through [`TsFileReader::open_salvage`] into a typed
 //! quarantine instead of failing the open.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod manifest;
 
 use faultsim::CrashSchedule;

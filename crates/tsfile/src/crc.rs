@@ -8,6 +8,10 @@
 const POLY: u32 = 0xEDB8_8320;
 
 /// The 256-entry lookup table, computed at compile time.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the loop keeps i < 256 = table.len()"
+)]
 const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -29,6 +33,10 @@ const TABLE: [u32; 256] = {
 };
 
 /// Computes the CRC-32 of `data`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the index is masked to 0..=255, and the table has 256 entries"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in data {

@@ -31,6 +31,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(clippy::indexing_slicing)]
 
 pub mod crc;
 

@@ -10,13 +10,6 @@ use std::collections::BTreeSet;
 /// Parsed lint configuration.
 #[derive(Debug, Default, Clone)]
 pub struct Config {
-    /// Files whose shipping code must be free of `unwrap`/`expect`/
-    /// `panic!`-family macros.
-    pub no_panic: Vec<String>,
-    /// Files whose shipping code must be free of unchecked indexing.
-    pub no_indexing: Vec<String>,
-    /// Files whose shipping code must be free of narrowing `as` casts.
-    pub no_narrowing_casts: Vec<String>,
     /// Files whose shipping code must read varint length fields through
     /// `read_len_bounded` — a bare `read_varint(..) as usize` used as a
     /// length lets ten corrupt bytes size a multi-gigabyte allocation.
@@ -44,18 +37,12 @@ pub struct Config {
     /// `File::create` / `fs::write` with fsync + rename in the same
     /// function (the temp-file → fsync → rename durability protocol).
     pub durable_rename: Vec<String>,
-    /// Files under `crates/` deliberately *not* opted into `[no-panic]`
-    /// (bench mains, CLI glue). Everything else must be covered.
-    pub uncovered_ok: Vec<String>,
 }
 
 impl Config {
     /// Parses the configuration, validating section and key names.
     pub fn parse(raw: &str) -> Result<Config, String> {
         let known: BTreeSet<&str> = [
-            "no-panic",
-            "no-indexing",
-            "no-narrowing-casts",
             "len-read-bounded",
             "encode-decode-pairing",
             "obs-label-unique",
@@ -63,7 +50,6 @@ impl Config {
             "error-variant-coverage",
             "trail-event-paired",
             "durable-rename",
-            "uncovered-ok",
         ]
         .into();
         let mut config = Config::default();
@@ -130,9 +116,6 @@ impl Config {
                 values.push(v.to_string());
             }
             match section.as_str() {
-                "no-panic" => config.no_panic = values,
-                "no-indexing" => config.no_indexing = values,
-                "no-narrowing-casts" => config.no_narrowing_casts = values,
                 "len-read-bounded" => config.len_read_bounded = values,
                 "encode-decode-pairing" => config.pairing_crates = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
@@ -140,7 +123,6 @@ impl Config {
                 "error-variant-coverage" => config.error_variant_enums = values,
                 "trail-event-paired" => config.trail_event_enums = values,
                 "durable-rename" => config.durable_rename = values,
-                "uncovered-ok" => config.uncovered_ok = values,
                 // The section set was validated at the header; an unknown
                 // name here means the two lists drifted apart.
                 other => return Err(format!("line {}: unhandled section [{other}]", lno + 1)),
@@ -166,16 +148,13 @@ mod tests {
     fn parses_multiline_arrays() {
         let raw = r#"
 # the gate
-[no-panic]
+[len-read-bounded]
 files = [
     "a/b.rs",  # decode hot path
     "c/d.rs",
 ]
 
-[no-indexing]
-files = ["a/b.rs"]
-
-[no-narrowing-casts]
+[unchecked-arith-in-decode]
 files = []
 
 [encode-decode-pairing]
@@ -185,9 +164,8 @@ crates = ["crates/bos"]
 patterns = ["CounterHandle::new", "obs::span"]
 "#;
         let c = Config::parse(raw).expect("parses");
-        assert_eq!(c.no_panic, vec!["a/b.rs", "c/d.rs"]);
-        assert_eq!(c.no_indexing, vec!["a/b.rs"]);
-        assert!(c.no_narrowing_casts.is_empty());
+        assert_eq!(c.len_read_bounded, vec!["a/b.rs", "c/d.rs"]);
+        assert!(c.unchecked_arith.is_empty());
         assert_eq!(c.pairing_crates, vec!["crates/bos"]);
         assert_eq!(
             c.obs_label_patterns,
@@ -215,16 +193,12 @@ enums = ["Event"]
 
 [durable-rename]
 files = ["crates/store/src/lib.rs"]
-
-[uncovered-ok]
-files = ["crates/bench/src/main.rs"]
 "#;
         let c = Config::parse(raw).expect("parses");
         assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/bits.rs"]);
         assert_eq!(c.error_variant_enums, vec!["DecodeError", "SkipReason"]);
         assert_eq!(c.trail_event_enums, vec!["Event"]);
         assert_eq!(c.durable_rename, vec!["crates/store/src/lib.rs"]);
-        assert_eq!(c.uncovered_ok, vec!["crates/bench/src/main.rs"]);
     }
 
     #[test]
@@ -239,10 +213,10 @@ files = ["crates/bench/src/main.rs"]
 
     #[test]
     fn rejects_unknown_sections_and_keys() {
-        assert!(Config::parse("[no-panics]\nfiles = []").is_err());
-        assert!(Config::parse("[no-panic]\npaths = []").is_err());
-        assert!(Config::parse("[no-panic]\nfiles = [unquoted]").is_err());
-        assert!(Config::parse("[no-panic]\nfiles = [\n  \"x.rs\",").is_err());
+        assert!(Config::parse("[len-read-bound]\nfiles = []").is_err());
+        assert!(Config::parse("[len-read-bounded]\npaths = []").is_err());
+        assert!(Config::parse("[len-read-bounded]\nfiles = [unquoted]").is_err());
+        assert!(Config::parse("[len-read-bounded]\nfiles = [\n  \"x.rs\",").is_err());
         // Sections of retired rules: a stale `lint.toml` must fail loudly,
         // not silently configure nothing.
         for retired in [
@@ -250,6 +224,10 @@ files = ["crates/bench/src/main.rs"]
             "join-all-spawns",
             "codec-label-unique",
             "solver-entry-scratch",
+            "no-panic",
+            "no-indexing",
+            "no-narrowing-casts",
+            "uncovered-ok",
         ] {
             let err = Config::parse(&format!("[{retired}]\nfiles = []")).unwrap_err();
             assert!(err.contains("unknown section"), "{retired}: {err}");

@@ -1,11 +1,10 @@
 //! A hand-rolled, std-only, spanned Rust lexer for the lint engine.
 //!
-//! The old gate worked on [`crate::strip`]-style blanked text, which kept
-//! byte offsets but lost token boundaries — rules were substring matches
-//! that could not tell `unwrap` from `unwrap_or` without hand-written
-//! boundary checks, and could not see item structure at all. This lexer
-//! produces a real token stream with exact `line:col` spans; the rules in
-//! [`crate::rules`] and the item tree in [`crate::tree`] are built on it.
+//! Substring matches over comment-blanked text cannot tell `unwrap` from
+//! `unwrap_or` without hand-written boundary checks, and cannot see item
+//! structure at all. This lexer produces a real token stream with exact
+//! `line:col` spans; the rules in [`crate::rules`] and the item tree in
+//! [`crate::tree`] are built on it.
 //!
 //! Scope (deliberate): this is a *lint* lexer, not a compiler front end.
 //! It handles everything the workspace's sources actually contain —

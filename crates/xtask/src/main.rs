@@ -10,34 +10,42 @@
 //! `#[cfg(test)]` detection ([`tree`]), and enforces the rule catalog
 //! configured in `lint.toml` (see DESIGN.md §7 for the full catalog):
 //!
-//! - **no-panic / no-indexing / no-narrowing-casts / len-read-bounded /
-//!   unchecked-arith-in-decode** — per-file decode-path hardening rules.
+//! - **len-read-bounded / unchecked-arith-in-decode** — per-file
+//!   decode-path hardening rules.
 //! - **encode-decode-pairing / obs-label-unique** — cross-file structural
 //!   invariants of the codec and obs layers.
 //! - **error-variant-coverage / trail-event-paired / durable-rename** —
 //!   semantic rules over the item tree (dead error variants and trail
 //!   events, non-atomic file writes in the storage tier).
-//! - **lint-config-hygiene / no-panic-coverage** — `lint.toml`
-//!   self-checks: listed files must exist, and every shipping file under
-//!   `crates/` is either in `[no-panic]` or allow-listed in
-//!   `[uncovered-ok]`.
+//! - **lint-config-hygiene** — `lint.toml` self-check: listed files must
+//!   exist.
 //!
 //! Invariants a type, a test or clippy can carry live there instead:
-//! detached threads are a `disallowed-methods` entry in the root
+//! the decode crates deny clippy's panic family at their roots and
+//! `indexing_slicing` / `cast_possible_truncation` in their decode
+//! modules, detached threads are a `disallowed-methods` entry in the root
 //! `clippy.toml`, and the kernel dispatch tables and codec labels are
-//! pinned by unit tests (see DESIGN.md §7).
+//! pinned by unit tests (see DESIGN.md §7). This crate denies the panic
+//! family too: a panicking linter is a broken gate.
 //!
 //! Opting a single line out requires a written justification:
 //!
 //! ```text
-//! foo[i] // lint:allow(no-indexing): i < len established two lines up
+//! len * 8 // lint:allow(unchecked-arith-in-decode): len <= 64 checked above
 //! ```
 //!
 //! An empty justification is itself an error.
 //!
 //! `--format json` prints a stable machine-readable report (schema
-//! `bos-xtask-lint/2`) to stdout.
+//! `bos-xtask-lint/3`) to stdout.
 //! Exit status: 0 clean, 1 findings, 2 configuration/IO problems.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod config;
 mod lexer;
@@ -45,8 +53,6 @@ mod lexer;
 mod lexer_props;
 mod report;
 mod rules;
-#[cfg(test)]
-mod strip;
 mod tree;
 
 use std::path::PathBuf;
@@ -120,8 +126,8 @@ fn lint(json: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = match rules::run(&root, &config) {
-        Ok(r) => r,
+    let findings = match rules::run(&root, &config) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
@@ -129,12 +135,12 @@ fn lint(json: bool) -> ExitCode {
     };
 
     let rendered = if json {
-        report::render_json(&report.findings, &report.coverage)
+        report::render_json(&findings)
     } else {
-        report::render_text(&report.findings, &report.coverage)
+        report::render_text(&findings)
     };
     print!("{rendered}");
-    if report.findings.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

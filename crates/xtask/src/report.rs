@@ -1,9 +1,8 @@
 //! Finding type and text/JSON rendering.
 //!
 //! The JSON shape is a stable machine-readable contract (schema
-//! `bos-xtask-lint/2`): findings sorted by (file, line, col, rule), a
-//! `total`, and a `coverage` block mirroring the `lint.toml` hygiene
-//! report. The tier-1 recipe archives it as `lint_report.json`.
+//! `bos-xtask-lint/3`): findings sorted by (file, line, col, rule) and a
+//! `total`. The tier-1 recipe archives it as `lint_report.json`.
 
 use std::fmt::Write as _;
 
@@ -23,35 +22,8 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Coverage numbers for the `lint.toml` hygiene report.
-#[derive(Debug, Default, Clone)]
-pub struct Coverage {
-    /// `.rs` files under `crates/` eligible for `no-panic` coverage
-    /// (shipping sources; `tests/`, `benches/`, vendored code excluded).
-    pub eligible: usize,
-    /// Of those, files opted into `[no-panic]`.
-    pub covered: usize,
-    /// Files explicitly allow-listed in `[uncovered-ok]`.
-    pub uncovered_ok: usize,
-}
-
-impl Coverage {
-    /// One-line human-readable summary.
-    pub fn render(&self) -> String {
-        let gap = self
-            .eligible
-            .saturating_sub(self.covered)
-            .saturating_sub(self.uncovered_ok);
-        format!(
-            "coverage: {} shipping .rs files under crates/, {} in [no-panic], \
-             {} in [uncovered-ok], {} uncovered",
-            self.eligible, self.covered, self.uncovered_ok, gap
-        )
-    }
-}
-
 /// Renders findings as the classic `file:line:col: [rule] message` lines.
-pub fn render_text(findings: &[Finding], coverage: &Coverage) -> String {
+pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         let _ = writeln!(
@@ -60,7 +32,6 @@ pub fn render_text(findings: &[Finding], coverage: &Coverage) -> String {
             f.file, f.line, f.col, f.rule, f.message
         );
     }
-    let _ = writeln!(out, "{}", coverage.render());
     match findings.len() {
         0 => {
             let _ = writeln!(out, "xtask lint: clean");
@@ -73,8 +44,8 @@ pub fn render_text(findings: &[Finding], coverage: &Coverage) -> String {
 }
 
 /// Renders the stable JSON report.
-pub fn render_json(findings: &[Finding], coverage: &Coverage) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bos-xtask-lint/2\",\n  \"findings\": [");
+pub fn render_json(findings: &[Finding]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"bos-xtask-lint/3\",\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -90,14 +61,7 @@ pub fn render_json(findings: &[Finding], coverage: &Coverage) -> String {
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
-    let _ = write!(
-        out,
-        "],\n  \"total\": {},\n  \"coverage\": {{\"eligible\": {}, \"no_panic\": {}, \"uncovered_ok\": {}}}\n}}\n",
-        findings.len(),
-        coverage.eligible,
-        coverage.covered,
-        coverage.uncovered_ok
-    );
+    let _ = write!(out, "],\n  \"total\": {}\n}}\n", findings.len());
     out
 }
 
@@ -132,25 +96,25 @@ mod tests {
                 file: "a.rs".into(),
                 line: 3,
                 col: 7,
-                rule: "no-panic",
-                message: "forbidden: `.unwrap()`".into(),
+                rule: "len-read-bounded",
+                message: "`read_varint(..) as usize` used as a length".into(),
             },
             Finding {
                 file: "b.rs".into(),
                 line: 1,
                 col: 1,
-                rule: "no-indexing",
-                message: "unchecked indexing".into(),
+                rule: "unchecked-arith-in-decode",
+                message: "unchecked `*` on length/offset expression".into(),
             },
         ]
     }
 
     #[test]
     fn text_render_includes_positions_and_summary() {
-        let t = render_text(&probe(), &Coverage::default());
-        assert!(t.contains("a.rs:3:7: [no-panic]"));
+        let t = render_text(&probe());
+        assert!(t.contains("a.rs:3:7: [len-read-bounded]"));
         assert!(t.contains("2 finding(s)"));
-        let clean = render_text(&[], &Coverage::default());
+        let clean = render_text(&[]);
         assert!(clean.contains("clean"));
     }
 
@@ -158,20 +122,12 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut f = probe();
         f[0].message = "weird \"quote\"\nand\ttab".into();
-        let j = render_json(
-            &f,
-            &Coverage {
-                eligible: 10,
-                covered: 6,
-                uncovered_ok: 4,
-            },
-        );
-        assert!(j.contains("\"schema\": \"bos-xtask-lint/2\""));
+        let j = render_json(&f);
+        assert!(j.contains("\"schema\": \"bos-xtask-lint/3\""));
         assert!(j.contains("\\\"quote\\\"\\nand\\ttab"));
-        assert!(j.contains("\"total\": 2"));
-        assert!(j.contains("\"eligible\": 10"));
+        assert!(j.contains("\"total\": 2\n}"));
         // Empty report still well-formed.
-        let empty = render_json(&[], &Coverage::default());
+        let empty = render_json(&[]);
         assert!(empty.contains("\"findings\": []"));
     }
 }

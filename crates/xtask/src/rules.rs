@@ -14,14 +14,8 @@ use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::lexer::{self, Token, TokenKind};
-use crate::report::{Coverage, Finding};
+use crate::report::Finding;
 use crate::tree::{self, Item, ItemKind};
-
-/// Everything one lint run produces.
-pub struct Report {
-    pub findings: Vec<Finding>,
-    pub coverage: Coverage,
-}
 
 /// A lexed and item-parsed source file, shared by every rule reading it.
 pub struct SourceFile {
@@ -157,10 +151,10 @@ impl Workspace {
 }
 
 /// Runs every configured rule; findings are sorted by file and position.
-pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
+pub fn run(root: &Path, config: &Config) -> Result<Vec<Finding>, String> {
     let ws = Workspace::load(root)?;
     let mut findings = Vec::new();
-    let coverage = hygiene(root, config, &ws, &mut findings);
+    hygiene(root, config, &mut findings);
 
     for (rel, rule, scan) in per_file_rules(config) {
         if let Some(f) = ws.get(&rel) {
@@ -175,7 +169,7 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
 
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(Report { findings, coverage })
+    Ok(findings)
 }
 
 type ScanFn = fn(&SourceFile) -> Vec<(usize, String)>;
@@ -183,15 +177,6 @@ type ScanFn = fn(&SourceFile) -> Vec<(usize, String)>;
 /// The configured (file, rule, scanner) triples for the per-file rules.
 fn per_file_rules(config: &Config) -> Vec<(String, &'static str, ScanFn)> {
     let mut out: Vec<(String, &'static str, ScanFn)> = Vec::new();
-    for rel in &config.no_panic {
-        out.push((rel.clone(), "no-panic", panic_hits));
-    }
-    for rel in &config.no_indexing {
-        out.push((rel.clone(), "no-indexing", indexing_hits));
-    }
-    for rel in &config.no_narrowing_casts {
-        out.push((rel.clone(), "no-narrowing-casts", narrowing_hits));
-    }
     for rel in &config.len_read_bounded {
         out.push((rel.clone(), "len-read-bounded", len_read_hits));
     }
@@ -288,21 +273,15 @@ fn shipping_items(f: &SourceFile) -> Vec<&Item> {
 }
 
 // ---------------------------------------------------------------------------
-// lint.toml hygiene + no-panic coverage
+// lint.toml hygiene
 // ---------------------------------------------------------------------------
 
-/// Self-check on `lint.toml`: every listed file must exist, and every
-/// shipping `.rs` file under `crates/` must be either in `[no-panic]` or
-/// explicitly allow-listed in `[uncovered-ok]` (which must stay minimal:
-/// stale or redundant entries are findings too).
-fn hygiene(root: &Path, config: &Config, ws: &Workspace, findings: &mut Vec<Finding>) -> Coverage {
+/// Self-check on `lint.toml`: every file a per-file rule lists must
+/// exist, or the rule silently checks nothing there.
+fn hygiene(root: &Path, config: &Config, findings: &mut Vec<Finding>) {
     let lists: &[(&str, &Vec<String>)] = &[
-        ("no-panic", &config.no_panic),
-        ("no-indexing", &config.no_indexing),
-        ("no-narrowing-casts", &config.no_narrowing_casts),
         ("len-read-bounded", &config.len_read_bounded),
         ("unchecked-arith-in-decode", &config.unchecked_arith),
-        ("uncovered-ok", &config.uncovered_ok),
     ];
     for (section, list) in lists {
         for rel in list.iter() {
@@ -317,130 +296,11 @@ fn hygiene(root: &Path, config: &Config, ws: &Workspace, findings: &mut Vec<Find
             }
         }
     }
-
-    let no_panic: BTreeSet<&str> = config.no_panic.iter().map(String::as_str).collect();
-    let uncovered_ok: BTreeSet<&str> = config.uncovered_ok.iter().map(String::as_str).collect();
-    for rel in &uncovered_ok {
-        if no_panic.contains(rel) {
-            findings.push(Finding {
-                file: "lint.toml".to_string(),
-                line: 1,
-                col: 0,
-                rule: "lint-config-hygiene",
-                message: format!(
-                    "[uncovered-ok] lists {rel}, which is already covered by [no-panic]; \
-                     remove the stale entry"
-                ),
-            });
-        }
-    }
-
-    let mut coverage = Coverage::default();
-    for f in &ws.files {
-        if !f.rel.starts_with("crates/") || f.is_test_file {
-            continue;
-        }
-        coverage.eligible += 1;
-        if no_panic.contains(f.rel.as_str()) {
-            coverage.covered += 1;
-        } else if uncovered_ok.contains(f.rel.as_str()) {
-            coverage.uncovered_ok += 1;
-        } else {
-            findings.push(Finding {
-                file: f.rel.clone(),
-                line: 1,
-                col: 0,
-                rule: "no-panic-coverage",
-                message: "shipping file is not opted into [no-panic]; add it, or \
-                          allow-list it under [uncovered-ok] in lint.toml"
-                    .to_string(),
-            });
-        }
-    }
-    coverage
 }
 
 // ---------------------------------------------------------------------------
 // Per-file token rules
 // ---------------------------------------------------------------------------
-
-/// `no-panic`: `.unwrap()`, `.expect(`, and the panic-family macros are
-/// forbidden in shipping code of opted-in files.
-pub(crate) fn panic_hits(f: &SourceFile) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !f.is_shipping(i) || f.tok(i).map(|t| t.kind) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let rendered = match f.text(i) {
-            "unwrap"
-                if i > 0
-                    && f.is_punct(i - 1, b'.')
-                    && f.is_punct(i + 1, b'(')
-                    && f.is_punct(i + 2, b')') =>
-            {
-                ".unwrap()"
-            }
-            "expect" if i > 0 && f.is_punct(i - 1, b'.') && f.is_punct(i + 1, b'(') => ".expect(",
-            "panic" if f.is_punct(i + 1, b'!') => "panic!",
-            "unreachable" if f.is_punct(i + 1, b'!') => "unreachable!",
-            "todo" if f.is_punct(i + 1, b'!') => "todo!",
-            "unimplemented" if f.is_punct(i + 1, b'!') => "unimplemented!",
-            _ => continue,
-        };
-        hits.push((i, format!("forbidden in decode modules: `{rendered}`")));
-    }
-    hits
-}
-
-/// `no-indexing`: a `[` glued to an identifier, `)`, or `]` is a subscript
-/// (array types `[u8; 4]`, attributes `#[...]`, and `vec![...]` are not).
-pub(crate) fn indexing_hits(f: &SourceFile) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for i in 1..f.tokens.len() {
-        if !f.is_shipping(i) || !f.is_punct(i, b'[') {
-            continue;
-        }
-        let (Some(prev), Some(cur)) = (f.tok(i - 1), f.tok(i)) else {
-            continue;
-        };
-        let indexable = prev.kind == TokenKind::Ident || prev.is_punct(b')') || prev.is_punct(b']');
-        if indexable && prev.glued(cur) {
-            hits.push((
-                i,
-                "unchecked indexing in a decode module; use `.get(..)` and map `None` \
-                 to `DecodeError`"
-                    .to_string(),
-            ));
-        }
-    }
-    hits
-}
-
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// `no-narrowing-casts`: a bare `as u8`-family cast can silently truncate.
-pub(crate) fn narrowing_hits(f: &SourceFile) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !f.is_shipping(i) || !f.is_ident(i, "as") {
-            continue;
-        }
-        let target = f.text(i + 1);
-        if f.tok(i + 1).map(|t| t.kind) == Some(TokenKind::Ident)
-            && NARROW_TARGETS.contains(&target)
-        {
-            hits.push((
-                i,
-                format!(
-                    "bare narrowing cast `as {target}`; use `try_from` or a checked \
-                     helper so width arithmetic cannot truncate"
-                ),
-            ));
-        }
-    }
-    hits
-}
 
 /// `len-read-bounded`: a `read_varint` whose statement casts the result
 /// with `as usize` is a length about to size an allocation from untrusted
@@ -1235,7 +1095,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip;
 
     fn file(rel: &str, src: &str) -> SourceFile {
         SourceFile::from_source(rel, src.to_string())
@@ -1249,53 +1108,17 @@ mod tests {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
     }
 
-    // -- migrated per-file rules ------------------------------------------
-
-    #[test]
-    fn panic_hits_cover_the_family_and_skip_tests() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   fn g() { panic!(\"boom\"); }\n\
-                   fn h(r: Result<u8, ()>) -> u8 { r.expect(\"checked\") }\n\
-                   fn k() { unreachable!() }\n\
-                   fn ok(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n\
-                   /// doc: call .unwrap() here\n\
-                   #[cfg(test)]\n\
-                   mod tests { fn t(x: Option<u8>) { x.unwrap(); } }\n";
-        let f = file("crates/x/src/lib.rs", src);
-        assert_eq!(hit_lines(&f, panic_hits(&f)), vec![1, 2, 3, 4]);
-    }
+    // -- per-file rules ---------------------------------------------------
 
     #[test]
     fn cfg_test_fn_outside_test_module_is_masked() {
-        // The old strip-based scanner only exempted a trailing test module;
-        // the token engine masks any #[cfg(test)] item structurally.
-        let src = "#[cfg(test)]\nfn helper(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   fn shipping(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        // A `#[cfg(test)]` item is masked wherever it sits, not only as a
+        // trailing test module.
+        let src = "#[cfg(test)]\n\
+                   fn helper(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize }\n\
+                   fn shipping(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize }\n";
         let f = file("crates/x/src/lib.rs", src);
-        assert_eq!(hit_lines(&f, panic_hits(&f)), vec![3]);
-    }
-
-    #[test]
-    fn indexing_hits_subscripts_not_types_or_macros() {
-        let src = "fn f(v: &[u8], i: usize) -> u8 { v[i] }\n\
-                   fn g() -> [u8; 4] { [0u8; 4] }\n\
-                   #[derive(Debug)]\n\
-                   struct S;\n\
-                   fn h(v: &[u8]) -> Vec<u8> { vec![v.len() as u8] }\n\
-                   fn k(v: &[&[u8]]) -> u8 { (v[0])[1] }\n";
-        let f = file("crates/x/src/lib.rs", src);
-        // Line 1: `v[i]`; line 6: both `v[0]` and `)[1]`.
-        assert_eq!(hit_lines(&f, indexing_hits(&f)), vec![1, 6, 6]);
-    }
-
-    #[test]
-    fn narrowing_hits_only_narrow_targets() {
-        let src = "fn f(x: u64) -> u8 { x as u8 }\n\
-                   fn g(x: u32) -> u64 { x as u64 }\n\
-                   fn h(x: u64) -> u16 { x as u16 }\n\
-                   fn k(x: u8) -> usize { x as usize }\n";
-        let f = file("crates/x/src/lib.rs", src);
-        assert_eq!(hit_lines(&f, narrowing_hits(&f)), vec![1, 3]);
+        assert_eq!(hit_lines(&f, len_read_hits(&f)), vec![3]);
     }
 
     #[test]
@@ -1317,19 +1140,19 @@ mod tests {
     #[test]
     fn lint_allow_trailing_preceding_empty_and_wrong_rule() {
         let src = "\
-fn a(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(no-panic): proven Some by caller
-// lint:allow(no-panic): the preceding-line form survives rustfmt wrapping
-fn b(x: Option<u8>) -> u8 { x.unwrap() }
-fn c(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(no-panic)
-fn d(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(no-indexing): wrong rule
+fn a(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(len-read-bounded): capped by the caller
+// lint:allow(len-read-bounded): the preceding-line form survives rustfmt wrapping
+fn b(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize }
+fn c(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(len-read-bounded)
+fn d(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(durable-rename): wrong rule
 ";
         let f = file("crates/x/src/lib.rs", src);
         let mut findings = Vec::new();
-        push_hits(&f, "no-panic", panic_hits(&f), &mut findings);
+        push_hits(&f, "len-read-bounded", len_read_hits(&f), &mut findings);
         let lines: Vec<usize> = findings.iter().map(|x| x.line).collect();
         assert_eq!(lines, vec![4, 5]);
         assert!(findings[0].message.contains("non-empty justification"));
-        assert!(findings[1].message.contains("forbidden"));
+        assert!(findings[1].message.contains("read_len_bounded"));
     }
 
     // -- unchecked-arith-in-decode (fixture) ------------------------------
@@ -1482,41 +1305,18 @@ fn dynamic(name: &'static str) { let _ = CounterHandle::new(name); }
     // -- lint.toml hygiene ------------------------------------------------
 
     #[test]
-    fn hygiene_reports_missing_files_and_coverage_gaps() {
-        let ws = Workspace::from_files(vec![
-            file("crates/a/src/lib.rs", "fn f() {}"),
-            file("crates/a/src/extra.rs", "fn g() {}"),
-            file("crates/a/tests/t.rs", "fn t() {}"),
-        ]);
+    fn hygiene_reports_missing_files() {
         let config = Config {
-            no_panic: vec!["crates/a/src/lib.rs".to_string()],
+            len_read_bounded: vec!["crates/a/src/lib.rs".to_string()],
             ..Config::default()
         };
         let mut findings = Vec::new();
-        let coverage = hygiene(Path::new("/nonexistent-root"), &config, &ws, &mut findings);
-        assert_eq!(coverage.eligible, 2, "tests/ files are not eligible");
-        assert_eq!(coverage.covered, 1);
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == "lint-config-hygiene" && f.message.contains("does not exist")));
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == "no-panic-coverage" && f.file == "crates/a/src/extra.rs"));
-    }
-
-    #[test]
-    fn hygiene_flags_redundant_uncovered_ok_entries() {
-        let ws = Workspace::from_files(vec![file("crates/a/src/lib.rs", "fn f() {}")]);
-        let config = Config {
-            no_panic: vec!["crates/a/src/lib.rs".to_string()],
-            uncovered_ok: vec!["crates/a/src/lib.rs".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        hygiene(Path::new("/nonexistent-root"), &config, &ws, &mut findings);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("already covered")));
+        hygiene(Path::new("/nonexistent-root"), &config, &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].rule, "lint-config-hygiene");
+        assert!(findings[0]
+            .message
+            .contains("[len-read-bounded] lists crates/a/src/lib.rs, which does not exist"));
     }
 
     // -- whole-workspace checks -------------------------------------------
@@ -1526,124 +1326,7 @@ fn dynamic(name: &'static str) { let _ = CounterHandle::new(name); }
         let root = workspace_root();
         let raw = fs::read_to_string(root.join("lint.toml")).expect("lint.toml readable");
         let config = Config::parse(&raw).expect("lint.toml parses");
-        let report = run(&root, &config).expect("engine runs");
-        assert!(report.findings.is_empty(), "{:#?}", report.findings);
-        let c = &report.coverage;
-        assert_eq!(c.eligible, c.covered + c.uncovered_ok, "coverage gap");
-    }
-
-    /// The retired strip-based panic scanner, kept as a differential
-    /// oracle: substring search over blanked text before the trailing
-    /// test module, with word-boundary checks for the macro names.
-    fn old_panic_hit_offsets(src: &str) -> Vec<usize> {
-        let stripped = strip::strip(src);
-        let limit = strip::test_region_start(&stripped).unwrap_or(stripped.len());
-        let hay = &stripped[..limit];
-        let mut out = Vec::new();
-        for pat in [
-            ".unwrap()",
-            ".expect(",
-            "panic!",
-            "unreachable!",
-            "todo!",
-            "unimplemented!",
-        ] {
-            let mut from = 0usize;
-            while let Some(i) = hay[from..].find(pat) {
-                let at = from + i;
-                from = at + 1;
-                if !pat.starts_with('.') {
-                    let prev = at.checked_sub(1).map(|p| hay.as_bytes()[p]);
-                    if prev.is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
-                        continue;
-                    }
-                }
-                out.push(at);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The retired strip-based indexing scanner: a `[` directly preceded
-    /// by an identifier byte, `)`, or `]` (skipping lifetimes).
-    fn old_indexing_hit_offsets(src: &str) -> Vec<usize> {
-        let stripped = strip::strip(src);
-        let limit = strip::test_region_start(&stripped).unwrap_or(stripped.len());
-        let b = stripped.as_bytes();
-        let mut out = Vec::new();
-        for i in 1..limit {
-            if b[i] != b'[' {
-                continue;
-            }
-            let prev = b[i - 1];
-            if !(prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']') {
-                continue;
-            }
-            // `&'a[u8]`: the run before the bracket is a lifetime, not an
-            // indexable value.
-            let mut j = i - 1;
-            while j > 0 && (b[j - 1].is_ascii_alphanumeric() || b[j - 1] == b'_') {
-                j -= 1;
-            }
-            if j > 0 && b[j - 1] == b'\'' {
-                continue;
-            }
-            out.push(i);
-        }
-        out
-    }
-
-    #[test]
-    fn token_engine_finds_superset_of_strip_engine() {
-        let ws = Workspace::load(&workspace_root()).expect("workspace loads");
-        let mut files_checked = 0usize;
-        let mut old_total = 0usize;
-        for f in &ws.files {
-            if f.is_test_file || !f.rel.starts_with("crates/") {
-                continue;
-            }
-            files_checked += 1;
-            let new_panic: BTreeSet<usize> = panic_hits(f)
-                .iter()
-                .map(|(i, _)| f.position(*i).0)
-                .collect();
-            let new_index: BTreeSet<usize> = indexing_hits(f)
-                .iter()
-                .map(|(i, _)| f.position(*i).0)
-                .collect();
-            let scans = [
-                (old_panic_hit_offsets(&f.src), &new_panic, "panic"),
-                (old_indexing_hit_offsets(&f.src), &new_index, "indexing"),
-            ];
-            for (offsets, new_lines, what) in scans {
-                for at in offsets {
-                    let Some(idx) = f.tokens.iter().position(|t| t.start <= at && at < t.end)
-                    else {
-                        continue;
-                    };
-                    // The old engine could not see item-level #[cfg(test)];
-                    // compare only on tokens both engines call shipping.
-                    if !f.is_shipping(idx) {
-                        continue;
-                    }
-                    old_total += 1;
-                    let line = f.tok(idx).map_or(0, |t| t.line as usize);
-                    assert!(
-                        new_lines.contains(&line),
-                        "{what}: old-engine hit at {}:{line} missing from token engine",
-                        f.rel
-                    );
-                }
-            }
-        }
-        assert!(
-            files_checked > 50,
-            "only {files_checked} shipping files checked"
-        );
-        assert!(
-            old_total > 0,
-            "differential oracle found nothing — oracle broken?"
-        );
+        let findings = run(&root, &config).expect("engine runs");
+        assert!(findings.is_empty(), "{findings:#?}");
     }
 }

@@ -398,21 +398,6 @@ pub fn shipping_mask(tokens: &[Token], items: &[Item]) -> Vec<bool> {
     mask
 }
 
-/// Byte offset where test code starts, if the file ends in one trailing
-/// `#[cfg(test)]` module — the structural successor of the old
-/// `strip::test_region_start`. Returns the offset of the *first* token of
-/// the first top-level `#[cfg(test)] mod` item. The shipping rules use
-/// [`shipping_mask`] instead; this exists so the regression tests can
-/// prove the structural path agrees with the old scanner's contract.
-#[cfg(test)]
-pub fn test_mod_start(tokens: &[Token], items: &[Item]) -> Option<usize> {
-    items
-        .iter()
-        .find(|i| i.cfg_test && i.kind == ItemKind::Mod)
-        .and_then(|i| tokens.get(i.first_token))
-        .map(|t| t.start)
-}
-
 /// Depth-first iterator over all items (the tree flattened), yielding
 /// `(item, inside_cfg_test)`.
 pub fn walk_items<'a>(items: &'a [Item], out: &mut Vec<(&'a Item, bool)>, in_test: bool) {
@@ -504,13 +489,16 @@ fn a() {}\n\
 #[allow(dead_code)]\n\
 mod tests { fn t() { panic!(); } }\n";
         let (tokens, items) = tree(src);
-        let start = test_mod_start(&tokens, &items).expect("test mod found");
-        assert!(src[..start].contains("fn a"));
-        assert!(!src[..start].contains("mod tests"));
         let mask = shipping_mask(&tokens, &items);
         for (t, m) in tokens.iter().zip(&mask) {
-            if t.is_ident(src, "panic") {
-                assert!(!*m, "panic! inside the test mod must be masked");
+            if t.is_ident(src, "a") {
+                assert!(*m, "fn a before the cfg must stay shipping");
+            }
+            if t.is_punct(b'#') || t.is_ident(src, "tests") || t.is_ident(src, "panic") {
+                assert!(
+                    !*m,
+                    "the cfg, its attributes and the test mod must be masked"
+                );
             }
         }
     }
@@ -554,22 +542,5 @@ mod tests { fn t() { panic!(); } }\n";
         ] {
             let (_, _items) = tree(src); // must not panic or loop
         }
-    }
-
-    #[test]
-    fn trailing_test_mod_offset_matches_old_contract() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {}\n";
-        let (tokens, items) = tree(src);
-        let start = test_mod_start(&tokens, &items).expect("has test region");
-        assert!(src[..start].contains("fn a"));
-        assert!(!src[..start].contains("mod tests"));
-        let (tokens2, items2) = tree("fn b() {}");
-        assert_eq!(test_mod_start(&tokens2, &items2), None);
-        // A cfg(test) fn alone is not a *module* start…
-        let (t3, i3) = tree("#[cfg(test)]\nfn helper() {}\n");
-        assert_eq!(test_mod_start(&t3, &i3), None);
-        // …but it is still masked out of shipping code.
-        let mask = shipping_mask(&t3, &i3);
-        assert!(mask.iter().all(|m| !*m));
     }
 }

@@ -5,8 +5,9 @@
 //! the consumed region, and random single-bit flips. The contract under
 //! test is the `DecodeError` conversion: a malformed buffer must surface
 //! as `Err(DecodeError)` — never a panic, never an out-of-bounds access.
-//! The `xtask lint` no-panic rule keeps the sources honest statically;
-//! these tests check the same promise dynamically.
+//! Clippy's panic and indexing denies in the decode crates keep the
+//! sources honest statically; these tests check the same promise
+//! dynamically.
 
 use bos_repro::bitpack::zigzag::read_varint;
 use bos_repro::bitpack::{simple8b, DecodeError};

@@ -17,8 +17,12 @@
 //!   [`OBS_OVERHEAD_GATE`], and toggling the runtime kill-switch must not
 //!   change a single output byte.
 //! * **Solvers**: every [`SolverKind`] encoding the outlier dataset
-//!   through a scratch-reusing [`bitpack::EncodeSession`]. This section
-//!   also runs alone under `--quick` as part of the tier-1 recipe.
+//!   through a scratch-reusing [`bitpack::EncodeSession`], then BOS-B on
+//!   the blocks the store actually encodes: TS2DIFF order-1 differences
+//!   of the twelve dataset generators, two seeds each, in 1024-value
+//!   blocks, with solve and pack timed apart and the search effort per
+//!   block read from the `obs` registry. This section also runs alone
+//!   under `--quick` as part of the tier-1 recipe.
 //!
 //! A full run writes every printed table and the gates to
 //! `target/bench/exp_throughput.json` (see [`Report`]); `--quick` writes
@@ -32,8 +36,8 @@ use bitpack::unrolled::{
     pack_words_for, pack_words_unrolled, unpack_words_for, unpack_words_unrolled,
 };
 use bitpack::BlockCodec;
-use bos::{BosCodec, SolverKind};
-use datasets::all_datasets;
+use bos::{BitWidthSolver, BosCodec, Solver, SolverKind, SolverScratch};
+use datasets::{all_datasets, generate_seeded, ABBREVIATIONS};
 use encodings::PackerKind;
 
 /// Block size used for the operator measurements (the paper's default).
@@ -361,8 +365,118 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
     rows
 }
 
+/// Generator seeds of the store-shaped rows: two series per dataset
+/// shape, as in the store benchmark's 24 series.
+const STORE_SEEDS: [u64; 2] = [1, 7];
+
+/// BOS-B on the store's own block shape for one dataset generator (or all
+/// of them): solve and pack timed apart, search effort per block.
+struct StoreShapedRow {
+    dataset: &'static str,
+    blocks: usize,
+    values: usize,
+    /// Solve time (ns, fastest run) over every block.
+    solve_ns: f64,
+    /// Pack time (ns, fastest run) over every block, solutions in hand.
+    pack_ns: f64,
+    /// `solver.BOS-B.candidates` / `prunes` over one solve of every
+    /// block; zero when the `obs` feature is off.
+    candidates: u64,
+    prunes: u64,
+    /// Encoded BOS block bytes.
+    bytes: usize,
+}
+
+/// The operator blocks TS2DIFF hands BOS for `series`: 1024-value blocks,
+/// each as its 1023 order-1 differences (the head is stored apart).
+fn ts2diff_blocks(series: &[i64]) -> impl Iterator<Item = Vec<i64>> + '_ {
+    series
+        .chunks(BLOCK)
+        .map(|block| block.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect())
+}
+
+/// Times BOS-B's solve and pack on `blocks` through one solver and one
+/// reused [`SolverScratch`] (what an encode session holds), and checks
+/// that every block decodes back.
+fn store_shaped_row(cfg: &Config, dataset: &'static str, blocks: &[Vec<i64>]) -> StoreShapedRow {
+    let mut solver = BitWidthSolver::new();
+    let mut scratch = SolverScratch::new();
+    let effort = |snap: &obs::Snapshot| {
+        (
+            snap.counter("solver.BOS-B.candidates"),
+            snap.counter("solver.BOS-B.prunes"),
+        )
+    };
+    let before = effort(&obs::snapshot());
+    let solutions: Vec<_> = blocks
+        .iter()
+        .map(|b| solver.solve_into(b, &mut scratch))
+        .collect();
+    let after = effort(&obs::snapshot());
+    let (_, solve_ns) = time_stats(cfg.repeats, || {
+        for b in blocks {
+            std::hint::black_box(solver.solve_into(b, &mut scratch));
+        }
+    });
+    let mut buf = Vec::new();
+    let (_, pack_ns) = time_stats(cfg.repeats, || {
+        buf.clear();
+        for (b, solution) in blocks.iter().zip(&solutions) {
+            bos::encode_block_with_solution(b, solution, &mut buf);
+        }
+    });
+    let mut pos = 0;
+    let mut out = Vec::new();
+    while pos < buf.len() {
+        bos::decode(&buf, &mut pos, &mut out).expect("decode");
+    }
+    assert_eq!(out, blocks.concat(), "BOS-B roundtrip on {dataset}");
+    StoreShapedRow {
+        dataset,
+        blocks: blocks.len(),
+        values: out.len(),
+        solve_ns: solve_ns.min,
+        pack_ns: pack_ns.min,
+        candidates: after.0 - before.0,
+        prunes: after.1 - before.1,
+        bytes: buf.len(),
+    }
+}
+
+/// One [`StoreShapedRow`] per dataset generator, each over `cfg.n` values
+/// of every seed in [`STORE_SEEDS`], then their total.
+fn store_shaped_rows(cfg: &Config) -> Vec<StoreShapedRow> {
+    let mut rows: Vec<StoreShapedRow> = ABBREVIATIONS
+        .iter()
+        .map(|&abbr| {
+            let blocks: Vec<Vec<i64>> = STORE_SEEDS
+                .iter()
+                .flat_map(|&seed| {
+                    let series = generate_seeded(abbr, cfg.n, seed)
+                        .expect("registered abbreviation")
+                        .as_scaled_ints();
+                    ts2diff_blocks(&series).collect::<Vec<_>>()
+                })
+                .collect();
+            store_shaped_row(cfg, abbr, &blocks)
+        })
+        .collect();
+    let total = StoreShapedRow {
+        dataset: "all",
+        blocks: rows.iter().map(|r| r.blocks).sum(),
+        values: rows.iter().map(|r| r.values).sum(),
+        solve_ns: rows.iter().map(|r| r.solve_ns).sum(),
+        pack_ns: rows.iter().map(|r| r.pack_ns).sum(),
+        candidates: rows.iter().map(|r| r.candidates).sum(),
+        prunes: rows.iter().map(|r| r.prunes).sum(),
+        bytes: rows.iter().map(|r| r.bytes).sum(),
+    };
+    rows.push(total);
+    rows
+}
+
 /// The solver section: per-solver encode throughput through
-/// scratch-reusing sessions.
+/// scratch-reusing sessions, then BOS-B on store-shaped blocks.
 fn solver_section(cfg: &Config, report: &mut Report) {
     let series = outlier_series(cfg.n);
     let mut table = Table::new(["solver", "encode", "bytes"]);
@@ -372,6 +486,36 @@ fn solver_section(cfg: &Config, report: &mut Report) {
     report.table(
         "Solver encode throughput (million values/s, scratch-reusing \
          sessions, 2% outlier dataset)",
+        table,
+    );
+
+    let mut table = Table::new([
+        "dataset",
+        "blocks",
+        "solve",
+        "pack",
+        "cand/block",
+        "prunes/block",
+        "bits/value",
+    ]);
+    for r in &store_shaped_rows(cfg) {
+        let per_block = |count: u64| format!("{:.1}", count as f64 / r.blocks.max(1) as f64);
+        table.row([
+            r.dataset.to_string(),
+            r.blocks.to_string(),
+            fmt_mvps(vps(r.values, r.solve_ns)),
+            fmt_mvps(vps(r.values, r.pack_ns)),
+            per_block(r.candidates),
+            per_block(r.prunes),
+            format!("{:.3}", r.bytes as f64 * 8.0 / r.values.max(1) as f64),
+        ]);
+    }
+    report.table(
+        format!(
+            "BOS-B on store-shaped blocks (million values/s): TS2DIFF order-1 \
+             differences in {BLOCK}-value blocks, seeds {STORE_SEEDS:?}; \
+             search effort from the obs registry (0 with obs off)"
+        ),
         table,
     );
 }

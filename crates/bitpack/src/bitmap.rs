@@ -11,7 +11,13 @@
 //! outliers pay one more), which is the `+ n` and `+ nl`, `+ nu` terms of
 //! Definition 5.
 //!
-//! Codes are written MSB-first and decoded a byte at a time through one
+//! Codes are written MSB-first by [`BitmapWriter`], which keeps the bits
+//! of the codes not yet flushed in a small register and appends each byte
+//! as soon as its eight bits are complete, so an encoder writes the bitmap
+//! in the same pass that classifies the values, with no part list and no
+//! per-bit calls. The last byte is zero-padded.
+//!
+//! Codes are decoded a byte at a time through one
 //! compile-time table of `2 × 256` entries, indexed by whether a `1` from
 //! the previous byte still waits for its second bit and by the byte. An
 //! entry lists the part of each code that completes in that byte (4 to 8
@@ -26,7 +32,6 @@
 //!    sub-streams straight into its place in the output: one table lookup
 //!    per byte, one load and one store per value.
 
-use crate::bits::BitWriter;
 use crate::error::{DecodeError, DecodeResult};
 
 /// Which of the three separated parts a value belongs to.
@@ -129,31 +134,64 @@ fn pick(values: &[i64], next: &[usize; 3], part: Part, rank: u8) -> i64 {
     values.get(idx).copied().unwrap_or(0)
 }
 
-/// Encoder/decoder for the position bitmap.
+/// Writes position-bitmap codes to the end of a byte vector, a byte at a
+/// time: [`push`](Self::push) one code per value in block order, then
+/// [`finish`](Self::finish) to pad and flush the last byte.
+#[derive(Debug)]
+pub struct BitmapWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// `out.len()` when the writer was made.
+    start: usize,
+    /// The codes not yet flushed, in its low `pending` bits; the bits
+    /// above them are stale and never written.
+    acc: u32,
+    /// Bits of `acc` not yet flushed: 0 to 7 between calls.
+    pending: u32,
+}
+
+impl<'a> BitmapWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self {
+            start: out.len(),
+            out,
+            acc: 0,
+            pending: 0,
+        }
+    }
+
+    /// Appends the code of one value: `0`, `10` or `11`.
+    #[inline(always)]
+    pub fn push(&mut self, part: Part) {
+        let (code, bits) = match part {
+            Part::Center => (0b0, 1),
+            Part::Lower => (0b10, 2),
+            Part::Upper => (0b11, 2),
+        };
+        self.acc = (self.acc << bits) | code;
+        self.pending += bits;
+        if self.pending >= 8 {
+            self.pending -= 8;
+            self.out.push((self.acc >> self.pending) as u8);
+        }
+    }
+
+    /// Flushes the last byte, zero-padded, and returns the number of code
+    /// bits written (`n + nl + nu`).
+    pub fn finish(self) -> usize {
+        let bits = (self.out.len() - self.start) * 8 + self.pending as usize;
+        if self.pending > 0 {
+            self.out.push((self.acc << (8 - self.pending)) as u8);
+        }
+        bits
+    }
+}
+
+/// Decoder and size rule for the position bitmap.
 #[derive(Debug, Default, Clone)]
 pub struct OutlierBitmap;
 
 impl OutlierBitmap {
-    /// Writes the codes for `parts` into `out`. Returns the number of bits
-    /// written (`n + nl + nu`).
-    pub fn encode(parts: &[Part], out: &mut BitWriter) -> usize {
-        let before = out.len_bits();
-        for &p in parts {
-            match p {
-                Part::Center => out.write_bit(false),
-                Part::Lower => {
-                    out.write_bit(true);
-                    out.write_bit(false);
-                }
-                Part::Upper => {
-                    out.write_bit(true);
-                    out.write_bit(true);
-                }
-            }
-        }
-        out.len_bits() - before
-    }
-
     /// Counts the lower and upper outliers among the first `n` codes of
     /// the byte-aligned bitmap `region`, returned as `(nl, nu)`. Codes
     /// past the `n`-th are ignored. Fails with
@@ -266,10 +304,19 @@ mod tests {
     use super::*;
     use crate::bits::BitReader;
 
+    /// The bitmap of `parts` and its length in bits.
+    fn encode_bits(parts: &[Part]) -> (Vec<u8>, usize) {
+        let mut region = Vec::new();
+        let mut w = BitmapWriter::new(&mut region);
+        for &p in parts {
+            w.push(p);
+        }
+        let bits = w.finish();
+        (region, bits)
+    }
+
     fn encode(parts: &[Part]) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        OutlierBitmap::encode(parts, &mut w);
-        w.into_bytes()
+        encode_bits(parts).0
     }
 
     /// Distinct values per part (`-1 - k` lower, `k` center, `1000 + k`
@@ -355,10 +402,11 @@ mod tests {
             Part::Center,
             Part::Upper,
         ];
-        let mut w = BitWriter::new();
-        let bits = OutlierBitmap::encode(&parts, &mut w);
+        let (region, bits) = encode_bits(&parts);
         assert_eq!(bits, OutlierBitmap::size_bits(6, 1, 2));
         assert_eq!(bits, 9);
+        // 0 0 10 11 0 11, padded: 0010_1101 1000_0000.
+        assert_eq!(region, [0b0010_1101, 0b1000_0000]);
         decode(&parts);
     }
 
@@ -403,9 +451,9 @@ mod tests {
     #[test]
     fn all_center_is_one_bit_each() {
         let parts = vec![Part::Center; 64];
-        let mut w = BitWriter::new();
-        let bits = OutlierBitmap::encode(&parts, &mut w);
+        let (region, bits) = encode_bits(&parts);
         assert_eq!(bits, 64);
+        assert_eq!(region, [0; 8]);
         decode(&parts);
     }
 

@@ -16,7 +16,8 @@
 //!   codec in the workspace implements (re-exported by `pfor` and
 //!   `encodings`), plus the shared multi-block parallel encode driver.
 //! * [`bitmap`] — the `0` / `10` / `11` outlier-position bitmap of Figure 2,
-//!   decoded a byte at a time through a compile-time table.
+//!   written a byte at a time and decoded a byte at a time through a
+//!   compile-time table.
 //! * [`simple8b`] — the word-aligned Simple8b codec used to store PFOR
 //!   exception streams (stand-in for Simple16; see DESIGN.md §2).
 //!
@@ -45,7 +46,7 @@ pub mod unrolled;
 pub mod width;
 pub mod zigzag;
 
-pub use bitmap::{OutlierBitmap, Part};
+pub use bitmap::{BitmapWriter, OutlierBitmap, Part};
 pub use bits::{BitReader, BitWriter};
 pub use codec::{BlockCodec, EncodeSession};
 pub use error::{DecodeError, DecodeResult, EncodeError};

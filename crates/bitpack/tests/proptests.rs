@@ -1,6 +1,6 @@
 //! Property-based tests for the bit-level substrate.
 
-use bitpack::bitmap::{OutlierBitmap, Part};
+use bitpack::bitmap::{BitmapWriter, OutlierBitmap, Part};
 use bitpack::bits::{BitReader, BitWriter};
 use bitpack::kernels::{pack_words, packed_size, unpack_words};
 use bitpack::simple8b;
@@ -33,6 +33,48 @@ fn parse_serial(region: &[u8], n: usize) -> Option<Vec<Part>> {
         parts.push(part);
     }
     Some(parts)
+}
+
+/// The bit-serial position-bitmap encoder that `BitmapWriter` replaced:
+/// one `BitWriter` call per code bit. Returns the zero-padded bytes and
+/// the number of code bits.
+fn encode_serial(parts: &[Part]) -> (Vec<u8>, usize) {
+    let mut w = BitWriter::new();
+    for &p in parts {
+        match p {
+            Part::Center => w.write_bit(false),
+            Part::Lower => {
+                w.write_bit(true);
+                w.write_bit(false);
+            }
+            Part::Upper => {
+                w.write_bit(true);
+                w.write_bit(true);
+            }
+        }
+    }
+    w.finish()
+}
+
+/// Appends the bitmap of `parts` to `out` through `BitmapWriter`;
+/// returns the number of code bits.
+fn encode_bytewise(parts: &[Part], out: &mut Vec<u8>) -> usize {
+    let mut w = BitmapWriter::new(out);
+    for &p in parts {
+        w.push(p);
+    }
+    w.finish()
+}
+
+fn parts_of(codes: &[u8]) -> Vec<Part> {
+    codes
+        .iter()
+        .map(|&c| match c {
+            0 => Part::Center,
+            1 => Part::Lower,
+            _ => Part::Upper,
+        })
+        .collect()
 }
 
 /// Distinct values for each part (`-1 - k` lower, `k` center,
@@ -218,25 +260,39 @@ proptest! {
         prop_assert_eq!(out, values);
     }
 
+    /// The byte-wise writer emits exactly the bit-serial encoder's bytes,
+    /// appending after whatever `out` already holds. Center-heavy and
+    /// outlier-heavy sequences alike put `1x` codes across byte
+    /// boundaries at every offset.
+    #[test]
+    fn bitmap_writer_matches_bit_serial(
+        codes in prop_oneof![
+            prop::collection::vec(0u8..3, 0..=300),
+            prop::collection::vec(prop_oneof![6 => Just(0u8), 1 => 1u8..3], 0..=300),
+        ],
+        prefix in prop::collection::vec(any::<u8>(), 0..3),
+    ) {
+        let parts = parts_of(&codes);
+        let (serial, serial_bits) = encode_serial(&parts);
+        let mut out = prefix.clone();
+        let bits = encode_bytewise(&parts, &mut out);
+        prop_assert_eq!(bits, serial_bits);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &serial[..]);
+    }
+
     #[test]
     fn bitmap_roundtrip(
         codes in prop::collection::vec(0u8..3, 0..400),
         prefix in prop::collection::vec(any::<i64>(), 0..3),
     ) {
-        let parts: Vec<Part> = codes
-            .iter()
-            .map(|&c| match c {
-                0 => Part::Center,
-                1 => Part::Lower,
-                _ => Part::Upper,
-            })
-            .collect();
+        let parts = parts_of(&codes);
         let (values, nl, nc, expected) = numbered(&parts);
         let nu = parts.len() - nl - nc;
-        let mut w = BitWriter::new();
-        let bits = OutlierBitmap::encode(&parts, &mut w);
+        let mut buf = Vec::new();
+        let bits = encode_bytewise(&parts, &mut buf);
         prop_assert_eq!(bits, OutlierBitmap::size_bits(parts.len(), nl, nu));
-        let (buf, _) = w.finish();
+        prop_assert_eq!(buf.len(), bits.div_ceil(8));
         prop_assert_eq!(OutlierBitmap::count(&buf, parts.len()), Ok((nl, nu)));
         let mut out = prefix.clone();
         OutlierBitmap::gather(&buf, parts.len(), &values, nl, nc, &mut out);

@@ -22,6 +22,16 @@
 //! center values `ξ(c) = x − min Xc` in `β` bits, upper outliers
 //! `ξ(u) = x − min Xu` in `γ` bits.
 //!
+//! A separated block encodes in one pass over its values that needs only
+//! the thresholds `(xl, xu)`: each value is classified, counted into its
+//! part's size, minimum and maximum, set aside for its part's sub-stream,
+//! and given its bitmap code through [`bitpack::bitmap::BitmapWriter`],
+//! which emits the bitmap a byte at a time. The header (part sizes,
+//! bases and widths, all read off those minima and maxima) is written
+//! after the pass, then the bitmap and the three sub-streams. No sorted
+//! summary of the block is built: the solver already had one, and the
+//! encoder does not need it.
+//!
 //! Where the paper decodes in one scan of the bitmap, a separated block
 //! decodes in two passes over it, both through the byte table of
 //! [`bitpack::bitmap`]. The count pass checks the bitmap's lower/upper
@@ -42,16 +52,13 @@
 
 #![deny(clippy::indexing_slicing)]
 
-#[cfg(test)]
-use crate::cost::Separation;
-use crate::cost::{Evaluation, Solution, SortedBlock};
+use crate::cost::{Separation, Solution};
 use crate::solver::{solve_values, Solver};
-use bitpack::bitmap::{OutlierBitmap, Part};
-use bitpack::bits::BitWriter;
+use bitpack::bitmap::{BitmapWriter, OutlierBitmap, Part};
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::kernels::{packed_size, unpack_words};
 use bitpack::unrolled::{pack_words_for, unpack_words_for};
-use bitpack::width::{range_u64, width};
+use bitpack::width::{range_u64, width, width1};
 use bitpack::zigzag::{
     read_len_bounded, read_varint, read_varint_i64, write_varint, write_varint_i64,
 };
@@ -89,11 +96,7 @@ pub fn encode_block_with_solution(values: &[i64], solution: &Solution, out: &mut
     }
     match solution.separation() {
         None => encode_plain(values, out),
-        Some(sep) => {
-            let block = SortedBlock::from_values(values);
-            let eval = block.evaluate(sep);
-            encode_separated(values, &block, &eval, out);
-        }
+        Some(sep) => encode_separated(values, sep, out),
     }
 }
 
@@ -135,100 +138,141 @@ fn encode_plain(values: &[i64], out: &mut Vec<u8>) {
     pack_words_for(values, xmin, w, out);
 }
 
-fn encode_separated(values: &[i64], block: &SortedBlock, eval: &Evaluation, out: &mut Vec<u8>) {
+/// Size and value range of one part of a separated block, gathered by
+/// the encoder's classifying pass.
+#[derive(Clone, Copy)]
+struct PartStats {
+    n: usize,
+    min: i64,
+    max: i64,
+}
+
+impl PartStats {
+    const EMPTY: Self = Self {
+        n: 0,
+        min: i64::MAX,
+        max: i64::MIN,
+    };
+
+    #[inline(always)]
+    fn add(&mut self, x: i64) {
+        self.n += 1;
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+    }
+
+    /// The part's width: `width1(max − min)`, or 0 when it is empty. This
+    /// is α, β or γ of Definition 5, since the lower part holds `xmin` and
+    /// the upper part `xmax`.
+    fn width(&self) -> u32 {
+        if self.n == 0 {
+            0
+        } else {
+            width1(range_u64(self.min, self.max))
+        }
+    }
+}
+
+/// Encodes a separated block in one pass over `values`: each value is
+/// classified by `(xl, xu)` alone, counted into its part's size and range,
+/// given its bitmap code, and set aside for its part's sub-stream. The
+/// header fields, part bases and widths equal what
+/// [`SortedBlock::evaluate`](crate::cost::SortedBlock::evaluate) gives for
+/// the same separation, so the bytes are those the cost model priced.
+///
+/// Panics if `sep` is invalid (`xl ≥ xu`).
+fn encode_separated(values: &[i64], sep: Separation, out: &mut Vec<u8>) {
+    assert!(sep.is_valid(), "invalid separation: xl >= xu");
+    let n = values.len();
+    let (mut lower, mut center, mut upper) = (PartStats::EMPTY, PartStats::EMPTY, PartStats::EMPTY);
+    // Center values in order; lower outliers from the front of `outliers`
+    // and upper ones from its back, so neither buffer needs the part sizes
+    // up front.
+    let mut centers = Vec::with_capacity(n);
+    let mut outliers = vec![0i64; n];
+    // The bitmap goes after the header, which needs the whole pass.
+    let mut bitmap = Vec::with_capacity(n.div_ceil(4));
+    {
+        let mut codes = BitmapWriter::new(&mut bitmap);
+        let mut slots = outliers.iter_mut();
+        for &x in values {
+            if sep.xl.is_some_and(|xl| x <= xl) {
+                lower.add(x);
+                codes.push(Part::Lower);
+                if let Some(slot) = slots.next() {
+                    *slot = x;
+                }
+            } else if sep.xu.is_some_and(|xu| x >= xu) {
+                upper.add(x);
+                codes.push(Part::Upper);
+                if let Some(slot) = slots.next_back() {
+                    *slot = x;
+                }
+            } else {
+                center.add(x);
+                codes.push(Part::Center);
+                centers.push(x);
+            }
+        }
+        codes.finish();
+    }
+    // Upper outliers went in back to front.
+    let upper_start = n - upper.n;
+    outliers
+        .get_mut(upper_start..)
+        .unwrap_or_default()
+        .reverse();
+    let lower_values = outliers.get(..lower.n).unwrap_or_default();
+    let upper_values = outliers.get(upper_start..).unwrap_or_default();
+
+    let (alpha, beta, gamma) = (lower.width(), center.width(), upper.width());
     if obs::enabled() {
         BLOCKS_SEPARATED.inc();
-        WIDTH_ALPHA.record(u64::from(eval.alpha));
-        WIDTH_BETA.record(u64::from(eval.beta));
-        WIDTH_GAMMA.record(u64::from(eval.gamma));
-        PART_NL.record(eval.nl as u64);
-        PART_NC.record(eval.nc as u64);
-        PART_NU.record(eval.nu as u64);
+        WIDTH_ALPHA.record(u64::from(alpha));
+        WIDTH_BETA.record(u64::from(beta));
+        WIDTH_GAMMA.record(u64::from(gamma));
+        PART_NL.record(lower.n as u64);
+        PART_NC.record(center.n as u64);
+        PART_NU.record(upper.n as u64);
         obs::trail::emit(obs::trail::Event::BlockSeparated {
-            alpha: eval.alpha as u8,
-            beta: eval.beta as u8,
-            gamma: eval.gamma as u8,
-            nl: eval.nl as u64,
-            nc: eval.nc as u64,
-            nu: eval.nu as u64,
+            alpha: alpha as u8,
+            beta: beta as u8,
+            gamma: gamma as u8,
+            nl: lower.n as u64,
+            nc: center.n as u64,
+            nu: upper.n as u64,
         });
     }
     out.push(MODE_SEPARATED);
-    let xmin = block.xmin();
-    write_varint(out, eval.nl as u64);
-    write_varint(out, eval.nu as u64);
+    // An empty part's minimum is i64::MAX, so this is the block minimum.
+    let xmin = lower.min.min(center.min).min(upper.min);
+    write_varint(out, lower.n as u64);
+    write_varint(out, upper.n as u64);
     write_varint_i64(out, xmin);
-    if let (true, Some(min_xc)) = (eval.nc > 0, eval.min_xc) {
-        write_varint(out, range_u64(xmin, min_xc));
+    if center.n > 0 {
+        write_varint(out, range_u64(xmin, center.min));
     }
-    if let (true, Some(min_xu)) = (eval.nu > 0, eval.min_xu) {
-        write_varint(out, range_u64(xmin, min_xu));
+    if upper.n > 0 {
+        write_varint(out, range_u64(xmin, upper.min));
     }
-    out.push(eval.alpha as u8);
-    out.push(eval.beta as u8);
-    out.push(eval.gamma as u8);
-
-    // Classify once; boundaries come from the evaluation so the split is
-    // identical to the one the cost was computed for.
-    let lower_bound = eval.max_xl; // x ≤ max Xl  → lower
-    let upper_bound = eval.min_xu; // x ≥ min Xu  → upper
-    let min_xc = eval.min_xc.unwrap_or(xmin);
-    let min_xu = eval.min_xu.unwrap_or(xmin);
-
-    let mut parts = Vec::with_capacity(values.len());
-    let mut lower = Vec::with_capacity(eval.nl);
-    let mut center = Vec::with_capacity(eval.nc);
-    let mut upper = Vec::with_capacity(eval.nu);
-    for &x in values {
-        let p = part_of(x, lower_bound, upper_bound);
-        parts.push(p);
-        match p {
-            Part::Lower => lower.push(x),
-            Part::Center => center.push(x),
-            Part::Upper => upper.push(x),
-        }
-    }
-    debug_assert_eq!(
-        (lower.len(), center.len(), upper.len()),
-        (eval.nl, eval.nc, eval.nu)
-    );
+    out.push(alpha as u8);
+    out.push(beta as u8);
+    out.push(gamma as u8);
 
     let payload_start = out.len();
     // Bitmap first (Fig. 7: bit indicators precede the value payload),
     // padded to a whole byte so the sub-streams start byte-aligned.
-    let mut bits =
-        BitWriter::with_capacity_bits(OutlierBitmap::size_bits(values.len(), eval.nl, eval.nu));
-    OutlierBitmap::encode(&parts, &mut bits);
-    out.extend_from_slice(&bits.into_bytes());
+    out.extend_from_slice(&bitmap);
     // Three word-packed sub-streams, each via the fused subtract-and-pack
     // kernel — no per-part delta vector is materialized.
-    pack_words_for(&lower, xmin, eval.alpha, out);
-    pack_words_for(&center, min_xc, eval.beta, out);
-    pack_words_for(&upper, min_xu, eval.gamma, out);
+    pack_words_for(lower_values, xmin, alpha, out);
+    pack_words_for(&centers, center.min, beta, out);
+    pack_words_for(upper_values, upper.min, gamma, out);
     debug_assert_eq!(
         Some(out.len() - payload_start),
-        separated_payload_bytes(
-            values.len(),
-            eval.nl,
-            eval.nu,
-            eval.nc,
-            eval.alpha,
-            eval.beta,
-            eval.gamma
-        ),
+        separated_payload_bytes(n, lower.n, upper.n, center.n, alpha, beta, gamma),
         "encoder payload must equal the shared layout-size helper"
     );
-}
-
-#[inline]
-fn part_of(x: i64, lower_bound: Option<i64>, upper_bound: Option<i64>) -> Part {
-    if lower_bound.is_some_and(|b| x <= b) {
-        Part::Lower
-    } else if upper_bound.is_some_and(|b| x >= b) {
-        Part::Upper
-    } else {
-        Part::Center
-    }
 }
 
 /// Header-only summary of one encoded block: enough for zone-map style
@@ -505,6 +549,7 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::SortedBlock;
     use crate::solver::{BitWidthSolver, MedianSolver, Solver, ValueSolver};
 
     const INTRO: [i64; 8] = [3, 2, 4, 5, 3, 2, 0, 8];
@@ -666,9 +711,10 @@ mod tests {
         // the checked fallback in `unpack_part`; the stored offset 1 must
         // surface as ValueOverflow, never wrap.
         let mut buf = two_value_separated_header(i64::MAX - 1, 1, [0, 0, 1]);
-        let mut bits = BitWriter::new();
-        OutlierBitmap::encode(&[Part::Center, Part::Upper], &mut bits);
-        buf.extend_from_slice(&bits.into_bytes());
+        let mut codes = BitmapWriter::new(&mut buf);
+        codes.push(Part::Center);
+        codes.push(Part::Upper);
+        codes.finish();
         bitpack::kernels::pack_words(&[1], 1, &mut buf);
         let mut pos = 0;
         assert!(peek_block(&buf, &mut pos).is_ok(), "header is well formed");

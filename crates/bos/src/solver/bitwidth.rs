@@ -12,12 +12,18 @@
 //!   express — see the discussion in DESIGN.md §5.
 //!
 //! Enumerating *all* widths for *both* families subsumes the `β ≤ γ` /
-//! `β > γ` case split of Table II. Each candidate costs one binary search
-//! over the distinct values (the "cumulative counts fetched efficiently"
-//! of the paper's Algorithm 2 commentary), so the search is O(m log m)
-//! with the width constant W = 64. Equality with BOS-V is asserted by
-//! tests and by the Figure 10 experiments ("BOS-V / B" share one row in
-//! the paper precisely because their ratios are identical).
+//! `β > γ` case split of Table II. Each candidate needs the partition
+//! index of its `xu` among the distinct values (the "cumulative counts
+//! fetched efficiently" of the paper's Algorithm 2 commentary). The
+//! Prop. 3 indexes do not depend on `xl` and are found once per block.
+//! A Prop. 2 `xu` only grows as `xl` moves up, so its index is a
+//! successor query with monotone keys: one forward cursor per width `β`
+//! answers it, and each cursor crosses the `m` distinct values at most
+//! once per block. The search is O(W·m) with the width constant W = 64,
+//! amortized O(1) per candidate.
+//! Equality with BOS-V is asserted by tests and by the Figure 10
+//! experiments ("BOS-V / B" share one row in the paper precisely because
+//! their ratios are identical).
 
 use super::{Solver, SolverConfig, SolverScratch};
 use crate::cost::{Separation, Solution, SortedBlock};
@@ -147,10 +153,15 @@ impl BitWidthSolver {
     /// family (same distinct-value partition index `k` ⇒ identical
     /// `(nl, nu, nc, α, β, γ)` ⇒ identical cost), which the strict `<`
     /// update would have ignored anyway.
+    ///
+    /// `cursors[β]` is the Prop. 2 partition index this block last found
+    /// for width β (see [`BitWidthSolver::solve_seeded`]); each lookup
+    /// only moves it forward.
     #[allow(clippy::too_many_arguments)]
     fn search_uppers(
         block: &SortedBlock,
         ladder: &[Prop3Entry],
+        cursors: &mut [usize; 65],
         cidx: usize,
         xl: Option<i64>,
         nl: u64,
@@ -169,22 +180,31 @@ impl BitWidthSolver {
         let min_xc = vals[cidx];
         let xmax = vals[m - 1];
 
-        // Evaluates candidate `xu` (as i128 so +2^β cannot overflow); an
-        // xu above xmax means "no upper outliers". Returns the partition
-        // index `k` plus the part sizes the jump/break bounds need.
-        let try_xu = |xu: i128, best: &mut Best| -> (usize, u64, u64) {
+        // Evaluates the Prop. 2 candidate `xu = min Xc + 2^β` (as i128 so
+        // +2^β cannot overflow); an xu above xmax means "no upper
+        // outliers". Returns the partition index `k` plus the part sizes
+        // the jump/break bounds need.
+        let mut try_beta = |beta: u32, best: &mut Best| -> (usize, u64, u64) {
             best.candidates += 1;
+            let xu = min_xc as i128 + (1i128 << beta);
             let (k, xu_opt) = if xu > xmax as i128 {
                 (m, None)
             } else {
                 let xu = xu as i64;
-                // First distinct index with vals[idx] ≥ xu. Always ≥ cidx
-                // because vals[cidx − 1] = xl < xu.
-                (vals.partition_point(|&x| x < xu), Some(xu))
+                // First distinct index with vals[k] ≥ xu, by a forward
+                // scan from this β's cursor. For a fixed β, xu grows with
+                // min Xc, i.e. with xl, so the index never moves back; it
+                // is also ≥ cidx because vals[cidx − 1] = xl < xu. The scan
+                // stops by xmax ≥ xu, and each cursor crosses the block
+                // at most once.
+                let cursor = &mut cursors[beta as usize];
+                let mut k = (*cursor).max(cidx);
+                while vals[k] < xu {
+                    k += 1;
+                }
+                *cursor = k;
+                (k, Some(xu))
             };
-            // Prop. 2/3 candidates always sit above the fixed lower
-            // threshold, so the center count can never underflow.
-            debug_assert!(k >= cidx, "candidate xu fell below xl");
             let count_lt = if k > 0 { cum[k - 1] as u64 } else { 0 };
             let nu = n - count_lt;
             debug_assert!(count_lt >= nl, "lower part leaked past xu");
@@ -194,12 +214,12 @@ impl BitWidthSolver {
             } else {
                 0
             };
-            let beta = if nc > 0 {
+            let beta_cost = if nc > 0 {
                 width1(range_u64(min_xc, vals[k - 1])) as u64
             } else {
                 0
             };
-            let cost = lower_term + nu * (gamma + 1) + nc * beta + n;
+            let cost = lower_term + nu * (gamma + 1) + nc * beta_cost + n;
             if cost < best.cost {
                 best.cost = cost;
                 best.sep = Some(Separation { xl, xu: xu_opt });
@@ -240,7 +260,7 @@ impl BitWidthSolver {
         );
         let mut beta = 1u32;
         while beta <= max_beta {
-            let (k, _nu, nc) = try_xu(min_xc as i128 + (1i128 << beta), best);
+            let (k, _nu, nc) = try_beta(beta, best);
             if k >= m {
                 // Every wider β maps to the identical no-upper-outlier
                 // candidate (xu = None): nothing new to cost.
@@ -452,12 +472,25 @@ impl BitWidthSolver {
         let mut ladder = [Prop3Entry::default(); 64];
         let ladder_len = build_prop3_ladder(vals, cum, &mut ladder);
         let ladder = &ladder[..ladder_len];
+        // Proposition 2 partition indexes, one forward cursor per width β:
+        // the xl loop below only moves xl up, so no cursor ever moves back.
+        let mut cursors = [0usize; 65];
 
         // xl = None, then every distinct value as xl. (xl = xmax leaves
         // nothing above it; search_uppers returns immediately, and the
         // all-lower partition it represents is dominated by the symmetric
         // all-upper one covered by the xl = None iteration.)
-        Self::search_uppers(block, ladder, 0, None, 0, 0, seed_plus1, &mut best);
+        Self::search_uppers(
+            block,
+            ladder,
+            &mut cursors,
+            0,
+            None,
+            0,
+            0,
+            seed_plus1,
+            &mut best,
+        );
         if !self.config.upper_only {
             for li in 0..m {
                 let nl = cum[li] as u64;
@@ -476,6 +509,7 @@ impl BitWidthSolver {
                 Self::search_uppers(
                     block,
                     ladder,
+                    &mut cursors,
                     li + 1,
                     Some(vals[li]),
                     nl,

@@ -9,20 +9,51 @@
 //! * The byte-table block decoder returns the same result, position and
 //!   output as the frozen bit-serial one (`reference/decode.rs`) on
 //!   valid, truncated, bit-flipped and random bytes.
+//! * The one-pass block encoder writes the same bytes as the frozen
+//!   sort-based one (`reference/encode.rs`) for every solver's output and
+//!   for arbitrary valid separations.
 
 use bos::kpart::{decode_kpart, encode_kpart, solve_kpart};
 use bos::solver::{solve_values, BruteForceSolver};
 use bos::{
-    decode, encode_block_with_solution, BitWidthSolver, BosCodec, MedianSolver, Solution,
-    SolverKind, SortedBlock, ValueSolver,
+    decode, encode_block_with_solution, BitWidthSolver, BosCodec, MedianSolver, Separation,
+    Solution, SolverKind, SortedBlock, ValueSolver,
 };
 use proptest::prelude::*;
 use proptest::TestCaseResult;
 
-// Only the decode half of `reference/`: the solver half is
+// Only the codec half of `reference/`: the solver half is
 // `solver_differential.rs`'s.
 mod reference {
     pub mod decode;
+    pub mod encode;
+}
+
+/// Encodes `values` under `solution` with the shipping encoder and with
+/// the frozen sort-based one, and demands the same bytes after the same
+/// prefix.
+fn encoder_matches(values: &[i64], solution: &Solution) -> TestCaseResult {
+    let prefix = vec![0xA5u8, 0x5A];
+    let mut got = prefix.clone();
+    encode_block_with_solution(values, solution, &mut got);
+    let mut want = prefix;
+    reference::encode::encode_block_with_solution(values, solution, &mut want);
+    prop_assert_eq!(got, want, "solution {:?}", solution);
+    Ok(())
+}
+
+/// A separation priced on `values`, as a solver would return it.
+fn separated(values: &[i64], sep: Separation) -> Solution {
+    let cost_bits = SortedBlock::from_values(values).evaluate(sep).cost_bits;
+    Solution::Separated { sep, cost_bits }
+}
+
+/// A threshold near a block value: `None`, or the value at `idx` (mod
+/// the length) moved by `delta`, clamped to the `i64` range.
+fn threshold(values: &[i64], pick: Option<(usize, i64)>) -> Option<i64> {
+    let (idx, delta) = pick?;
+    let v = *values.get(idx % values.len())?;
+    Some(v.saturating_add(delta))
 }
 
 /// Decodes `buf` with the shipping decoder and with the frozen bit-serial
@@ -82,6 +113,36 @@ fn outlier_share_blocks() -> impl Strategy<Value = Vec<i64>> {
             })
             .collect()
     })
+}
+
+/// Non-empty blocks for the encoder pin: the outlier-share blocks plus
+/// the adversarial shapes. Runs of one value (duplicates only, the `i64`
+/// extremes included), tight centers with tails at `i64::MIN`/`MAX`, two
+/// far-apart clusters (empty centers) and fully random values.
+fn encoder_blocks() -> impl Strategy<Value = Vec<i64>> {
+    prop_oneof![
+        3 => outlier_share_blocks(),
+        1 => (
+            prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX)],
+            1usize..64,
+        )
+            .prop_map(|(v, n)| vec![v; n]),
+        1 => prop::collection::vec(
+            prop_oneof![
+                16 => 0i64..256,
+                1 => Just(i64::MIN),
+                1 => Just(i64::MAX),
+                1 => i64::MIN..i64::MIN + 1000,
+                1 => i64::MAX - 1000..i64::MAX,
+            ],
+            1..300,
+        ),
+        1 => prop::collection::vec(
+            prop_oneof![1 => 0i64..16, 1 => (1i64 << 40)..(1i64 << 40) + 16],
+            1..200,
+        ),
+        1 => prop::collection::vec(any::<i64>(), 1..96),
+    ]
 }
 
 fn arbitrary_blocks() -> impl Strategy<Value = Vec<i64>> {
@@ -199,6 +260,29 @@ proptest! {
         prop_assert_eq!(out, values);
     }
 
+    /// The one-pass encoder writes the frozen encoder's bytes: for every
+    /// solver's output on the block, and for a valid separation whose
+    /// thresholds sit on, just below or just above block values (or are
+    /// absent). Swapping an inverted pair keeps every draw valid, so
+    /// empty centers (`xu` right above `xl`), all-lower and all-upper
+    /// blocks all occur.
+    #[test]
+    fn encoder_matches_reference(
+        values in encoder_blocks(),
+        lo in prop_oneof![1 => Just(None), 4 => (any::<usize>(), -1i64..=1).prop_map(Some)],
+        hi in prop_oneof![1 => Just(None), 4 => (any::<usize>(), -1i64..=1).prop_map(Some)],
+    ) {
+        for kind in SolverKind::ALL {
+            encoder_matches(&values, &BosCodec::new(kind).solve(&values))?;
+        }
+        let (xl, xu) = match (threshold(&values, lo), threshold(&values, hi)) {
+            (Some(a), Some(b)) if a > b => (Some(b), Some(a)),
+            (Some(a), Some(b)) if a == b => (Some(a), None),
+            pair => pair,
+        };
+        encoder_matches(&values, &separated(&values, Separation { xl, xu }))?;
+    }
+
     #[test]
     fn truncated_streams_never_panic(values in outlier_share_blocks(), cut_ratio in 0.0f64..1.0) {
         let buf = encode_bosb(&values);
@@ -282,4 +366,54 @@ proptest! {
             }
         }
     }
+}
+
+/// Every separation with thresholds in `{None} ∪ {v − 1, v, v + 1}` over
+/// the distinct values `v` of small blocks, through both encoders: all
+/// empty-center, all-lower, all-upper and one-part cases, with
+/// duplicates and the `i64` extremes.
+#[test]
+fn encoder_matches_reference_on_every_near_value_separation() {
+    let blocks: [&[i64]; 6] = [
+        &[3, 2, 4, 5, 3, 2, 0, 8],
+        &[7, 7, 7],
+        &[i64::MIN, 0, i64::MAX, i64::MAX, i64::MIN],
+        &[0, 1, 2, 3, 1 << 40, (1 << 40) + 1, 2, 2, 1 << 40],
+        &[
+            -5, -5, 1000, -5, 1000, 3, 3, 3, 3, -1_000_000, 9, 9, 9, 9, 9, 9, 9,
+        ],
+        &[i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX],
+    ];
+    for values in blocks {
+        let mut thresholds = vec![None];
+        for &v in SortedBlock::from_values(values).distinct() {
+            for t in [v.checked_sub(1), Some(v), v.checked_add(1)] {
+                if t.is_some() && !thresholds.contains(&t) {
+                    thresholds.push(t);
+                }
+            }
+        }
+        for &xl in &thresholds {
+            for &xu in &thresholds {
+                let sep = Separation { xl, xu };
+                if sep.is_valid() {
+                    encoder_matches(values, &separated(values, sep))
+                        .unwrap_or_else(|e| panic!("{values:?} {sep:?}: {e:?}"));
+                }
+            }
+        }
+    }
+}
+
+/// An invalid separation (`xl ≥ xu`) still panics in the encoder, as
+/// `SortedBlock::evaluate` does.
+#[test]
+#[should_panic(expected = "invalid separation")]
+fn encoder_rejects_an_invalid_separation() {
+    let sep = Separation {
+        xl: Some(5),
+        xu: Some(5),
+    };
+    let solution = Solution::Separated { sep, cost_bits: 0 };
+    encode_block_with_solution(&[1, 5, 9], &solution, &mut Vec::new());
 }

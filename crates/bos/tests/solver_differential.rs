@@ -153,3 +153,34 @@ fn bosb_large_block_bit_identical_to_frozen_reference() {
     let got = solve_values(&BitWidthSolver::new(), &values);
     assert_eq!(got, expected);
 }
+
+/// TS2DIFF's view of `series`: 1024-value blocks, each handed to the
+/// operator as its 1023 order-1 differences (the head value is stored
+/// apart), exactly as the store's flushes encode them.
+fn ts2diff_blocks(series: &[i64]) -> impl Iterator<Item = Vec<i64>> + '_ {
+    series
+        .chunks(1024)
+        .map(|block| block.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect())
+}
+
+/// The shapes the store actually solves: the first 8 TS2DIFF blocks of
+/// every dataset generator, 2 seeds each. Here the Prop. 2 cursors make
+/// their longest forward runs (hundreds of distinct values per block),
+/// which the synthetic strategies above rarely reach.
+#[test]
+fn bosb_bit_identical_on_store_shaped_blocks() {
+    let mut solver = BitWidthSolver::new();
+    let mut scratch = SolverScratch::new();
+    for abbr in datasets::ABBREVIATIONS {
+        for seed in [1, 7] {
+            let series = datasets::generate_seeded(abbr, 8 * 1024, seed)
+                .expect("registered abbreviation")
+                .as_scaled_ints();
+            for (i, block) in ts2diff_blocks(&series).enumerate() {
+                let expected = reference::bitwidth_solve(full(), &block);
+                let got = solver.solve_into(&block, &mut scratch);
+                assert_eq!(got, expected, "{abbr} seed {seed} block {i}");
+            }
+        }
+    }
+}

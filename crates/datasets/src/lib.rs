@@ -226,13 +226,20 @@ pub const ABBREVIATIONS: [&str; 12] = [
 /// derived from the abbreviation so every dataset differs but stays
 /// reproducible. Returns `None` for unknown abbreviations.
 pub fn generate(abbr: &str, n: usize) -> Option<Dataset> {
-    let spec = registry().into_iter().find(|s| s.abbr == abbr)?;
     let seed = 0xB05_u64.wrapping_mul(31).wrapping_add(
         abbr.bytes()
             .fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b as u64)),
     );
     // Vehicle-Charge keeps its original tiny size (Table III: 3 396 rows).
     let n = if abbr == "VC" { n.min(3_396) } else { n };
+    generate_seeded(abbr, n, seed)
+}
+
+/// Generates one dataset by abbreviation with exactly `n` values from the
+/// generator seed `seed`, so callers can draw several series of one shape.
+/// Returns `None` for unknown abbreviations.
+pub fn generate_seeded(abbr: &str, n: usize, seed: u64) -> Option<Dataset> {
+    let spec = registry().into_iter().find(|s| s.abbr == abbr)?;
     let data = match spec.kind {
         DataType::Integer => SeriesData::Ints((spec.gen_int.expect("int gen"))(n, seed)),
         DataType::Float => SeriesData::Floats {

@@ -587,13 +587,19 @@ impl Store {
         Ok(Some(id))
     }
 
-    /// Merges all small sealed files into one, re-running the solver
-    /// over the merged (larger) series via the parallel encode path —
-    /// more values per solve lets outlier separation pick better
-    /// thresholds. Committed via the begin/commit manifest protocol: a
-    /// crash anywhere leaves either the old files or the new file live,
-    /// never both, never neither. Returns the output id, or `None` when
-    /// fewer than `compact_min_inputs` candidates exist.
+    /// Merges all small sealed files into one: decodes every input
+    /// series, concatenates each series' values in file order, and
+    /// re-encodes each merged series through the parallel encode path.
+    /// While the input chunks of a series hold whole blocks, the solver
+    /// sees the very blocks it solved at flush time and writes the same
+    /// bytes for them; a chunk of any other length shifts the block
+    /// boundaries after it, and those blocks are solved afresh. What the
+    /// merge saves is per-file and per-chunk overhead (headers, footers,
+    /// partial last blocks), not better thresholds. Committed via the
+    /// begin/commit manifest protocol: a crash anywhere leaves either the
+    /// old files or the new file live, never both, never neither. Returns
+    /// the output id, or `None` when fewer than `compact_min_inputs`
+    /// candidates exist.
     pub fn compact(&mut self) -> Result<Option<u64>, StoreError> {
         self.fail_if_crashed()?;
         let _span = obs::span("store.compact");

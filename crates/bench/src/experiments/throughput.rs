@@ -20,9 +20,9 @@
 //!   through a scratch-reusing [`bitpack::EncodeSession`], then BOS-B on
 //!   the blocks the store actually encodes: TS2DIFF order-1 differences
 //!   of the twelve dataset generators, two seeds each, in 1024-value
-//!   blocks, with solve and pack timed apart and the search effort per
-//!   block read from the `obs` registry. This section also runs alone
-//!   under `--quick` as part of the tier-1 recipe.
+//!   blocks, with solve, pack and decode timed apart and the search
+//!   effort per block read from the `obs` registry. This section also
+//!   runs alone under `--quick` as part of the tier-1 recipe.
 //!
 //! A full run writes every printed table and the gates to
 //! `target/bench/exp_throughput.json` (see [`Report`]); `--quick` writes
@@ -379,6 +379,8 @@ struct StoreShapedRow {
     solve_ns: f64,
     /// Pack time (ns, fastest run) over every block, solutions in hand.
     pack_ns: f64,
+    /// Decode time (ns, fastest run) of every block, back to back.
+    decode_ns: f64,
     /// `solver.BOS-B.candidates` / `prunes` over one solve of every
     /// block; zero when the `obs` feature is off.
     candidates: u64,
@@ -396,8 +398,8 @@ fn ts2diff_blocks(series: &[i64]) -> impl Iterator<Item = Vec<i64>> + '_ {
 }
 
 /// Times BOS-B's solve and pack on `blocks` through one solver and one
-/// reused [`SolverScratch`] (what an encode session holds), and checks
-/// that every block decodes back.
+/// reused [`SolverScratch`] (what an encode session holds), then the
+/// decode of every block, and checks that every block decodes back.
 fn store_shaped_row(cfg: &Config, dataset: &'static str, blocks: &[Vec<i64>]) -> StoreShapedRow {
     let mut solver = BitWidthSolver::new();
     let mut scratch = SolverScratch::new();
@@ -425,11 +427,14 @@ fn store_shaped_row(cfg: &Config, dataset: &'static str, blocks: &[Vec<i64>]) ->
             bos::encode_block_with_solution(b, solution, &mut buf);
         }
     });
-    let mut pos = 0;
     let mut out = Vec::new();
-    while pos < buf.len() {
-        bos::decode(&buf, &mut pos, &mut out).expect("decode");
-    }
+    let (_, decode_ns) = time_stats(cfg.repeats, || {
+        out.clear();
+        let mut pos = 0;
+        while pos < buf.len() {
+            bos::decode(&buf, &mut pos, &mut out).expect("decode");
+        }
+    });
     assert_eq!(out, blocks.concat(), "BOS-B roundtrip on {dataset}");
     StoreShapedRow {
         dataset,
@@ -437,6 +442,7 @@ fn store_shaped_row(cfg: &Config, dataset: &'static str, blocks: &[Vec<i64>]) ->
         values: out.len(),
         solve_ns: solve_ns.min,
         pack_ns: pack_ns.min,
+        decode_ns: decode_ns.min,
         candidates: after.0 - before.0,
         prunes: after.1 - before.1,
         bytes: buf.len(),
@@ -467,6 +473,7 @@ fn store_shaped_rows(cfg: &Config) -> Vec<StoreShapedRow> {
         values: rows.iter().map(|r| r.values).sum(),
         solve_ns: rows.iter().map(|r| r.solve_ns).sum(),
         pack_ns: rows.iter().map(|r| r.pack_ns).sum(),
+        decode_ns: rows.iter().map(|r| r.decode_ns).sum(),
         candidates: rows.iter().map(|r| r.candidates).sum(),
         prunes: rows.iter().map(|r| r.prunes).sum(),
         bytes: rows.iter().map(|r| r.bytes).sum(),
@@ -494,6 +501,7 @@ fn solver_section(cfg: &Config, report: &mut Report) {
         "blocks",
         "solve",
         "pack",
+        "decode",
         "cand/block",
         "prunes/block",
         "bits/value",
@@ -505,6 +513,7 @@ fn solver_section(cfg: &Config, report: &mut Report) {
             r.blocks.to_string(),
             fmt_mvps(vps(r.values, r.solve_ns)),
             fmt_mvps(vps(r.values, r.pack_ns)),
+            fmt_mvps(vps(r.values, r.decode_ns)),
             per_block(r.candidates),
             per_block(r.prunes),
             format!("{:.3}", r.bytes as f64 * 8.0 / r.values.max(1) as f64),

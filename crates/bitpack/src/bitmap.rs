@@ -23,14 +23,14 @@
 //! entry lists the part of each code that completes in that byte (4 to 8
 //! of them), each code's rank among the byte's codes of the same part, the
 //! per-part counts, and whether the byte ends on a pending `1`. A block's
-//! byte-aligned bitmap region is decoded in two passes:
-//!
-//! 1. [`OutlierBitmap::count`] sums the per-part counts of the first `n`
-//!    codes, so the caller can check them against its header before it
-//!    unpacks or writes anything;
-//! 2. [`OutlierBitmap::gather`] copies each value from the unpacked
-//!    sub-streams straight into its place in the output: one table lookup
-//!    per byte, one load and one store per value.
+//! byte-aligned bitmap region is decoded in one pass:
+//! [`OutlierBitmap::gather`] copies each value from the unpacked
+//! sub-streams straight into its place in the output (one table lookup per
+//! byte, one load and one store per value) and returns the per-part counts
+//! of the codes it placed, which the caller checks against its header
+//! after the pass. [`OutlierBitmap::count`] tallies the same counts
+//! without writing anything; a block decoder runs it only on the error
+//! path, to tell a short or miscounted bitmap from a bad sub-stream.
 
 use crate::error::{DecodeError, DecodeResult};
 
@@ -227,17 +227,21 @@ impl OutlierBitmap {
         }
     }
 
-    /// Appends the `n` values of a block to `out` in bitmap order. `values`
-    /// holds the block's unpacked sub-streams back to back, in their
-    /// stream order: `nl` lower outliers, then `nc` center values, then the
-    /// upper outliers; the `k`-th code of a part takes that part's `k`-th
-    /// value.
+    /// Appends the `n` values of a block to `out` in bitmap order and
+    /// returns the lower and upper outlier counts `(nl, nu)` of the first
+    /// `n` codes of the byte-aligned bitmap `region`: the counts
+    /// [`count`](Self::count) returns, from the same pass that places the
+    /// values. `values` holds the block's unpacked sub-streams back to back,
+    /// in their stream order: `nl` lower outliers, then `nc` center values,
+    /// then the upper outliers; the `k`-th code of a part takes that part's
+    /// `k`-th value. Codes past the `n`-th are ignored.
     ///
-    /// `out` grows by exactly `n`. Call this after [`count`](Self::count)
-    /// has checked `region` against the part sizes. If `region` holds fewer
-    /// than `n` codes, or `values` disagrees with the bitmap, the values
-    /// written are unspecified (a missing value reads as 0), but the call
-    /// does not panic.
+    /// On `Ok`, `out` has grown by exactly `n`, and the caller checks the
+    /// counts against the part sizes it passed. Where they disagree, or
+    /// `values` is shorter than the bitmap claims, the values written are
+    /// unspecified (a missing value reads as 0), but the call does not
+    /// panic. Fails with [`DecodeError::Truncated`], leaving `out` as on
+    /// entry, if fewer than `n` codes fit in `region`.
     pub fn gather(
         region: &[u8],
         n: usize,
@@ -245,12 +249,15 @@ impl OutlierBitmap {
         nl: usize,
         nc: usize,
         out: &mut Vec<i64>,
-    ) {
+    ) -> DecodeResult<(usize, usize)> {
         let start = out.len();
         out.resize(start.saturating_add(n), 0);
         let dst = out.get_mut(start..).unwrap_or_default();
         // Index in `values` of each part's next value, by `Part as usize`.
-        let mut next = [nl, 0, nl.saturating_add(nc)];
+        // Each cursor moves once per code of its part, so the lower and
+        // upper ones end `nl` and `nu` past where they start.
+        let upper_start = nl.saturating_add(nc);
+        let mut next = [nl, 0, upper_start];
         let mut pending = false;
         let mut done = 0;
         let mut bytes = region.iter();
@@ -261,7 +268,7 @@ impl OutlierBitmap {
             .and_then(|rest| rest.first_chunk_mut::<8>())
         {
             let Some(&byte) = bytes.next() else {
-                return;
+                break;
             };
             let codes = ByteCodes::of(pending, byte);
             for (slot, (&part, &rank)) in slots.iter_mut().zip(codes.part.iter().zip(&codes.rank)) {
@@ -271,7 +278,8 @@ impl OutlierBitmap {
             done += usize::from(codes.len);
             pending = codes.pending;
         }
-        // Fewer than 8 slots remain: fill exactly those.
+        // Fewer than 8 slots remain: fill exactly those, a code at a time,
+        // so the cursors pass only the first `n` codes.
         for &byte in bytes {
             let rest = dst.get_mut(done..).unwrap_or_default();
             if rest.is_empty() {
@@ -279,17 +287,20 @@ impl OutlierBitmap {
             }
             let codes = ByteCodes::of(pending, byte);
             let take = rest.len().min(usize::from(codes.len));
-            for (slot, (&part, &rank)) in rest
-                .iter_mut()
-                .zip(codes.part.iter().zip(&codes.rank))
-                .take(take)
-            {
-                *slot = pick(values, &next, part, rank);
+            for (slot, &part) in rest.iter_mut().zip(&codes.part).take(take) {
+                *slot = pick(values, &next, part, 0);
+                let cursor = &mut next[part as usize];
+                *cursor = cursor.wrapping_add(1);
             }
-            codes.advance(&mut next);
             done += take;
             pending = codes.pending;
         }
+        if done < n {
+            out.truncate(start);
+            return Err(DecodeError::Truncated);
+        }
+        let [_, lower, upper] = next;
+        Ok((lower, upper.wrapping_sub(upper_start)))
     }
 
     /// Exact encoded size in bits for `n` values of which `nl` are lower and
@@ -343,14 +354,17 @@ mod tests {
         (values, nl as usize, nc as usize, expected)
     }
 
-    /// Count then gather, as a block decoder does.
+    /// Gather as a block decoder does, and count apart.
     fn decode(parts: &[Part]) {
         let region = encode(parts);
         let (values, nl, nc, expected) = numbered(parts);
         let nu = parts.len() - nl - nc;
         assert_eq!(OutlierBitmap::count(&region, parts.len()), Ok((nl, nu)));
         let mut out = vec![7, 8];
-        OutlierBitmap::gather(&region, parts.len(), &values, nl, nc, &mut out);
+        assert_eq!(
+            OutlierBitmap::gather(&region, parts.len(), &values, nl, nc, &mut out),
+            Ok((nl, nu))
+        );
         assert_eq!(out[..2], [7, 8], "gather must only append");
         assert_eq!(out[2..], expected[..], "parts {parts:?}");
     }
@@ -489,5 +503,15 @@ mod tests {
         assert_eq!(OutlierBitmap::count(&[0b0000_0001], 7), Ok((0, 0)));
         assert_eq!(OutlierBitmap::count(&[], 0), Ok((0, 0)));
         assert_eq!(OutlierBitmap::count(&[], 1), Err(DecodeError::Truncated));
+        // The gather fails alike and leaves its output as it found it.
+        let values = [0i64; 8];
+        for (region, n) in [(&[0b0000_0001][..], 8), (&[][..], 1), (&region[..1], 6)] {
+            let mut out = vec![7, 8];
+            assert_eq!(
+                OutlierBitmap::gather(region, n, &values, 1, 3, &mut out),
+                Err(DecodeError::Truncated)
+            );
+            assert_eq!(out, [7, 8]);
+        }
     }
 }

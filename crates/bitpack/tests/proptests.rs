@@ -106,6 +106,30 @@ fn numbered(parts: &[Part]) -> (Vec<i64>, usize, usize, Vec<i64>) {
     (values, nl as usize, nc as usize, expected)
 }
 
+/// The two-pass bitmap decode the one-pass gather replaced: the count
+/// pass, then, if it succeeds, every code's value in bitmap order. A
+/// part's cursor starts where `OutlierBitmap::gather` documents (lower at
+/// 0, center at `nl`, upper at `nl + nc`), moves one value per code of its
+/// part, and reads 0 past the end of `values`.
+fn count_then_gather(
+    region: &[u8],
+    n: usize,
+    values: &[i64],
+    nl: usize,
+    nc: usize,
+    out: &mut Vec<i64>,
+) -> Result<(usize, usize), DecodeError> {
+    let counts = OutlierBitmap::count(region, n)?;
+    let parts = parse_serial(region, n).ok_or(DecodeError::Truncated)?;
+    let mut next = [nl, 0, nl.saturating_add(nc)];
+    for part in parts {
+        let cursor = &mut next[part as usize];
+        out.push(values.get(*cursor).copied().unwrap_or(0));
+        *cursor = cursor.wrapping_add(1);
+    }
+    Ok(counts)
+}
+
 proptest! {
     #[test]
     fn bit_stream_roundtrip(fields in prop::collection::vec((any::<u64>(), 0u32..=64), 0..200)) {
@@ -295,7 +319,10 @@ proptest! {
         prop_assert_eq!(buf.len(), bits.div_ceil(8));
         prop_assert_eq!(OutlierBitmap::count(&buf, parts.len()), Ok((nl, nu)));
         let mut out = prefix.clone();
-        OutlierBitmap::gather(&buf, parts.len(), &values, nl, nc, &mut out);
+        prop_assert_eq!(
+            OutlierBitmap::gather(&buf, parts.len(), &values, nl, nc, &mut out),
+            Ok((nl, nu))
+        );
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&out[prefix.len()..], &expected[..]);
     }
@@ -319,19 +346,60 @@ proptest! {
         };
         prop_assert_eq!(OutlierBitmap::count(&region, n), want);
         // Part sizes and a value stream that disagree with the bitmap:
-        // the gather returns normally and appends exactly n values.
+        // the gather returns the same counts, and appends exactly n values
+        // on `Ok` and none on `Err`.
         let values: Vec<i64> = (0..len as i64).collect();
         let mut out = vec![-1];
-        OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
-        prop_assert_eq!(out.len(), n + 1);
+        let got = OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(out.len(), if got.is_ok() { n + 1 } else { 1 });
         prop_assert_eq!(out[0], -1);
         // Consistent inputs on a random region: the gather matches the
         // bit-serial parse, code by code.
         if let Some(parts) = serial {
             let (values, nl, nc, expected) = numbered(&parts);
             let mut out = Vec::new();
-            OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
+            prop_assert_eq!(OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out), want);
             prop_assert_eq!(out, expected);
+        }
+    }
+
+    /// The one-pass gather returns what a count pass followed by a
+    /// code-by-code gather gives: the same counts, the same values, the
+    /// same `Truncated`, on encoded regions and random ones, with `n`
+    /// above or below the codes the region holds, trailing bytes after
+    /// them, and value streams shorter or longer than the codes claim.
+    #[test]
+    fn gather_equals_count_then_gather(
+        codes in prop_oneof![
+            prop::collection::vec(0u8..3, 0..=300),
+            prop::collection::vec(prop_oneof![6 => Just(0u8), 1 => 1u8..3], 0..=300),
+        ],
+        random in prop_oneof![3 => Just(None), 1 => prop::collection::vec(any::<u8>(), 0..48).prop_map(Some)],
+        trailing in prop::collection::vec(any::<u8>(), 0..3),
+        n_shift in -4i64..=4,
+        values_shift in -6i64..=6,
+        prefix in prop::collection::vec(any::<i64>(), 0..3),
+    ) {
+        let parts = parts_of(&codes);
+        let (mut values, nl, nc, _) = numbered(&parts);
+        let mut region = random.unwrap_or_else(|| {
+            let mut region = Vec::new();
+            encode_bytewise(&parts, &mut region);
+            region
+        });
+        region.extend_from_slice(&trailing);
+        let n = (parts.len() as i64 + n_shift).max(0) as usize;
+        values.resize((values.len() as i64 + values_shift).max(0) as usize, 1 << 50);
+
+        let mut want_out = prefix.clone();
+        let want = count_then_gather(&region, n, &values, nl, nc, &mut want_out);
+        let mut out = prefix.clone();
+        let got = OutlierBitmap::gather(&region, n, &values, nl, nc, &mut out);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(&out, &want_out);
+        if got.is_err() {
+            prop_assert_eq!(&out, &prefix);
         }
     }
 

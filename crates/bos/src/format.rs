@@ -32,13 +32,16 @@
 //! summary of the block is built: the solver already had one, and the
 //! encoder does not need it.
 //!
-//! Where the paper decodes in one scan of the bitmap, a separated block
-//! decodes in two passes over it, both through the byte table of
-//! [`bitpack::bitmap`]. The count pass checks the bitmap's lower/upper
-//! counts against the header. The three sub-streams then unpack back to
-//! back into one scratch vector, and the gather pass copies every value
-//! from there to its place in the output, in bitmap order. Every check
-//! runs before the gather, so on `Err` the output is untouched.
+//! As in the paper, a separated block decodes in one scan of its bitmap.
+//! The three sub-streams unpack back to back into a scratch vector that
+//! each thread keeps from block to block. One pass of the byte table of
+//! [`bitpack::bitmap`] then copies every value from there to its place in
+//! the output, in bitmap order, and tallies the lower/upper counts, which
+//! are checked against the header after the pass. Only when that fails,
+//! or a sub-stream does not unpack, is the bitmap counted a second time,
+//! so that a short or miscounted bitmap is reported before a bad
+//! sub-stream, with the same error and position as a decoder that counts
+//! first. On `Err` the output is as on entry.
 //!
 //! The three sub-streams are separate word-packed regions (each in the
 //! exact `pack_words` layout, produced and consumed by the fused
@@ -51,6 +54,8 @@
 //! [`separated_payload_bytes`] accounts for exactly.
 
 #![deny(clippy::indexing_slicing)]
+
+use std::cell::Cell;
 
 use crate::cost::{Separation, Solution};
 use crate::solver::{solve_values, Solver};
@@ -490,6 +495,18 @@ fn unpack_part(
     Ok(())
 }
 
+thread_local! {
+    /// The unpacked sub-streams of the separated block this thread is
+    /// decoding, kept from block to block so that a decode allocates
+    /// nothing per block.
+    static UNPACKED: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Largest scratch, in values, a thread keeps for its next block. A
+/// header may claim up to [`bitpack::MAX_BLOCK_VALUES`]; a scratch that
+/// grew past this for one such block is freed with it.
+const KEPT_SCRATCH_VALUES: usize = 1 << 16;
+
 fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -> DecodeResult<()> {
     let (nl, nu, nc) = read_part_counts(buf, pos, n)?;
     let xmin = read_varint_i64(buf, pos)?;
@@ -515,16 +532,42 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
     if buf.len() < payload_end {
         return Err(DecodeError::Truncated);
     }
+    let bitmap_start = *pos;
     let bitmap_bytes = OutlierBitmap::size_bits(n, nl, nu).div_ceil(8);
     let bitmap_end = pos
         .checked_add(bitmap_bytes)
         .ok_or(DecodeError::Truncated)?;
     let bitmap_region = buf.get(*pos..bitmap_end).ok_or(DecodeError::Truncated)?;
-    // Count pass: the codes the bitmap holds must match the header before
-    // anything is unpacked or written to `out`.
-    let (seen_l, seen_u) = OutlierBitmap::count(bitmap_region, n)?;
     *pos = bitmap_end;
+
+    // The three sub-streams decode through the fused kernels into this
+    // thread's scratch, back to back in stream order (lower | center |
+    // upper); the gather then copies each value to its place in `out` by
+    // its bitmap code and counts the codes of each part.
+    let mut unpacked = UNPACKED.try_with(Cell::take).unwrap_or_default();
+    unpacked.clear();
+    let start = out.len();
+    let tallies = unpack_part(buf, pos, nl, alpha, xmin, &mut unpacked)
+        .and_then(|()| unpack_part(buf, pos, nc, beta, min_xc, &mut unpacked))
+        .and_then(|()| unpack_part(buf, pos, nu, gamma, min_xu, &mut unpacked))
+        .and_then(|()| OutlierBitmap::gather(bitmap_region, n, &unpacked, nl, nc, out));
+    if unpacked.capacity() <= KEPT_SCRATCH_VALUES {
+        // Fails only while the thread is being torn down.
+        let _ = UNPACKED.try_with(|cell| cell.set(unpacked));
+    }
+    if tallies == Ok((nl, nu)) {
+        return Ok(());
+    }
+
+    // The error path. A short bitmap or one whose counts disagree with the
+    // header is reported before a bad sub-stream, at the position where
+    // a count pass ahead of the unpack would have stopped.
+    out.truncate(start);
+    let (seen_l, seen_u) = OutlierBitmap::count(bitmap_region, n).inspect_err(|_| {
+        *pos = bitmap_start;
+    })?;
     if seen_l != nl || seen_u != nu {
+        *pos = bitmap_end;
         return Err(DecodeError::BitmapCountMismatch {
             header_lower: nl,
             header_upper: nu,
@@ -532,18 +575,9 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
             bitmap_upper: seen_u,
         });
     }
-
-    // The three sub-streams decode through the fused kernels into one
-    // scratch vector, back to back in stream order (lower | center |
-    // upper); the gather pass then copies each value to its place in
-    // `out` by its bitmap code. Nothing reaches `out` before every part
-    // has decoded.
-    let mut unpacked = Vec::with_capacity(n);
-    unpack_part(buf, pos, nl, alpha, xmin, &mut unpacked)?;
-    unpack_part(buf, pos, nc, beta, min_xc, &mut unpacked)?;
-    unpack_part(buf, pos, nu, gamma, min_xu, &mut unpacked)?;
-    OutlierBitmap::gather(bitmap_region, n, &unpacked, nl, nc, out);
-    Ok(())
+    // The bitmap is sound and the gather counts what `count` counts, so
+    // `tallies` holds the sub-stream's error.
+    tallies.map(|_| ())
 }
 
 #[cfg(test)]

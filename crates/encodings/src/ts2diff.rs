@@ -119,7 +119,10 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
             .inspect_err(|_| out.truncate(restore))
     }
 
-    /// Decodes a series produced by [`encode`](Self::encode) (any order).
+    /// Decodes a series produced by [`encode`](Self::encode) (any order),
+    /// appending it to `out`. Each block's heads and differences decode
+    /// straight into `out` and are summed back there. On `Err`, `out` is
+    /// as on entry.
     pub fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
         let n = read_varint(buf, pos)? as usize;
         if n > bitpack::MAX_BLOCK_VALUES {
@@ -133,25 +136,38 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
         if order > MAX_ORDER {
             return Err(DecodeError::BadModeByte { mode: order as u8 });
         }
+        let restore = out.len();
+        self.decode_blocks(buf, pos, n, order, out)
+            .inspect_err(|_| out.truncate(restore))
+    }
+
+    /// Appends the `n` values of a stream's blocks to `out`, a block at a
+    /// time. Leaves what it appended on `Err`.
+    fn decode_blocks(
+        &self,
+        buf: &[u8],
+        pos: &mut usize,
+        n: usize,
+        order: usize,
+        out: &mut Vec<i64>,
+    ) -> DecodeResult<()> {
         out.reserve(n);
-        let mut scratch = Vec::new();
         let mut produced = 0usize;
         while produced < n {
             let len = (n - produced).min(self.block_size);
-            let heads = order.min(len);
-            scratch.clear();
-            for _ in 0..heads {
-                scratch.push(read_varint_i64(buf, pos)?);
+            let block_start = out.len();
+            for _ in 0..order.min(len) {
+                out.push(read_varint_i64(buf, pos)?);
             }
-            self.packer.decode(buf, pos, &mut scratch)?;
-            if scratch.len() != len {
+            self.packer.decode(buf, pos, out)?;
+            let block = out.get_mut(block_start..).unwrap_or_default();
+            if block.len() != len {
                 return Err(DecodeError::LengthMismatch {
                     expected: len,
-                    got: scratch.len(),
+                    got: block.len(),
                 });
             }
-            undiff_in_place(&mut scratch, order);
-            out.extend_from_slice(&scratch);
+            undiff_in_place(block, order);
             produced += len;
         }
         Ok(())
@@ -333,6 +349,43 @@ mod tests {
         enc.encode_parallel(&clean, 4, &mut par)
             .expect("clean input");
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn failed_decode_leaves_out_as_on_entry() {
+        // Three blocks with outliers, so a cut or a flip can land in any
+        // block after others have decoded.
+        let values: Vec<i64> = (0..700)
+            .map(|i| 1000 + (i % 11) * 3 + if i % 53 == 0 { 90_000 } else { 0 })
+            .collect();
+        let prefix = [-5i64, 5];
+        for kind in PackerKind::ALL {
+            let enc = Ts2DiffEncoding::with_block_size(kind.build(), 256);
+            let mut buf = Vec::new();
+            enc.encode(&values, &mut buf);
+            let decode = |bytes: &[u8]| {
+                let (mut pos, mut out) = (0, prefix.to_vec());
+                (enc.decode(bytes, &mut pos, &mut out), out)
+            };
+            for cut in 0..buf.len() {
+                let (result, out) = decode(&buf[..cut]);
+                assert!(result.is_err(), "{} cut {cut}", enc.label());
+                assert_eq!(out, prefix, "{} cut {cut}", enc.label());
+            }
+            let mut failed = 0;
+            for bit in 0..buf.len() * 8 {
+                let mut flipped = buf.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                match decode(&flipped) {
+                    (Err(_), out) => {
+                        failed += 1;
+                        assert_eq!(out, prefix, "{} bit {bit}", enc.label());
+                    }
+                    (Ok(()), out) => assert_eq!(out[..2], prefix, "{} bit {bit}", enc.label()),
+                }
+            }
+            assert!(failed > 0, "{}: no flip failed", enc.label());
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tsfile::crc::crc32;
 use tsfile::{EncodingChoice, SkippedChunk, TsFileError, TsFileReader, TsFileWriter};
 
 static FILES_SEALED: obs::CounterHandle = obs::CounterHandle::new("store.files");
@@ -307,26 +306,22 @@ fn append_fsync(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 }
 
 /// Full strict verification of a data file: envelope, footer CRC, and
-/// every chunk payload CRC. Returns the total value count, or `None`
-/// on any damage (including unreadable bytes).
+/// every chunk payload CRC ([`TsFileReader::verify_chunks`]). Returns the
+/// total value count, or `None` on any damage (including unreadable
+/// bytes).
 fn verify_bytes(bytes: &[u8]) -> Option<u64> {
-    let reader = TsFileReader::open(bytes).ok()?;
-    let mut total = 0u64;
-    let names: Vec<(String, u64)> = reader
-        .series()
-        .iter()
-        .map(|i| (i.name.clone(), i.count))
-        .collect();
-    for (name, count) in names {
-        let (_, payload) = reader.chunk_ranges(&name).ok()?;
-        let stored = bytes.get(payload.end..payload.end.checked_add(4)?)?;
-        let body = bytes.get(payload)?;
-        if crc32(body).to_le_bytes() != stored {
-            return None;
-        }
-        total = total.saturating_add(count);
+    TsFileReader::open(bytes).ok()?.verify_chunks().ok()
+}
+
+/// Appends one file's values of a series to what earlier files gave,
+/// taking the vector over when it is the first, so a series held in one
+/// file is never copied.
+fn append_values(out: &mut Vec<i64>, values: Vec<i64>) {
+    if out.is_empty() {
+        *out = values;
+    } else {
+        out.extend_from_slice(&values);
     }
-    Some(total)
 }
 
 /// Best-effort salvage census of a damaged file: recoverable integer
@@ -622,7 +617,7 @@ impl Store {
             let names: Vec<String> = reader.series().iter().map(|i| i.name.clone()).collect();
             for name in names {
                 let values = reader.read_ints(&name)?;
-                merged.entry(name).or_default().extend_from_slice(&values);
+                append_values(merged.entry(name).or_default(), values);
             }
             min_order = min_order.min(f.order);
         }
@@ -704,7 +699,7 @@ impl Store {
             let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
             let reader = TsFileReader::open(&bytes)?;
             match reader.read_ints(name) {
-                Ok(values) => out.extend_from_slice(&values),
+                Ok(values) => append_values(&mut out, values),
                 Err(TsFileError::NoSuchSeries(_)) => {}
                 Err(e) => return Err(e.into()),
             }
@@ -724,7 +719,7 @@ impl Store {
             scan.skipped.extend(report.skipped);
             match reader.read_ints_salvage(name) {
                 Ok(out) => {
-                    scan.values.extend_from_slice(&out.values);
+                    append_values(&mut scan.values, out.values);
                     scan.skipped.extend(out.skipped);
                 }
                 Err(TsFileError::NoSuchSeries(_)) => {}
@@ -740,7 +735,7 @@ impl Store {
             let (reader, report) = TsFileReader::open_salvage(&bytes);
             scan.skipped.extend(report.skipped);
             if let Ok(out) = reader.read_ints_salvage(name) {
-                scan.quarantined.extend_from_slice(&out.values);
+                append_values(&mut scan.quarantined, out.values);
                 scan.skipped.extend(out.skipped);
             }
         }
@@ -1304,6 +1299,92 @@ mod tests {
             store.series_names().expect("names"),
             vec!["a".to_string(), "b".to_string()]
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_file_and_many_file_series_read_back_in_order() {
+        // "many" goes into each of three files, "one" only into the
+        // second, so its read takes over that file's vector whole.
+        let dir = test_dir("read_order");
+        let mut store = Store::create(&dir, small_opts()).expect("create");
+        let (mut many, mut one) = (Vec::new(), Vec::new());
+        for batch in 0..3i64 {
+            let values: Vec<i64> = (0..50).map(|i| batch * 1000 + i * i).collect();
+            store.append("many", &values).expect("append many");
+            many.extend_from_slice(&values);
+            if batch == 1 {
+                one = (0..30).map(|i| 7 - i * 3).collect();
+                store.append("one", &one).expect("append one");
+            }
+            store.flush().expect("flush");
+        }
+        assert_eq!(store.live_files().len(), 3);
+        for (name, want) in [("many", &many), ("one", &one)] {
+            assert_eq!(&store.read_series(name).expect("read"), want, "{name}");
+            let scan = store.scan_series(name).expect("scan");
+            assert_eq!(&scan.values, want, "{name}");
+            assert!(scan.skipped.is_empty() && scan.quarantined.is_empty());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Chunk verification as recovery did it before `verify_chunks`: each
+    /// chunk found by a by-name lookup, its CRC compared here.
+    fn verify_bytes_by_name(bytes: &[u8]) -> Option<u64> {
+        let reader = TsFileReader::open(bytes).ok()?;
+        let mut total = 0u64;
+        let names: Vec<(String, u64)> = reader
+            .series()
+            .iter()
+            .map(|i| (i.name.clone(), i.count))
+            .collect();
+        for (name, count) in names {
+            let (_, payload) = reader.chunk_ranges(&name).ok()?;
+            let stored = bytes.get(payload.end..payload.end.checked_add(4)?)?;
+            let body = bytes.get(payload)?;
+            if tsfile::crc::crc32(body).to_le_bytes() != stored {
+                return None;
+            }
+            total = total.saturating_add(count);
+        }
+        Some(total)
+    }
+
+    #[test]
+    fn verification_accepts_and_rejects_as_before() {
+        let dir = test_dir("verify");
+        let opts = StoreOptions {
+            rotate_records: 1 << 20,
+            ..small_opts()
+        };
+        let mut store = Store::create(&dir, opts).expect("create");
+        for (k, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let values: Vec<i64> = (0..40).map(|i| (i * 37 + k as i64) % 101).collect();
+            store.append(name, &values).expect("append");
+        }
+        store.flush().expect("flush");
+        let file = store.live_files()[0];
+        let bytes = fs::read(store.path_for(file.id)).expect("read");
+        assert_eq!(verify_bytes(&bytes), Some(120));
+        assert_eq!(verify_bytes_by_name(&bytes), Some(120));
+        for cut in 0..bytes.len() {
+            let prefix = &bytes[..cut];
+            assert_eq!(
+                verify_bytes(prefix),
+                verify_bytes_by_name(prefix),
+                "cut {cut}"
+            );
+        }
+        let mut rejected = 0;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let verdict = verify_bytes(&flipped);
+            assert_eq!(verdict, verify_bytes_by_name(&flipped), "bit {bit}");
+            rejected += usize::from(verdict.is_none());
+        }
+        assert!(rejected > 0, "no flip was rejected");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -836,6 +836,27 @@ impl<'a> TsFileReader<'a> {
         Ok((start..header.end(), payload))
     }
 
+    /// Checks the CRC of every chunk the index lists, in one walk of the
+    /// index, and returns the index's total value count. Each entry's
+    /// chunk header must parse at the entry's offset, and its payload and
+    /// CRC must lie in the file; the header's series name is not compared
+    /// with the entry's. Nothing is decoded. Fails with the first damaged
+    /// chunk's error: a header error, `Corrupt("chunk truncated")` or
+    /// [`TsFileError::ChecksumMismatch`].
+    pub fn verify_chunks(&self) -> Result<u64, TsFileError> {
+        let mut total = 0u64;
+        for info in &self.series {
+            let header = parse_chunk_header(self.data, info.offset as usize)?;
+            if !chunk_payload(self.data, &header)?.1 {
+                return Err(TsFileError::ChecksumMismatch {
+                    series: info.name.clone(),
+                });
+            }
+            total = total.saturating_add(info.count);
+        }
+        Ok(total)
+    }
+
     /// Opens a possibly damaged file, degrading gracefully instead of
     /// refusing it.
     ///

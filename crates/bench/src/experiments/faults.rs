@@ -22,10 +22,10 @@
 //! mirrored into `tsfile.salvage.dataset.<abbr>.*` and reported alongside
 //! the per-class rates.
 //!
-//! Full mode (the default) runs [`SEEDS_FULL`] seeds per fault class —
+//! Full mode (the default) runs `SEEDS_FULL` seeds per fault class —
 //! ≥ 200 distinct fault plans per codec — and writes its tables and
 //! gates to `target/bench/exp_faults.json`. `--quick` runs
-//! [`SEEDS_QUICK`] seeds and writes nothing, sized for the tier-1 gate.
+//! `SEEDS_QUICK` seeds and writes nothing, sized for the tier-1 gate.
 
 use crate::harness::{Config, Report, Table};
 use datasets::{generate, Dataset};

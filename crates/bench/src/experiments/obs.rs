@@ -3,11 +3,11 @@
 //! Three claims are measured and gated:
 //!
 //! * **Overhead**: with the trail recorder on, the kernel unpack path
-//!   must stay within [`KERNEL_OVERHEAD_GATE`] of the recorder-off time
+//!   must stay within `KERNEL_OVERHEAD_GATE` of the recorder-off time
 //!   (the recorder never touches the kernels, so this documents that the
 //!   layer is free where it matters most), and the full BOS-A encode
 //!   pipeline — which *does* emit per-block provenance events — must stay
-//!   within [`PIPELINE_OVERHEAD_GATE`]. Both A/Bs run through [`ab_paired`].
+//!   within `PIPELINE_OVERHEAD_GATE`. Both A/Bs run through [`ab_paired`].
 //! * **Transparency**: toggling the recorder must not change a single
 //!   output byte, and re-encoding a fixed input must produce the exact
 //!   same per-label event counts (the trail is deterministic provenance,

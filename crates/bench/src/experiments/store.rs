@@ -160,6 +160,15 @@ fn next_batch(trial: u64, counter: &mut u64) -> Vec<i64> {
         .collect()
 }
 
+/// Rewrites the manifest in place: the sweep's post-crash damage.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sweep damages the manifest on purpose"
+)]
+fn damage(path: &Path, bytes: &[u8]) {
+    std::fs::write(path, bytes).expect("damage the manifest");
+}
+
 /// Builds the store, crashes it at `point`, applies `class` to the
 /// manifest, reopens, and checks every gate.
 fn run_trial(base: &Path, trial: u64, point: usize, seed: u64, class: FaultClass) -> Trial {
@@ -228,7 +237,7 @@ fn run_trial(base: &Path, trial: u64, point: usize, seed: u64, class: FaultClass
             for _ in 0..n {
                 bytes.push(rng.next() as u8);
             }
-            std::fs::write(&mpath, &bytes).expect("tear manifest");
+            damage(&mpath, &bytes);
         }
         FaultClass::BitFlip => {
             let mut bytes = std::fs::read(&mpath).expect("read manifest");
@@ -242,7 +251,7 @@ fn run_trial(base: &Path, trial: u64, point: usize, seed: u64, class: FaultClass
                 if cold_end > cold_start {
                     let off = cold_start + (rng.next() as usize) % (cold_end - cold_start);
                     bytes[off] ^= 1 << (rng.next() % 8);
-                    std::fs::write(&mpath, &bytes).expect("flip manifest");
+                    damage(&mpath, &bytes);
                 }
             }
         }

@@ -14,7 +14,7 @@
 //!   candidate/prune tallies and the solver-search vs payload-packing
 //!   wall-time split from the span registry, plus an obs-on/obs-off A/B
 //!   overhead check. With metrics on, the kernel path must stay within
-//!   [`OBS_OVERHEAD_GATE`], and toggling the runtime kill-switch must not
+//!   `OBS_OVERHEAD_GATE`, and toggling the runtime kill-switch must not
 //!   change a single output byte.
 //! * **Solvers**: every [`SolverKind`] encoding the outlier dataset
 //!   through a scratch-reusing [`bitpack::EncodeSession`], then BOS-B on
@@ -126,7 +126,7 @@ impl SolverMetricsRow {
 
 /// Obs-on vs obs-off A/B results.
 struct Overhead {
-    /// Kernel unpack — gated at [`OBS_OVERHEAD_GATE`].
+    /// Kernel unpack — gated at `OBS_OVERHEAD_GATE`.
     kernel: AbTimes,
     /// BOS-M driver encode — reported, not gated (the driver path *is*
     /// instrumented, but solver cost dominates).

@@ -327,6 +327,10 @@ impl Report {
         }
         let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench"));
         let path = dir.join(format!("{}.json", self.binary));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a git-ignored bench artifact; rerunning the experiment regenerates it"
+        )]
         std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::write(&path, self.to_json()))
             .expect("write the bench artifact");

@@ -3,8 +3,8 @@
 //! Every integer block codec in the workspace — the PFOR family in
 //! `crates/pfor`, BOS in `crates/bos` — implements [`BlockCodec`]. The
 //! trait lives here, in the leaf crate both depend on, so there is exactly
-//! one definition: `pfor` re-exports it as `pfor::Codec` and `encodings`
-//! as `encodings::IntPacker` for backwards-compatible paths.
+//! one definition and one name. It has no default `encode` or `decode`:
+//! every codec implements both halves of its format.
 //!
 //! A codec works on one self-describing block; [`encode_blocks_parallel`]
 //! generalizes that to long series by segmenting into fixed-size blocks and
@@ -158,7 +158,9 @@ fn elapsed_ns(since: Instant) -> u64 {
 ///
 /// Implementations append length-prefixed blocks on encode and must fail
 /// with `Err(`[`DecodeError`](crate::DecodeError)`)` — never panic — on
-/// corrupt or truncated input.
+/// corrupt or truncated input. `encode` and `decode` have no default
+/// body, so a codec cannot implement one half of its format without the
+/// other.
 pub trait BlockCodec {
     /// Method label used in experiment tables ("PFOR", "NEWPFOR", …).
     ///

@@ -14,7 +14,6 @@ use std::fmt;
 /// Why a decode failed. Carried unchanged from the innermost primitive
 /// (e.g. [`crate::BitReader`]) to the outermost API (`tsfile`, `query`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum DecodeError {
     /// The input ended before the declared payload did.
     Truncated,
@@ -126,7 +125,6 @@ pub type DecodeResult<T> = Result<T, DecodeError>;
 /// panic with `catch_unwind` and reports it as a value instead of poisoning
 /// the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum EncodeError {
     /// A codec panicked while encoding the given block index. The output
     /// buffer is left exactly as it was on entry.

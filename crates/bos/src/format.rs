@@ -51,14 +51,13 @@
 //! The solver still decides plain-vs-separated on the *bit-exact* cost
 //! model of Definition 5 (`Evaluation::cost_bits`); the stored form pays
 //! at most ~7 bytes of padding per region on top of that, which
-//! [`separated_payload_bytes`] accounts for exactly.
+//! `separated_payload_bytes` accounts for exactly.
 
 #![deny(clippy::indexing_slicing)]
 
 use std::cell::Cell;
 
 use crate::cost::{Separation, Solution};
-use crate::solver::{solve_values, Solver};
 use bitpack::bitmap::{BitmapWriter, OutlierBitmap, Part};
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::kernels::{packed_size, unpack_words};
@@ -86,14 +85,9 @@ static PART_NL: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.
 static PART_NC: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.nc");
 static PART_NU: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.nu");
 
-/// Encodes one block, choosing plain packing or separation with `solver`.
-pub fn encode_block<S: Solver + Clone>(values: &[i64], solver: &S, out: &mut Vec<u8>) {
-    let solution = solve_values(solver, values);
-    encode_block_with_solution(values, &solution, out);
-}
-
-/// Encodes one block with a pre-computed solution (used by tests and by
-/// callers that already ran the solver for cost statistics).
+/// Encodes one block with a pre-computed solution: the block encoder
+/// behind [`BosCodec::encode`](crate::BosCodec::encode), also used by
+/// tests and by callers that already ran the solver for cost statistics.
 pub fn encode_block_with_solution(values: &[i64], solution: &Solution, out: &mut Vec<u8>) {
     write_varint(out, values.len() as u64);
     if values.is_empty() {
@@ -584,17 +578,23 @@ fn decode_separated(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<i64>) -
 mod tests {
     use super::*;
     use crate::cost::SortedBlock;
-    use crate::solver::{BitWidthSolver, MedianSolver, Solver, ValueSolver};
+    use crate::solver::{solve_values, BitWidthSolver};
+    use crate::{BosCodec, SolverKind};
 
     const INTRO: [i64; 8] = [3, 2, 4, 5, 3, 2, 0, 8];
 
-    fn roundtrip_with<S: Solver + Clone>(values: &[i64], solver: &S) -> Vec<u8> {
+    /// One block encoded by the shipping encoder, BOS-B.
+    fn encode_bosb(values: &[i64], out: &mut Vec<u8>) {
+        BosCodec::new(SolverKind::BitWidth).encode(values, out);
+    }
+
+    fn roundtrip_with(values: &[i64], kind: SolverKind) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_block(values, solver, &mut buf);
+        BosCodec::new(kind).encode(values, &mut buf);
         let mut pos = 0;
         let mut out = Vec::new();
         decode_block(&buf, &mut pos, &mut out).expect("decode");
-        assert_eq!(out, values, "roundtrip mismatch for {}", solver.name());
+        assert_eq!(out, values, "roundtrip mismatch for {}", kind.label());
         assert_eq!(pos, buf.len());
         buf
     }
@@ -614,10 +614,10 @@ mod tests {
                 .collect(),
         ];
         for case in &cases {
-            roundtrip_with(case, &ValueSolver::new());
-            roundtrip_with(case, &BitWidthSolver::new());
-            roundtrip_with(case, &MedianSolver::new());
-            roundtrip_with(case, &ValueSolver::upper_only());
+            roundtrip_with(case, SolverKind::Value);
+            roundtrip_with(case, SolverKind::BitWidth);
+            roundtrip_with(case, SolverKind::Median);
+            roundtrip_with(case, SolverKind::ValueUpperOnly);
         }
     }
 
@@ -633,7 +633,7 @@ mod tests {
         };
         assert_eq!(cost_bits, 24);
         assert_eq!(SortedBlock::from_values(&INTRO).plain_cost_bits(), 32);
-        roundtrip_with(&INTRO, &BitWidthSolver::new());
+        roundtrip_with(&INTRO, SolverKind::BitWidth);
 
         // Same outlier shape at a realistic block size: separation must
         // win on disk despite word padding.
@@ -649,7 +649,7 @@ mod tests {
             },
             &mut plain,
         );
-        let sep = roundtrip_with(&big, &BitWidthSolver::new());
+        let sep = roundtrip_with(&big, SolverKind::BitWidth);
         let mut pos = 0;
         let summary = peek_block(&sep, &mut pos).expect("peek");
         assert!(summary.separated, "solver must separate the outlier block");
@@ -701,7 +701,7 @@ mod tests {
     #[test]
     fn corrupt_inputs_do_not_panic() {
         let mut buf = Vec::new();
-        encode_block(&INTRO, &BitWidthSolver::new(), &mut buf);
+        encode_bosb(&INTRO, &mut buf);
         // Truncations at every length must fail cleanly or succeed (a
         // truncation can still contain a full valid block only at full
         // length).
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn empty_block_is_one_byte() {
         let mut buf = Vec::new();
-        encode_block(&[], &ValueSolver::new(), &mut buf);
+        BosCodec::new(SolverKind::Value).encode(&[], &mut buf);
         assert_eq!(buf, vec![0]);
         let mut pos = 0;
         let mut out = Vec::new();
@@ -808,7 +808,7 @@ mod tests {
                     };
                     encode_block_with_solution(case, &plain, &mut buf);
                 } else {
-                    encode_block(case, &BitWidthSolver::new(), &mut buf);
+                    encode_bosb(case, &mut buf);
                 }
                 let mut ppos = 0;
                 let summary = peek_block(&buf, &mut ppos).expect("peek");
@@ -833,7 +833,7 @@ mod tests {
     #[test]
     fn peek_rejects_truncation() {
         let mut buf = Vec::new();
-        encode_block(&INTRO, &BitWidthSolver::new(), &mut buf);
+        encode_bosb(&INTRO, &mut buf);
         for cut in 0..buf.len() {
             let mut pos = 0;
             assert!(peek_block(&buf[..cut], &mut pos).is_err(), "cut {cut}");
@@ -843,9 +843,9 @@ mod tests {
     #[test]
     fn multiple_blocks_in_one_buffer() {
         let mut buf = Vec::new();
-        encode_block(&INTRO, &BitWidthSolver::new(), &mut buf);
-        encode_block(&[9, 9, 9], &BitWidthSolver::new(), &mut buf);
-        encode_block(&[-5, 1000, -5], &BitWidthSolver::new(), &mut buf);
+        encode_bosb(&INTRO, &mut buf);
+        encode_bosb(&[9, 9, 9], &mut buf);
+        encode_bosb(&[-5, 1000, -5], &mut buf);
         let mut pos = 0;
         let mut out = Vec::new();
         decode_block(&buf, &mut pos, &mut out).unwrap();

@@ -175,9 +175,10 @@ impl BosCodec {
 
     /// Runs the solver on `values` (without encoding). One-shot: builds a
     /// throwaway solver and scratch. Encode paths that run over many
-    /// blocks should use [`BosCodec::encode_session`] (or hold a solver
-    /// plus [`SolverScratch`] themselves) so the working memory survives
-    /// from block to block.
+    /// blocks should use a
+    /// [`BlockCodec::encode_session`](bitpack::BlockCodec::encode_session)
+    /// (or hold a solver plus [`SolverScratch`] themselves) so the working
+    /// memory survives from block to block.
     pub fn solve(&self, values: &[i64]) -> Solution {
         self.kind
             .build()
@@ -203,7 +204,7 @@ impl BosCodec {
     }
 
     /// Encodes one block of values into `out`: a one-block
-    /// [`BosCodec::encode_session`].
+    /// [`BlockCodec::encode_session`](bitpack::BlockCodec::encode_session).
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
         self.session().encode_block(values, out);
     }

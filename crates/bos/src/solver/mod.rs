@@ -69,7 +69,7 @@ impl SolverScratch {
 /// A strategy for choosing the separation thresholds of one block.
 ///
 /// The entry point takes raw values, not a pre-built
-/// [`SortedBlock`](crate::cost::SortedBlock):
+/// [`SortedBlock`]:
 /// BOS-M's whole point is running in O(n) *without* sorting, so building the
 /// summary is part of each solver's own budget (and of its measured time in
 /// the Figure 10c / 15 experiments). What the [`SolverScratch`] amortizes is

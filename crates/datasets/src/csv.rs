@@ -5,23 +5,26 @@
 //! and load their own single-column CSV series into the experiment
 //! harness.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io;
 use std::path::Path;
 
 /// Writes one value per line with a `value` header.
 pub fn save_ints(path: &Path, values: &[i64]) -> io::Result<()> {
-    let mut out = String::with_capacity(values.len() * 8 + 16);
-    out.push_str("value\n");
-    for v in values {
-        writeln!(out, "{v}").expect("string write");
-    }
-    std::fs::write(path, out)
+    save_column(path, values)
 }
 
 /// Writes one float per line with a `value` header, full round-trippable
 /// precision.
 pub fn save_floats(path: &Path, values: &[f64]) -> io::Result<()> {
+    save_column(path, values)
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a dataset export for inspection; rerunning the export regenerates it"
+)]
+fn save_column<T: Display>(path: &Path, values: &[T]) -> io::Result<()> {
     let mut out = String::with_capacity(values.len() * 12 + 16);
     out.push_str("value\n");
     for v in values {

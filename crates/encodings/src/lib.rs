@@ -7,11 +7,9 @@
 //! swapping the operator is the whole point of BOS being a drop-in
 //! replacement for bit-packing.
 //!
-//! * [`IntPacker`] — the operator interface. This is the workspace-wide
-//!   [`bitpack::BlockCodec`](bitpack::codec::BlockCodec) re-exported under
-//!   its historical name here; every PFOR-family codec and
-//!   [`bos::BosCodec`] implements it directly, so codecs plug into the
-//!   outer encoders with no wrapper types.
+//! * [`bitpack::BlockCodec`] — the operator interface. Every
+//!   PFOR-family codec and [`bos::BosCodec`] implements it directly, so
+//!   codecs plug into the outer encoders with no wrapper types.
 //! * [`rle::RleEncoding`] — hybrid run-length / literal-block encoding.
 //! * [`ts2diff::Ts2DiffEncoding`] — delta encoding (IoTDB TS2DIFF),
 //!   first- or second-order ([`diff`] holds the order-k transform).
@@ -40,15 +38,8 @@ pub mod ts2diff;
 
 pub use pipeline::{OuterKind, Pipeline};
 
+use bitpack::BlockCodec;
 use bos::{BosCodec, SolverKind};
-
-/// The inner bit-packing operator interface: a self-describing block codec
-/// over `i64` values.
-///
-/// Defined once in [`bitpack::codec`](bitpack::codec) (blanket impls for
-/// `&C` and `Box<C>` included) and re-exported here under the name this
-/// crate has always used; `pfor::Codec` is the same trait.
-pub use bitpack::codec::BlockCodec as IntPacker;
 
 /// All inner operators of the Figure 10 grid, for experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +80,7 @@ impl PackerKind {
 
     /// Instantiates the operator. Every operator is a plain `Copy`
     /// struct, so one instance can be shared by parallel encode workers.
-    pub fn build(self) -> Box<dyn IntPacker + Send + Sync> {
+    pub fn build(self) -> Box<dyn BlockCodec + Send + Sync> {
         match self {
             PackerKind::Bp => Box::new(pfor::BpCodec::new()),
             PackerKind::Pfor => Box::new(pfor::PforCodec::new()),

@@ -38,28 +38,19 @@ impl OuterKind {
     }
 }
 
-/// An outer encoding combined with an inner operator.
+/// An outer encoding combined with an inner operator, at the outer
+/// encoders' default block size.
 pub struct Pipeline {
     outer: OuterKind,
     packer_kind: PackerKind,
-    block_size: usize,
 }
 
 impl Pipeline {
-    /// Default block size shared with the individual encoders.
-    pub const DEFAULT_BLOCK: usize = 1024;
-
-    /// Creates a pipeline with the default block size.
+    /// Creates a pipeline.
     pub fn new(outer: OuterKind, packer: PackerKind) -> Self {
-        Self::with_block_size(outer, packer, Self::DEFAULT_BLOCK)
-    }
-
-    /// Creates a pipeline with a custom block size.
-    pub fn with_block_size(outer: OuterKind, packer: PackerKind, block_size: usize) -> Self {
         Self {
             outer,
             packer_kind: packer,
-            block_size,
         }
     }
 
@@ -72,15 +63,9 @@ impl Pipeline {
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
         let packer = self.packer_kind.build();
         match self.outer {
-            OuterKind::Rle => {
-                RleEncoding::with_block_size(packer, self.block_size).encode(values, out);
-            }
-            OuterKind::Ts2Diff => {
-                Ts2DiffEncoding::with_block_size(packer, self.block_size).encode(values, out);
-            }
-            OuterKind::Sprintz => {
-                SprintzEncoding::with_block_size(packer, self.block_size).encode(values, out);
-            }
+            OuterKind::Rle => RleEncoding::new(packer).encode(values, out),
+            OuterKind::Ts2Diff => Ts2DiffEncoding::new(packer).encode(values, out),
+            OuterKind::Sprintz => SprintzEncoding::new(packer).encode(values, out),
         }
     }
 
@@ -92,7 +77,6 @@ impl Pipeline {
     /// [`EncodeError::WorkerPanicked`](bitpack::EncodeError) with `out`
     /// exactly as on entry. RLE and SPRINTZ carry cross-block state and
     /// take the sequential path; `threads == 0` counts as one.
-    // lint:allow(encode-decode-pairing): byte-identical to `encode`, so the existing `decode` is its counterpart (pinned by `parallel_encode_is_byte_identical`)
     pub fn encode_parallel(
         &self,
         values: &[i64],
@@ -103,28 +87,16 @@ impl Pipeline {
             self.encode(values, out);
             return Ok(());
         }
-        Ts2DiffEncoding::with_block_size(self.packer_kind.build(), self.block_size).encode_parallel(
-            values,
-            threads.max(1),
-            out,
-        )
+        Ts2DiffEncoding::new(self.packer_kind.build()).encode_parallel(values, threads.max(1), out)
     }
 
     /// Decodes an integer series.
     pub fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
         let packer = self.packer_kind.build();
         match self.outer {
-            OuterKind::Rle => {
-                RleEncoding::with_block_size(packer.as_ref(), self.block_size).decode(buf, pos, out)
-            }
-            OuterKind::Ts2Diff => {
-                Ts2DiffEncoding::with_block_size(packer.as_ref(), self.block_size)
-                    .decode(buf, pos, out)
-            }
-            OuterKind::Sprintz => {
-                SprintzEncoding::with_block_size(packer.as_ref(), self.block_size)
-                    .decode(buf, pos, out)
-            }
+            OuterKind::Rle => RleEncoding::new(packer.as_ref()).decode(buf, pos, out),
+            OuterKind::Ts2Diff => Ts2DiffEncoding::new(packer.as_ref()).decode(buf, pos, out),
+            OuterKind::Sprintz => SprintzEncoding::new(packer.as_ref()).decode(buf, pos, out),
         }
     }
 

@@ -12,21 +12,21 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use crate::IntPacker;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};
+use bitpack::BlockCodec;
 
 /// Minimum repetition count that becomes a run segment. Shorter
 /// repetitions stay in literal stretches (a run header costs ~3–11 bytes).
 pub const MIN_RUN: usize = 8;
 
 /// Hybrid RLE over an inner operator.
-pub struct RleEncoding<P: IntPacker> {
+pub struct RleEncoding<P: BlockCodec> {
     packer: P,
     max_literal: usize,
 }
 
-impl<P: IntPacker> RleEncoding<P> {
+impl<P: BlockCodec> RleEncoding<P> {
     /// Default cap on literal stretch length (one operator block).
     pub const DEFAULT_BLOCK: usize = 1024;
 

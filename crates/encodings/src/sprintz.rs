@@ -12,17 +12,17 @@
 //! operator block(residuals)`), tag = k > 0: k consecutive all-constant
 //! blocks (values equal to the running predictor).
 
-use crate::IntPacker;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};
+use bitpack::BlockCodec;
 
 /// Delta-predictive encoding with zero-block skipping.
-pub struct SprintzEncoding<P: IntPacker> {
+pub struct SprintzEncoding<P: BlockCodec> {
     packer: P,
     block_size: usize,
 }
 
-impl<P: IntPacker> SprintzEncoding<P> {
+impl<P: BlockCodec> SprintzEncoding<P> {
     /// Default block size (values per block).
     pub const DEFAULT_BLOCK: usize = 1024;
 

@@ -19,22 +19,22 @@
 //! header written here.
 
 use crate::diff::{diff_in_place, undiff_in_place};
-use crate::IntPacker;
 use bitpack::codec::{encode_blocks_with, EncodeSession};
 use bitpack::error::{DecodeError, DecodeResult, EncodeError};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};
+use bitpack::BlockCodec;
 
 /// Highest differencing order the format accepts.
 pub const MAX_ORDER: usize = 8;
 
 /// Delta encoding over an inner operator.
-pub struct Ts2DiffEncoding<P: IntPacker> {
+pub struct Ts2DiffEncoding<P: BlockCodec> {
     packer: P,
     block_size: usize,
     order: usize,
 }
 
-impl<P: IntPacker> Ts2DiffEncoding<P> {
+impl<P: BlockCodec> Ts2DiffEncoding<P> {
     /// Default block size used by the experiments (values per block).
     pub const DEFAULT_BLOCK: usize = 1024;
 
@@ -315,7 +315,7 @@ mod tests {
     /// BP operator that panics when a difference above 5000 reaches it.
     struct PanicOnSpike;
 
-    impl IntPacker for PanicOnSpike {
+    impl BlockCodec for PanicOnSpike {
         fn name(&self) -> &'static str {
             "TS2DIFF-PANIC-MOCK-TEST"
         }

@@ -12,7 +12,7 @@
 
 use crate::ByteCodec;
 use bitpack::error::{DecodeError, DecodeResult};
-use bitpack::zigzag::{read_varint, write_varint};
+use bitpack::zigzag::{read_len_bounded, write_varint};
 
 /// Probability precision (LZMA uses 11 bits).
 const PROB_BITS: u32 = 11;
@@ -257,13 +257,15 @@ impl ByteCodec for LzmaLite {
                 model.len.encode(&mut enc, mlen as u32);
                 model.dist.encode(&mut enc, mdist as u32);
                 // Index interior positions sparsely.
+                // lint:allow(unchecked-arith-in-decode): encoder side; the match scan stops at data.len(), so i + mlen <= data.len()
+                let next = i + mlen;
                 let step = (mlen / 8).max(1);
                 let mut j = i + 1;
-                while j + MIN_MATCH <= data.len() && j < i + mlen {
+                while j + MIN_MATCH <= data.len() && j < next {
                     table[hash3(&data[j..])] = j;
                     j += step;
                 }
-                i += mlen;
+                i = next;
                 prev_byte = data[i - 1];
             } else {
                 enc.encode_bit(&mut model.is_match, false);
@@ -278,16 +280,15 @@ impl ByteCodec for LzmaLite {
     }
 
     fn decompress(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> DecodeResult<()> {
-        let n = read_varint(buf, pos)? as usize;
+        let n = read_len_bounded(buf, pos, bitpack::MAX_BLOCK_VALUES * 8)?;
         if n == 0 {
             return Ok(());
         }
-        if n > bitpack::MAX_BLOCK_VALUES * 8 {
-            return Err(DecodeError::CountOverflow { claimed: n as u64 });
-        }
-        let plen = read_varint(buf, pos)? as usize;
-        let payload = buf.get(*pos..*pos + plen).ok_or(DecodeError::Truncated)?;
-        *pos += plen;
+        let remaining = buf.len().saturating_sub(*pos);
+        let plen = read_len_bounded(buf, pos, remaining)?;
+        let end = pos.checked_add(plen).ok_or(DecodeError::Truncated)?;
+        let payload = buf.get(*pos..end).ok_or(DecodeError::Truncated)?;
+        *pos = end;
         let mut model = Model::new();
         let mut dec = RangeDecoder::new(payload)?;
         let start = out.len();
@@ -297,15 +298,16 @@ impl ByteCodec for LzmaLite {
             if dec.decode_bit(&mut model.is_match) {
                 let mlen = model.len.decode(&mut dec) as usize;
                 let mdist = model.dist.decode(&mut dec) as usize;
-                if mlen < MIN_MATCH || mdist == 0 || mdist > out.len() - start {
+                let produced = out.len() - start;
+                if mlen < MIN_MATCH || mdist == 0 || mdist > produced {
                     return Err(DecodeError::CountOverflow {
                         claimed: mdist as u64,
                     });
                 }
-                if out.len() - start + mlen > n {
+                if mlen > n - produced {
                     return Err(DecodeError::LengthMismatch {
                         expected: n,
-                        got: out.len() - start + mlen,
+                        got: produced.saturating_add(mlen),
                     });
                 }
                 let from = out.len() - mdist;
@@ -361,6 +363,24 @@ mod tests {
         let lzma = roundtrip_bytes(&LzmaLite::new(), &data);
         let lz4 = roundtrip_bytes(&crate::Lz4Like::new(), &data);
         assert!(lzma < lz4, "lzma {lzma} vs lz4 {lz4}");
+    }
+
+    #[test]
+    fn payload_length_past_the_buffer_is_an_error() {
+        // varint n = 1, then varint plen = u64::MAX: the payload claim
+        // must be refused before any cursor arithmetic on it.
+        let hostile = [
+            0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+        ];
+        let mut out = Vec::new();
+        assert_eq!(
+            LzmaLite::new().decompress(&hostile, &mut 0, &mut out),
+            Err(DecodeError::LengthOverrun {
+                claimed: u64::MAX,
+                bound: 10,
+            })
+        );
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::zigzag::{read_varint, write_varint};
+use bitpack::BlockCodec as _;
 use bos::{BosCodec, SolverKind};
-use pfor::Codec as _;
 
 /// Values per transform block.
 pub const BLOCK: usize = 256;

@@ -610,7 +610,7 @@ pub fn trail_drain() -> Trail {
     Trail { events, dropped }
 }
 
-// --- snapshot / reset / report -------------------------------------------
+// --- snapshot / reset --------------------------------------------------
 
 /// Copies the whole registry into a plain-data [`Snapshot`]. Always the
 /// empty snapshot (`enabled: false`) without the feature.
@@ -651,15 +651,6 @@ pub fn reset() {
     }
 }
 
-/// Human-readable table of the current registry state, or a note that
-/// instrumentation is compiled out.
-pub fn report() -> String {
-    if !cfg!(feature = "enabled") {
-        return "obs: disabled build (enable the `obs` feature for metrics)\n".to_string();
-    }
-    snapshot().render()
-}
-
 #[cfg(all(test, not(feature = "enabled")))]
 mod inert_tests {
     use super::*;
@@ -692,7 +683,6 @@ mod inert_tests {
         let snap = snapshot();
         assert!(!snap.enabled);
         assert!(snap.is_empty(), "no-op build must register nothing");
-        assert!(report().contains("disabled"));
         reset();
     }
 }
@@ -790,13 +780,6 @@ mod tests {
             .histogram("test.imp.reset_hist")
             .expect("name survives reset");
         assert_eq!((hs.count, hs.sum, hs.min, hs.max), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn report_renders_without_panicking() {
-        counter("test.imp.report_counter").inc();
-        let r = report();
-        assert!(r.contains("test.imp.report_counter"));
     }
 
     // Single test for all draining behavior: drains are process-global,

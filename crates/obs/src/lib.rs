@@ -47,6 +47,6 @@ pub use snapshot::{push_json_str, HistogramSnapshot, Snapshot, SpanSnapshot};
 
 mod imp;
 pub use imp::{
-    counter, enabled, histogram, report, reset, set_enabled, snapshot, span, Counter,
-    CounterHandle, Histogram, HistogramHandle, SpanGuard,
+    counter, enabled, histogram, reset, set_enabled, snapshot, span, Counter, CounterHandle,
+    Histogram, HistogramHandle, SpanGuard,
 };

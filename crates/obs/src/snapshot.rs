@@ -1,7 +1,7 @@
 //! Plain-data snapshot types shared by the real and no-op builds, plus
-//! the JSON and table renderers. Keeping these outside the `#[cfg]`
-//! switch means consumers can hold and serialize a [`Snapshot`] without
-//! caring which build produced it.
+//! the JSON renderer. Keeping these outside the `#[cfg]` switch means
+//! consumers can hold and serialize a [`Snapshot`] without caring which
+//! build produced it.
 
 /// Point-in-time copy of one histogram's state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,7 +104,7 @@ pub struct SpanSnapshot {
 
 /// A full registry snapshot: every metric name paired with its value at
 /// the moment [`crate::snapshot`] was called. Names are sorted, so the
-/// JSON and table renderings are deterministic.
+/// JSON rendering is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// `true` when produced by an instrumented (`enabled`-feature) build.
@@ -195,81 +195,6 @@ impl Snapshot {
         s.push_str("\n  }\n}");
         s
     }
-
-    /// Renders the snapshot as a human-readable table (the body of
-    /// [`crate::report`]).
-    pub fn render(&self) -> String {
-        if self.is_empty() {
-            return "obs: registry empty (nothing recorded, or no-op build)\n".to_string();
-        }
-        let mut s = String::new();
-        if !self.counters.is_empty() {
-            s.push_str("counters\n");
-            let w = self
-                .counters
-                .iter()
-                .map(|(n, _)| n.len())
-                .max()
-                .unwrap_or(0);
-            for (name, v) in &self.counters {
-                s.push_str(&format!("  {name:<w$}  {v}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            s.push_str(
-                "histograms (count / mean / p50 p90 p99 / min..max, buckets by bit-width)\n",
-            );
-            let w = self
-                .histograms
-                .iter()
-                .map(|(n, _)| n.len())
-                .max()
-                .unwrap_or(0);
-            for (name, h) in &self.histograms {
-                s.push_str(&format!(
-                    "  {name:<w$}  n={} mean={:.1} p50={:.1} p90={:.1} p99={:.1} range={}..{}",
-                    h.count,
-                    h.mean(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.min,
-                    h.max
-                ));
-                let buckets: Vec<String> =
-                    h.buckets.iter().map(|(b, c)| format!("{b}:{c}")).collect();
-                s.push_str(&format!("  [{}]\n", buckets.join(" ")));
-            }
-        }
-        if !self.spans.is_empty() {
-            s.push_str("spans (count / total / self / per-call min..max)\n");
-            let w = self.spans.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (name, sp) in &self.spans {
-                s.push_str(&format!(
-                    "  {name:<w$}  n={} total={} self={} call={}..{}\n",
-                    sp.count,
-                    fmt_ns(sp.total_ns),
-                    fmt_ns(sp.self_ns),
-                    fmt_ns(sp.min_ns),
-                    fmt_ns(sp.max_ns)
-                ));
-            }
-        }
-        s
-    }
-}
-
-/// Formats nanoseconds with a readable unit (ns/µs/ms/s).
-fn fmt_ns(ns: u64) -> String {
-    if ns < 10_000 {
-        format!("{ns}ns")
-    } else if ns < 10_000_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2}s", ns as f64 / 1e9)
-    }
 }
 
 /// Appends `name` as a JSON string literal (quotes + minimal escaping;
@@ -344,20 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_every_section() {
-        let s = Snapshot {
-            enabled: true,
-            counters: vec![("c".to_string(), 1)],
-            histograms: vec![("h".to_string(), HistogramSnapshot::default())],
-            spans: vec![("sp".to_string(), SpanSnapshot::default())],
-        };
-        let r = s.render();
-        for section in ["counters", "histograms", "spans"] {
-            assert!(r.contains(section), "missing {section} in:\n{r}");
-        }
-    }
-
-    #[test]
     fn percentiles_exact_on_single_value_distribution() {
         // Twenty 8s: every quantile must be exactly 8 (bucket 4 spans
         // 8..=15, but the min/max clamp pins the estimate).
@@ -410,35 +321,5 @@ mod tests {
         assert_eq!(h.p50(), 0.0);
         assert_eq!(h.p90(), 0.0);
         assert!(h.percentile(0.999) >= 2048.0);
-    }
-
-    #[test]
-    fn render_shows_percentiles() {
-        let s = Snapshot {
-            enabled: true,
-            counters: Vec::new(),
-            histograms: vec![(
-                "h".to_string(),
-                HistogramSnapshot {
-                    count: 4,
-                    sum: 32,
-                    min: 8,
-                    max: 8,
-                    buckets: vec![(4, 4)],
-                },
-            )],
-            spans: Vec::new(),
-        };
-        let r = s.render();
-        assert!(r.contains("p50=8.0"), "{r}");
-        assert!(r.contains("p90=8.0") && r.contains("p99=8.0"), "{r}");
-    }
-
-    #[test]
-    fn fmt_ns_picks_units() {
-        assert_eq!(fmt_ns(999), "999ns");
-        assert_eq!(fmt_ns(25_000), "25.0µs");
-        assert_eq!(fmt_ns(25_000_000), "25.0ms");
-        assert_eq!(fmt_ns(25_000_000_000), "25.00s");
     }
 }

@@ -33,13 +33,6 @@ pub use crate::imp::{
     trail_set_recording as set_recording,
 };
 
-/// Identity helper marking a string literal as a trail event label.
-/// The `obs-label-unique` xtask lint scans `event_label("...")` call
-/// sites, so every label literal below must be unique workspace-wide.
-const fn event_label(name: &'static str) -> &'static str {
-    name
-}
-
 /// One compact flight-recorder record. Every payload is `Copy` —
 /// integers and `&'static str` labels only — so emitting an event never
 /// allocates on the hot path.
@@ -157,21 +150,23 @@ pub enum Event {
 
 impl Event {
     /// Stable label for this event kind, used as the chrome-trace instant
-    /// name and the [`Trail::counts`] key.
+    /// name and the [`Trail::counts`] key. Labels are distinct per kind
+    /// (pinned by this module's tests): two kinds sharing one would merge
+    /// in every trace viewer.
     pub fn label(&self) -> &'static str {
         match self {
-            Event::BlockSolved { .. } => event_label("trail.block_solved"),
-            Event::BlockPlain { .. } => event_label("trail.block_plain"),
-            Event::BlockSeparated { .. } => event_label("trail.block_separated"),
-            Event::AdaptiveVerdict { .. } => event_label("trail.adaptive_verdict"),
-            Event::DriverDispatch { .. } => event_label("trail.driver_dispatch"),
-            Event::DriverJoin { .. } => event_label("trail.driver_join"),
-            Event::WorkerPanic { .. } => event_label("trail.worker_panic"),
-            Event::ChunkSealed { .. } => event_label("trail.chunk_sealed"),
-            Event::SalvageSkip { .. } => event_label("trail.salvage_skip"),
-            Event::ManifestCommit { .. } => event_label("trail.manifest_commit"),
-            Event::CompactionPhase { .. } => event_label("trail.compaction_phase"),
-            Event::Span { .. } => event_label("trail.span"),
+            Event::BlockSolved { .. } => "trail.block_solved",
+            Event::BlockPlain { .. } => "trail.block_plain",
+            Event::BlockSeparated { .. } => "trail.block_separated",
+            Event::AdaptiveVerdict { .. } => "trail.adaptive_verdict",
+            Event::DriverDispatch { .. } => "trail.driver_dispatch",
+            Event::DriverJoin { .. } => "trail.driver_join",
+            Event::WorkerPanic { .. } => "trail.worker_panic",
+            Event::ChunkSealed { .. } => "trail.chunk_sealed",
+            Event::SalvageSkip { .. } => "trail.salvage_skip",
+            Event::ManifestCommit { .. } => "trail.manifest_commit",
+            Event::CompactionPhase { .. } => "trail.compaction_phase",
+            Event::Span { .. } => "trail.span",
         }
     }
 
@@ -351,9 +346,7 @@ pub fn to_chrome_trace(trail: &Trail) -> String {
 mod tests {
     use super::*;
 
-    /// One of every variant, with distinct payloads — also the
-    /// reference point the `trail-event-paired` lint expects for each
-    /// emitted variant.
+    /// One of every variant, with distinct payloads.
     fn one_of_each() -> Vec<Event> {
         vec![
             Event::BlockSolved {
@@ -425,6 +418,31 @@ mod tests {
                 .collect(),
             dropped: 0,
         }
+    }
+
+    /// Position of each kind in [`one_of_each`]. No wildcard arm: a new
+    /// variant does not compile until it has a place there.
+    fn kind_index(e: &Event) -> usize {
+        match e {
+            Event::BlockSolved { .. } => 0,
+            Event::BlockPlain { .. } => 1,
+            Event::BlockSeparated { .. } => 2,
+            Event::AdaptiveVerdict { .. } => 3,
+            Event::DriverDispatch { .. } => 4,
+            Event::DriverJoin { .. } => 5,
+            Event::WorkerPanic { .. } => 6,
+            Event::ChunkSealed { .. } => 7,
+            Event::SalvageSkip { .. } => 8,
+            Event::ManifestCommit { .. } => 9,
+            Event::CompactionPhase { .. } => 10,
+            Event::Span { .. } => 11,
+        }
+    }
+
+    #[test]
+    fn one_of_each_holds_every_kind_once() {
+        let kinds: Vec<usize> = one_of_each().iter().map(kind_index).collect();
+        assert_eq!(kinds, (0..12).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! RLE/SPRINTZ/TS2DIFF use by default in the paper's experiments
 //! ("RLE+BP" etc.).
 
-use crate::Codec;
+use bitpack::codec::BlockCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::kernels::packed_size;
 use bitpack::unrolled::{pack_words_for, unpack_words_for};
@@ -23,7 +23,7 @@ impl BpCodec {
     }
 }
 
-impl Codec for BpCodec {
+impl BlockCodec for BpCodec {
     fn name(&self) -> &'static str {
         "BP"
     }

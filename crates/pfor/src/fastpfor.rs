@@ -20,7 +20,8 @@
 //! `pack_words_unrolled`. Any other version byte is rejected with
 //! [`DecodeError::BadModeByte`].
 
-use crate::{for_restore, for_transform, Codec, FORMAT_V2};
+use crate::{for_restore, for_transform, FORMAT_V2};
+use bitpack::codec::BlockCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::unrolled::{
     pack_words_for, pack_words_unrolled, unpack_words_for, unpack_words_unrolled,
@@ -65,7 +66,7 @@ impl FastPforCodec {
     }
 }
 
-impl Codec for FastPforCodec {
+impl BlockCodec for FastPforCodec {
     fn name(&self) -> &'static str {
         "FASTPFOR"
     }

@@ -28,8 +28,8 @@
 //! Every PFOR-family codec emits the word-packed format v2
 //! ([`FORMAT_V2`]) driven by the `bitpack::unrolled` lane kernels.
 //!
-//! Shared trait: [`Codec`] (the workspace-wide
-//! [`bitpack::BlockCodec`](bitpack::codec::BlockCodec), re-exported).
+//! Every codec here implements the workspace-wide
+//! [`bitpack::BlockCodec`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,11 +53,6 @@ pub use newpfor::NewPforCodec;
 pub use optpfor::OptPforCodec;
 pub use pfor::PforCodec;
 pub use simplepfor::SimplePforCodec;
-
-/// The unified block-codec trait, defined once in
-/// [`bitpack::codec`](bitpack::codec) and re-exported here under the name
-/// this crate has always used.
-pub use bitpack::codec::BlockCodec as Codec;
 
 /// Format version byte written after `varint n` by the PFOR, FastPFOR
 /// and SimplePFOR layouts. Decoders reject any other value with
@@ -104,10 +99,10 @@ mod tests {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use super::Codec;
+    use bitpack::BlockCodec;
 
     /// Encodes, decodes, checks equality, returns the encoded size.
-    pub fn roundtrip<C: Codec>(codec: &C, values: &[i64]) -> usize {
+    pub fn roundtrip<C: BlockCodec>(codec: &C, values: &[i64]) -> usize {
         let mut buf = Vec::new();
         codec.encode(values, &mut buf);
         let mut pos = 0;

@@ -13,7 +13,8 @@
 //! stream (`packed_size(n, b)` bytes, see `bitpack::unrolled`) ·
 //! simple8b positions · simple8b high bits`.
 
-use crate::{for_restore, for_transform, Codec};
+use crate::{for_restore, for_transform};
+use bitpack::codec::BlockCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::simple8b;
 use bitpack::unrolled::{pack_words_for, unpack_words_for};
@@ -152,7 +153,7 @@ impl NewPforCodec {
     }
 }
 
-impl Codec for NewPforCodec {
+impl BlockCodec for NewPforCodec {
     fn name(&self) -> &'static str {
         "NEWPFOR"
     }

@@ -6,8 +6,9 @@
 //! baselines (clearly visible in the paper's Figure 10c) but the best of
 //! them ratio-wise on most datasets (Figure 10a).
 
+use crate::for_transform;
 use crate::newpfor::{decode_pfd, encode_pfd, exceeding_counts};
-use crate::{for_transform, Codec};
+use bitpack::codec::BlockCodec;
 use bitpack::error::DecodeResult;
 use bitpack::width::width;
 use bitpack::zigzag::{read_len_bounded, write_varint};
@@ -26,7 +27,7 @@ impl OptPforCodec {
     }
 }
 
-impl Codec for OptPforCodec {
+impl BlockCodec for OptPforCodec {
     fn name(&self) -> &'static str {
         "OPTPFOR"
     }

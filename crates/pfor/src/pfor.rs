@@ -17,7 +17,8 @@
 //! unrolled lane kernels; any other version byte is rejected with
 //! [`DecodeError::BadModeByte`].
 
-use crate::{for_restore, for_transform, Codec, FORMAT_V2};
+use crate::{for_restore, for_transform, FORMAT_V2};
+use bitpack::codec::BlockCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::unrolled::{pack_words_unrolled, unpack_words_for, unpack_words_unrolled};
 use bitpack::width::width;
@@ -89,7 +90,7 @@ impl PforCodec {
     }
 }
 
-impl Codec for PforCodec {
+impl BlockCodec for PforCodec {
     fn name(&self) -> &'static str {
         "PFOR"
     }

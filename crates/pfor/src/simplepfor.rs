@@ -14,7 +14,8 @@
 //! delta to its low `b` bits); Simple8b was already word-aligned. Any
 //! other version byte is rejected with [`DecodeError::BadModeByte`].
 
-use crate::{for_restore, for_transform, Codec, FORMAT_V2};
+use crate::{for_restore, for_transform, FORMAT_V2};
+use bitpack::codec::BlockCodec;
 use bitpack::error::{DecodeError, DecodeResult};
 use bitpack::simple8b;
 use bitpack::unrolled::{pack_words_for, unpack_words_for};
@@ -66,7 +67,7 @@ impl SimplePforCodec {
     }
 }
 
-impl Codec for SimplePforCodec {
+impl BlockCodec for SimplePforCodec {
     fn name(&self) -> &'static str {
         "SIMPLEPFOR"
     }

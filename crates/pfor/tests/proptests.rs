@@ -1,9 +1,10 @@
 //! Property-based roundtrips and cross-codec invariants for the PFOR family.
 
-use pfor::{BpCodec, Codec, FastPforCodec, NewPforCodec, OptPforCodec, PforCodec, SimplePforCodec};
+use bitpack::BlockCodec;
+use pfor::{BpCodec, FastPforCodec, NewPforCodec, OptPforCodec, PforCodec, SimplePforCodec};
 use proptest::prelude::*;
 
-fn all_codecs() -> Vec<Box<dyn Codec>> {
+fn all_codecs() -> Vec<Box<dyn BlockCodec>> {
     vec![
         Box::new(BpCodec::new()),
         Box::new(PforCodec::new()),
@@ -14,7 +15,7 @@ fn all_codecs() -> Vec<Box<dyn Codec>> {
     ]
 }
 
-fn roundtrip(codec: &dyn Codec, values: &[i64]) -> usize {
+fn roundtrip(codec: &dyn BlockCodec, values: &[i64]) -> usize {
     let mut buf = Vec::new();
     codec.encode(values, &mut buf);
     let mut pos = 0;

@@ -123,16 +123,12 @@ fn write_observability(
         println!("{}", merge_snapshot_json(extra_json));
     }
     if let Some(path) = metrics_out {
-        // lint:allow(durable-rename): per-run metrics report, regenerated by rerunning the command
-        std::fs::write(path, merge_snapshot_json(extra_json))
-            .map_err(|e| format!("{path}: {e}"))?;
+        write_output(path, merge_snapshot_json(extra_json))?;
         println!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = trace_out {
         let trail = obs::trail::drain();
-        // lint:allow(durable-rename): per-run trace export, regenerated by rerunning the command
-        std::fs::write(path, obs::trail::to_chrome_trace(&trail))
-            .map_err(|e| format!("{path}: {e}"))?;
+        write_output(path, obs::trail::to_chrome_trace(&trail))?;
         println!(
             "wrote {} trace events to {path} ({} dropped by the ring)",
             trail.len(),
@@ -143,6 +139,16 @@ fn write_observability(
 }
 
 type CliResult = Result<(), String>;
+
+/// Writes one command output: a report, a trace, a converted file or the
+/// demo archive.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-run outputs that no manifest claims; rerunning the command regenerates them"
+)]
+fn write_output(path: &str, bytes: impl AsRef<[u8]>) -> CliResult {
+    std::fs::write(path, bytes).map_err(|e| format!("{path}: {e}"))
+}
 
 /// Splices a command-specific JSON fragment (e.g. the salvage report)
 /// into the obs metrics snapshot object under a `"salvage"` key.
@@ -232,8 +238,7 @@ fn cmd_pack(args: &[String]) -> CliResult {
         }
     }
     let bytes = writer.finish();
-    // lint:allow(durable-rename): one-shot conversion output with no manifest claiming it; rerun regenerates
-    std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    write_output(out, &bytes)?;
     println!(
         "wrote {out}: {} bytes ({}x vs raw {} bytes)",
         bytes.len(),
@@ -444,8 +449,7 @@ fn cmd_encode(args: &[String]) -> CliResult {
     let mut buf = Vec::new();
     bitpack::codec::encode_blocks_parallel(&codec, &ints, block_size, threads, &mut buf)
         .map_err(|e| e.to_string())?;
-    // lint:allow(durable-rename): one-shot conversion output with no manifest claiming it; rerun regenerates
-    std::fs::write(out, &buf).map_err(|e| format!("{out}: {e}"))?;
+    write_output(out, &buf)?;
     println!(
         "wrote {out}: {} bytes from {} values ({} blocks of {block_size}, {threads} threads, solver {}, {}x vs raw)",
         buf.len(),
@@ -731,8 +735,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
             .map_err(|e| e.to_string())?;
     }
     let bytes = writer.finish();
-    // lint:allow(durable-rename): demo artifact with no manifest claiming it; rerun regenerates
-    std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    write_output(out, &bytes)?;
     println!(
         "wrote {out}: {} bytes, ratio {} vs raw",
         bytes.len(),

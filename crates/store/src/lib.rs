@@ -283,6 +283,10 @@ fn parse_file_id(name: &str) -> Option<u64> {
 }
 
 /// Writes `bytes` to `path` via temp file, fsync, and atomic rename.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the store's one durable write: the temp file is fsynced, then renamed over `path`"
+)]
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
@@ -1003,6 +1007,15 @@ mod tests {
         dir
     }
 
+    /// Rewrites a store file in place, as a crash or a bad disk would.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "these tests damage store files on purpose"
+    )]
+    fn overwrite(path: &Path, bytes: &[u8]) {
+        fs::write(path, bytes).expect("overwrite");
+    }
+
     fn small_opts() -> StoreOptions {
         StoreOptions {
             rotate_records: 64,
@@ -1169,7 +1182,7 @@ mod tests {
         let mpath = dir.join(manifest::MANIFEST_FILE);
         let mut bytes = fs::read(&mpath).expect("read manifest");
         bytes.extend_from_slice(b"\x03garbage tail not a frame");
-        fs::write(&mpath, &bytes).expect("mangle");
+        overwrite(&mpath, &bytes);
         let (store, report) = Store::open(&dir, small_opts()).expect("reopen");
         assert!(report.torn_tail_truncated);
         assert!(report.manifest_rewritten);
@@ -1195,7 +1208,7 @@ mod tests {
         drop(store);
         // Wipe the log back to a bare magic: every data file is now an
         // orphan and must be adopted, not dropped.
-        fs::write(dir.join(manifest::MANIFEST_FILE), manifest::MAGIC).expect("wipe");
+        overwrite(&dir.join(manifest::MANIFEST_FILE), manifest::MAGIC);
         let (store, report) = Store::open(&dir, small_opts()).expect("reopen");
         assert_eq!(report.orphans_adopted.len(), 1);
         assert_eq!(
@@ -1227,7 +1240,7 @@ mod tests {
         let mid = (payload.start + payload.end) / 2;
         drop(reader);
         bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).expect("mangle");
+        overwrite(&path, &bytes);
         let (store, report) = Store::open(&dir, small_opts()).expect("reopen");
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].reason, QuarantineReason::Damaged);

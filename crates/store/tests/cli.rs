@@ -188,6 +188,10 @@ fn salvage_emits_table_and_metrics_report() {
     let reader = tsfile::TsFileReader::open(&data).unwrap();
     let (_, range) = reader.chunk_ranges("a").unwrap();
     data[range.start + range.len() / 2] ^= 0xff;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test damages a file on purpose"
+    )]
     std::fs::write(&tsf, &data).unwrap();
 
     let metrics = dir.join("salvage.json");

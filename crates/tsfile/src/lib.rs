@@ -472,7 +472,6 @@ pub struct SeriesInfo {
 
 /// Why the salvage path could not recover a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum SkipReason {
     /// The payload bytes did not match the stored CRC-32.
     CrcMismatch,

@@ -14,9 +14,6 @@ pub struct Config {
     /// `read_len_bounded` — a bare `read_varint(..) as usize` used as a
     /// length lets ten corrupt bytes size a multi-gigabyte allocation.
     pub len_read_bounded: Vec<String>,
-    /// Crate source roots (e.g. `crates/bos`) whose public `encode_*`
-    /// functions must have decode counterparts and roundtrip tests.
-    pub pairing_crates: Vec<String>,
     /// Constructor patterns (`CounterHandle::new`, `obs::span`, ...) whose
     /// string-literal arguments are `obs` metric names; every literal must
     /// be unique across the workspace, or two call sites silently share
@@ -25,18 +22,6 @@ pub struct Config {
     /// Decode-path files whose shipping code must not use raw `+`/`*`/`<<`
     /// on length/offset expressions — checked/saturating helpers only.
     pub unchecked_arith: Vec<String>,
-    /// Error enums whose every variant must be constructed in shipping
-    /// code and referenced by at least one test.
-    pub error_variant_enums: Vec<String>,
-    /// Flight-recorder event enums (e.g. `obs::trail::Event`): every
-    /// variant must be emitted from shipping code and referenced by at
-    /// least one test — a never-emitted event is dead provenance, and an
-    /// untested one can silently rot its payload.
-    pub trail_event_enums: Vec<String>,
-    /// Storage-tier files whose shipping functions must pair every
-    /// `File::create` / `fs::write` with fsync + rename in the same
-    /// function (the temp-file → fsync → rename durability protocol).
-    pub durable_rename: Vec<String>,
 }
 
 impl Config {
@@ -44,12 +29,8 @@ impl Config {
     pub fn parse(raw: &str) -> Result<Config, String> {
         let known: BTreeSet<&str> = [
             "len-read-bounded",
-            "encode-decode-pairing",
             "obs-label-unique",
             "unchecked-arith-in-decode",
-            "error-variant-coverage",
-            "trail-event-paired",
-            "durable-rename",
         ]
         .into();
         let mut config = Config::default();
@@ -72,10 +53,7 @@ impl Config {
             };
             let key = key.trim();
             let expected_key = match section.as_str() {
-                "encode-decode-pairing" => "crates",
                 "obs-label-unique" => "patterns",
-                "error-variant-coverage" => "enums",
-                "trail-event-paired" => "enums",
                 _ => "files",
             };
             if section.is_empty() || key != expected_key {
@@ -117,12 +95,8 @@ impl Config {
             }
             match section.as_str() {
                 "len-read-bounded" => config.len_read_bounded = values,
-                "encode-decode-pairing" => config.pairing_crates = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
                 "unchecked-arith-in-decode" => config.unchecked_arith = values,
-                "error-variant-coverage" => config.error_variant_enums = values,
-                "trail-event-paired" => config.trail_event_enums = values,
-                "durable-rename" => config.durable_rename = values,
                 // The section set was validated at the header; an unknown
                 // name here means the two lists drifted apart.
                 other => return Err(format!("line {}: unhandled section [{other}]", lno + 1)),
@@ -157,16 +131,12 @@ files = [
 [unchecked-arith-in-decode]
 files = []
 
-[encode-decode-pairing]
-crates = ["crates/bos"]
-
 [obs-label-unique]
 patterns = ["CounterHandle::new", "obs::span"]
 "#;
         let c = Config::parse(raw).expect("parses");
         assert_eq!(c.len_read_bounded, vec!["a/b.rs", "c/d.rs"]);
         assert!(c.unchecked_arith.is_empty());
-        assert_eq!(c.pairing_crates, vec!["crates/bos"]);
         assert_eq!(
             c.obs_label_patterns,
             vec!["CounterHandle::new", "obs::span"]
@@ -177,38 +147,6 @@ patterns = ["CounterHandle::new", "obs::span"]
     fn obs_label_section_requires_patterns_key() {
         assert!(Config::parse("[obs-label-unique]\nfiles = []").is_err());
         assert!(Config::parse("[obs-label-unique]\npatterns = [\"obs::span\"]").is_ok());
-    }
-
-    #[test]
-    fn new_sections_parse_with_their_keys() {
-        let raw = r#"
-[unchecked-arith-in-decode]
-files = ["crates/bitpack/src/bits.rs"]
-
-[error-variant-coverage]
-enums = ["DecodeError", "SkipReason"]
-
-[trail-event-paired]
-enums = ["Event"]
-
-[durable-rename]
-files = ["crates/store/src/lib.rs"]
-"#;
-        let c = Config::parse(raw).expect("parses");
-        assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/bits.rs"]);
-        assert_eq!(c.error_variant_enums, vec!["DecodeError", "SkipReason"]);
-        assert_eq!(c.trail_event_enums, vec!["Event"]);
-        assert_eq!(c.durable_rename, vec!["crates/store/src/lib.rs"]);
-    }
-
-    #[test]
-    fn new_sections_reject_wrong_keys() {
-        assert!(Config::parse("[error-variant-coverage]\nfiles = []").is_err());
-        assert!(Config::parse("[error-variant-coverage]\nenums = [\"E\"]").is_ok());
-        assert!(Config::parse("[trail-event-paired]\nfiles = []").is_err());
-        assert!(Config::parse("[trail-event-paired]\nenums = [\"Event\"]").is_ok());
-        assert!(Config::parse("[durable-rename]\ndirs = []").is_err());
-        assert!(Config::parse("[durable-rename]\nfiles = [\"a.rs\"]").is_ok());
     }
 
     #[test]
@@ -228,6 +166,10 @@ files = ["crates/store/src/lib.rs"]
             "no-indexing",
             "no-narrowing-casts",
             "uncovered-ok",
+            "encode-decode-pairing",
+            "error-variant-coverage",
+            "trail-event-paired",
+            "durable-rename",
         ] {
             let err = Config::parse(&format!("[{retired}]\nfiles = []")).unwrap_err();
             assert!(err.contains("unknown section"), "{retired}: {err}");

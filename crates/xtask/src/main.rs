@@ -7,26 +7,25 @@
 //! `lint` is the custom static-analysis gate for this repository. It
 //! lexes every workspace source into a spanned token stream
 //! ([`lexer`]), builds a brace-matched item tree with structural
-//! `#[cfg(test)]` detection ([`tree`]), and enforces the rule catalog
-//! configured in `lint.toml` (see DESIGN.md §7 for the full catalog):
+//! `#[cfg(test)]` detection ([`tree`]), and enforces the three rules
+//! configured in `lint.toml` (see DESIGN.md §7 for the catalog):
 //!
 //! - **len-read-bounded / unchecked-arith-in-decode** — per-file
 //!   decode-path hardening rules.
-//! - **encode-decode-pairing / obs-label-unique** — cross-file structural
-//!   invariants of the codec and obs layers.
-//! - **error-variant-coverage / trail-event-paired / durable-rename** —
-//!   semantic rules over the item tree (dead error variants and trail
-//!   events, non-atomic file writes in the storage tier).
+//! - **obs-label-unique** — no two call sites register one `obs` metric
+//!   name.
 //! - **lint-config-hygiene** — `lint.toml` self-check: listed files must
 //!   exist.
 //!
 //! Invariants a type, a test or clippy can carry live there instead:
 //! the decode crates deny clippy's panic family at their roots and
 //! `indexing_slicing` / `cast_possible_truncation` in their decode
-//! modules, detached threads are a `disallowed-methods` entry in the root
-//! `clippy.toml`, and the kernel dispatch tables and codec labels are
-//! pinned by unit tests (see DESIGN.md §7). This crate denies the panic
-//! family too: a panicking linter is a broken gate.
+//! modules; detached threads and bare file writes are
+//! `disallowed-methods` entries in the root `clippy.toml`; every error
+//! and trail variant has a witness in an integration test; and
+//! `BlockCodec` makes every codec implement both `encode` and `decode`
+//! (see DESIGN.md §7). This crate denies the panic family too: a
+//! panicking linter is a broken gate.
 //!
 //! Opting a single line out requires a written justification:
 //!

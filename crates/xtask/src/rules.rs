@@ -8,14 +8,14 @@
 //! `// lint:allow(rule): justification` on the finding's line; an empty
 //! justification is itself a finding.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::lexer::{self, Token, TokenKind};
 use crate::report::Finding;
-use crate::tree::{self, Item, ItemKind};
+use crate::tree;
 
 /// A lexed and item-parsed source file, shared by every rule reading it.
 pub struct SourceFile {
@@ -23,7 +23,6 @@ pub struct SourceFile {
     pub rel: String,
     pub src: String,
     pub tokens: Vec<Token>,
-    pub items: Vec<Item>,
     /// Per-token: `true` when the token is shipping (non-`#[cfg(test)]`)
     /// code.
     pub shipping: Vec<bool>,
@@ -37,8 +36,7 @@ pub struct SourceFile {
 impl SourceFile {
     pub fn from_source(rel: &str, src: String) -> SourceFile {
         let tokens = lexer::lex(&src);
-        let items = tree::parse(&src, &tokens);
-        let shipping = tree::shipping_mask(&tokens, &items);
+        let shipping = tree::shipping_mask(&tokens, &tree::parse(&src, &tokens));
         let mut line_spans = Vec::new();
         let mut start = 0usize;
         for (i, b) in src.bytes().enumerate() {
@@ -53,7 +51,6 @@ impl SourceFile {
             rel: rel.to_string(),
             src,
             tokens,
-            items,
             shipping,
             is_test_file,
             line_spans,
@@ -161,11 +158,7 @@ pub fn run(root: &Path, config: &Config) -> Result<Vec<Finding>, String> {
             push_hits(f, rule, scan(f), &mut findings);
         }
     }
-    pairing(root, &ws, config, &mut findings)?;
     obs_labels(&ws, config, &mut findings);
-    error_variants(&ws, config, &mut findings);
-    trail_events(&ws, config, &mut findings);
-    durable_rename(&ws, config, &mut findings);
 
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
@@ -260,16 +253,6 @@ fn allow_in_text(text: &str, rule: &str) -> Allow {
         Some(justification) if !justification.trim().is_empty() => Allow::Yes,
         _ => Allow::EmptyJustification,
     }
-}
-
-/// All items in a file, flattened, excluding test code.
-fn shipping_items(f: &SourceFile) -> Vec<&Item> {
-    let mut all = Vec::new();
-    tree::walk_items(&f.items, &mut all, false);
-    all.into_iter()
-        .filter(|(_, in_test)| !in_test)
-        .map(|(i, _)| i)
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -654,425 +637,6 @@ pub(crate) fn obs_label_literals(f: &SourceFile, patterns: &[String]) -> Vec<(us
     out
 }
 
-// ---------------------------------------------------------------------------
-// error-variant-coverage
-// ---------------------------------------------------------------------------
-
-/// Rule: every variant of the configured error enums must be constructed
-/// somewhere in shipping code (a variant nothing can produce documents a
-/// failure path that does not exist) and referenced by at least one test
-/// (an unexercised failure path is one refactor away from misfiring).
-/// Construction is any qualified `Enum::Variant` reference in shipping
-/// code that is not a match-arm pattern; test references count wherever
-/// they appear in test code.
-fn error_variants(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    for enum_name in &config.error_variant_enums {
-        let mut def: Option<(&SourceFile, &Item)> = None;
-        for f in &ws.files {
-            if f.is_test_file {
-                continue;
-            }
-            for item in shipping_items(f) {
-                if item.kind == ItemKind::Enum && item.name.as_deref() == Some(enum_name) {
-                    def = Some((f, item));
-                }
-            }
-        }
-        let Some((def_file, def_item)) = def else {
-            findings.push(Finding {
-                file: "lint.toml".to_string(),
-                line: 1,
-                col: 0,
-                rule: "error-variant-coverage",
-                message: format!(
-                    "[error-variant-coverage] lists enum `{enum_name}`, which was not \
-                     found in the workspace"
-                ),
-            });
-            continue;
-        };
-        let variants = enum_variants(def_file, def_item);
-        let names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-        let mut constructed: BTreeSet<String> = BTreeSet::new();
-        let mut tested: BTreeSet<String> = BTreeSet::new();
-        for f in &ws.files {
-            for i in 0..f.tokens.len() {
-                if !f.is_ident(i, enum_name) || !f.glued_pair(i + 1, b':', b':') {
-                    continue;
-                }
-                let vname = f.text(i + 3);
-                if !names.contains(vname) {
-                    continue;
-                }
-                if f.is_test_file || !f.shipping.get(i).copied().unwrap_or(false) {
-                    tested.insert(vname.to_string());
-                } else if !reference_is_pattern(f, i + 3) {
-                    constructed.insert(vname.to_string());
-                }
-            }
-        }
-        for (vname, tok_idx) in &variants {
-            let mut msgs = Vec::new();
-            if !constructed.contains(vname) {
-                msgs.push(format!(
-                    "`{enum_name}::{vname}` is never constructed in shipping code; a \
-                     variant nothing produces documents a failure path that does not \
-                     exist (remove it, or lint:allow with the reason it is reserved)"
-                ));
-            }
-            if !tested.contains(vname) {
-                msgs.push(format!(
-                    "`{enum_name}::{vname}` is never referenced in any test; add a \
-                     test that exercises this failure path"
-                ));
-            }
-            for message in msgs {
-                let hits = vec![(*tok_idx, message)];
-                push_hits(def_file, "error-variant-coverage", hits, findings);
-            }
-        }
-    }
-}
-
-/// Rule: every variant of the configured flight-recorder event enums
-/// must be emitted (constructed) somewhere in shipping code — an event
-/// nothing emits is dead provenance cluttering the trace schema — and
-/// referenced by at least one test, so its payload shape can't rot
-/// silently. Mechanics mirror [`error_variants`]: construction is any
-/// qualified `Enum::Variant` reference in shipping code that is not a
-/// match-arm pattern.
-fn trail_events(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    for enum_name in &config.trail_event_enums {
-        let mut def: Option<(&SourceFile, &Item)> = None;
-        for f in &ws.files {
-            if f.is_test_file {
-                continue;
-            }
-            for item in shipping_items(f) {
-                if item.kind == ItemKind::Enum && item.name.as_deref() == Some(enum_name) {
-                    def = Some((f, item));
-                }
-            }
-        }
-        let Some((def_file, def_item)) = def else {
-            findings.push(Finding {
-                file: "lint.toml".to_string(),
-                line: 1,
-                col: 0,
-                rule: "trail-event-paired",
-                message: format!(
-                    "[trail-event-paired] lists enum `{enum_name}`, which was not \
-                     found in the workspace"
-                ),
-            });
-            continue;
-        };
-        let variants = enum_variants(def_file, def_item);
-        let names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-        let mut emitted: BTreeSet<String> = BTreeSet::new();
-        let mut tested: BTreeSet<String> = BTreeSet::new();
-        for f in &ws.files {
-            for i in 0..f.tokens.len() {
-                if !f.is_ident(i, enum_name) || !f.glued_pair(i + 1, b':', b':') {
-                    continue;
-                }
-                let vname = f.text(i + 3);
-                if !names.contains(vname) {
-                    continue;
-                }
-                if f.is_test_file || !f.shipping.get(i).copied().unwrap_or(false) {
-                    tested.insert(vname.to_string());
-                } else if !reference_is_pattern(f, i + 3) {
-                    emitted.insert(vname.to_string());
-                }
-            }
-        }
-        for (vname, tok_idx) in &variants {
-            let mut msgs = Vec::new();
-            if !emitted.contains(vname) {
-                msgs.push(format!(
-                    "`{enum_name}::{vname}` is never emitted from shipping code; an \
-                     event nothing records is dead provenance (remove it, or \
-                     lint:allow with the reason it is reserved)"
-                ));
-            }
-            if !tested.contains(vname) {
-                msgs.push(format!(
-                    "`{enum_name}::{vname}` is never referenced in any test; add a \
-                     test constructing it so its payload shape cannot rot silently"
-                ));
-            }
-            for message in msgs {
-                let hits = vec![(*tok_idx, message)];
-                push_hits(def_file, "trail-event-paired", hits, findings);
-            }
-        }
-    }
-}
-
-/// The variants of an enum item, as (name, token index of the name).
-fn enum_variants(f: &SourceFile, item: &Item) -> Vec<(String, usize)> {
-    let Some((b0, b1)) = item.body else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut j = b0;
-    while j < b1 {
-        // Variant attributes.
-        while f.is_punct(j, b'#') && f.is_punct(j + 1, b'[') {
-            match tree::matching(&f.tokens, j + 1, b1, b'[', b']') {
-                Some(close) => j = close + 1,
-                None => return out,
-            }
-        }
-        if f.tok(j).map(|t| t.kind) == Some(TokenKind::Ident) {
-            out.push((f.text(j).to_string(), j));
-            j += 1;
-            // Payload: tuple or struct fields.
-            if f.is_punct(j, b'(') {
-                j = tree::matching(&f.tokens, j, b1, b'(', b')').map_or(b1, |c| c + 1);
-            } else if f.is_punct(j, b'{') {
-                j = tree::matching(&f.tokens, j, b1, b'{', b'}').map_or(b1, |c| c + 1);
-            }
-            // Discriminant: `= expr` up to the comma.
-            while j < b1 && !f.is_punct(j, b',') {
-                j += 1;
-            }
-            j += 1; // the comma
-        } else {
-            j += 1;
-        }
-    }
-    out
-}
-
-/// True when the qualified reference whose variant name sits at `v_idx`
-/// is a match-arm pattern: the next token after the (optional) payload is
-/// `=>` or `|`.
-fn reference_is_pattern(f: &SourceFile, v_idx: usize) -> bool {
-    let mut j = v_idx + 1;
-    if f.is_punct(j, b'(') {
-        j = tree::matching(&f.tokens, j, f.tokens.len(), b'(', b')').map_or(j, |c| c + 1);
-    } else if f.is_punct(j, b'{') {
-        j = tree::matching(&f.tokens, j, f.tokens.len(), b'{', b'}').map_or(j, |c| c + 1);
-    }
-    f.glued_pair(j, b'=', b'>') || f.is_punct(j, b'|')
-}
-
-// ---------------------------------------------------------------------------
-// durable-rename
-// ---------------------------------------------------------------------------
-
-/// Rule: in the configured storage files, any shipping function that
-/// creates or rewrites a file in place (`File::create` / `fs::write`)
-/// must make the write durable and atomic in the same function — the
-/// body must also fsync (`sync_all`/`sync_data`) and `rename`, the
-/// temp-file → fsync → rename protocol. A write that deliberately need
-/// not survive a crash (CLI report output) opts out per line with
-/// `lint:allow(durable-rename): reason`.
-fn durable_rename(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    if config.durable_rename.is_empty() {
-        return;
-    }
-    let mut sites_seen = 0usize;
-    for rel in &config.durable_rename {
-        let Some(f) = ws.get(rel) else { continue };
-        if f.is_test_file {
-            continue;
-        }
-        let (hits, sites) = durable_rename_hits(f);
-        sites_seen += sites;
-        push_hits(f, "durable-rename", hits, findings);
-    }
-    if sites_seen == 0 {
-        findings.push(Finding {
-            file: "lint.toml".to_string(),
-            line: 1,
-            col: 0,
-            rule: "durable-rename",
-            message: format!(
-                "no `File::create` / `fs::write` sites found in files {:?}; the scan \
-                 is broken or the config lists the wrong files",
-                config.durable_rename
-            ),
-        });
-    }
-}
-
-/// Returns `(hits, write_sites_seen)`; the site count feeds the
-/// empty-scan self-check above.
-pub(crate) fn durable_rename_hits(f: &SourceFile) -> (Vec<(usize, String)>, usize) {
-    let mut fns: Vec<(usize, usize)> = shipping_items(f)
-        .into_iter()
-        .filter(|i| i.kind == ItemKind::Fn)
-        .filter_map(|i| i.body)
-        .collect();
-    fns.sort_by_key(|&(b0, b1)| b1 - b0);
-    let mut hits = Vec::new();
-    let mut sites = 0usize;
-    for i in 0..f.tokens.len() {
-        if !f.is_shipping(i) || !f.is_punct(i + 1, b'(') || i < 3 {
-            continue;
-        }
-        // `File::create(` or `fs::write(` — both the bare and
-        // `std::fs::write` spellings put the module segment at i - 3.
-        let qualified = f.glued_pair(i - 2, b':', b':');
-        let site = if qualified && f.is_ident(i, "create") && f.is_ident(i - 3, "File") {
-            Some("File::create")
-        } else if qualified && f.is_ident(i, "write") && f.is_ident(i - 3, "fs") {
-            Some("fs::write")
-        } else {
-            None
-        };
-        let Some(site) = site else { continue };
-        sites += 1;
-        let Some(&(b0, b1)) = fns.iter().find(|&&(b0, b1)| b0 <= i && i < b1) else {
-            continue;
-        };
-        let synced = (b0..b1).any(|j| f.is_ident(j, "sync_all") || f.is_ident(j, "sync_data"));
-        let renamed = (b0..b1).any(|j| f.is_ident(j, "rename"));
-        if synced && renamed {
-            continue;
-        }
-        let missing = if !synced && !renamed {
-            "no fsync, no rename"
-        } else if synced {
-            "no rename"
-        } else {
-            "no fsync"
-        };
-        hits.push((
-            i,
-            format!(
-                "`{site}` writes without the temp-file → fsync → rename protocol in \
-                 this function ({missing}); route through a durable write helper, or \
-                 lint:allow with the reason this write need not survive a crash"
-            ),
-        ));
-    }
-    (hits, sites)
-}
-
-// ---------------------------------------------------------------------------
-// encode/decode pairing
-// ---------------------------------------------------------------------------
-
-/// Rule: every `pub fn encode_*` in a configured crate needs a decode
-/// counterpart (stems unify at `_` boundaries, so `encode_block_with_solution`
-/// pairs with `decode_block`) and a `#[test]` that references both names.
-fn pairing(
-    root: &Path,
-    ws: &Workspace,
-    config: &Config,
-    findings: &mut Vec<Finding>,
-) -> Result<(), String> {
-    for crate_rel in &config.pairing_crates {
-        let prefix = format!("{crate_rel}/");
-        let sources: Vec<&SourceFile> = ws
-            .files
-            .iter()
-            .filter(|f| f.rel.starts_with(&prefix))
-            .collect();
-        if sources.is_empty() && !root.join(crate_rel).is_dir() {
-            return Err(format!(
-                "lint.toml pairing crate {crate_rel} has no Rust sources"
-            ));
-        }
-        // Test corpus: the crate's own files plus the workspace-level tests/.
-        let corpus: Vec<&SourceFile> = ws
-            .files
-            .iter()
-            .filter(|f| f.rel.starts_with(&prefix) || f.rel.starts_with("tests/"))
-            .collect();
-
-        struct PubFn<'a> {
-            name: String,
-            file: &'a SourceFile,
-            line: usize,
-            col: usize,
-        }
-        let mut encodes: Vec<PubFn> = Vec::new();
-        let mut decodes: BTreeSet<String> = BTreeSet::new();
-        for f in &sources {
-            if f.is_test_file {
-                continue;
-            }
-            for item in shipping_items(f) {
-                if item.kind != ItemKind::Fn || !item.is_pub {
-                    continue;
-                }
-                let Some(name) = item.name.clone() else {
-                    continue;
-                };
-                let (line, col) = f.position(item.header.0);
-                if name.starts_with("encode_") {
-                    encodes.push(PubFn {
-                        name,
-                        file: f,
-                        line,
-                        col,
-                    });
-                } else if name.starts_with("decode_") {
-                    decodes.insert(name);
-                }
-            }
-        }
-
-        for e in &encodes {
-            match allow_on_line(e.file, e.line, "encode-decode-pairing") {
-                Allow::Yes => continue,
-                Allow::EmptyJustification => {
-                    findings.push(Finding {
-                        file: e.file.rel.clone(),
-                        line: e.line,
-                        col: e.col,
-                        rule: "encode-decode-pairing",
-                        message: "lint:allow requires a non-empty justification".to_string(),
-                    });
-                    continue;
-                }
-                Allow::No => {}
-            }
-            let stem = e.name.trim_start_matches("encode_");
-            let partner = decodes.iter().find(|d| {
-                let ds = d.trim_start_matches("decode_");
-                ds == stem
-                    || stem.strip_prefix(ds).is_some_and(|r| r.starts_with('_'))
-                    || ds.strip_prefix(stem).is_some_and(|r| r.starts_with('_'))
-            });
-            let Some(partner) = partner else {
-                findings.push(Finding {
-                    file: e.file.rel.clone(),
-                    line: e.line,
-                    col: e.col,
-                    rule: "encode-decode-pairing",
-                    message: format!(
-                        "`{}` has no matching `decode_{stem}` in {crate_rel}",
-                        e.name
-                    ),
-                });
-                continue;
-            };
-            let tested = corpus.iter().any(|f| {
-                f.src.contains("#[test]") && f.src.contains(&e.name) && f.src.contains(partner)
-            });
-            if !tested {
-                findings.push(Finding {
-                    file: e.file.rel.clone(),
-                    line: e.line,
-                    col: e.col,
-                    rule: "encode-decode-pairing",
-                    message: format!(
-                        "no roundtrip test references both `{}` and `{partner}`",
-                        e.name
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
@@ -1144,7 +708,7 @@ fn a(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:al
 // lint:allow(len-read-bounded): the preceding-line form survives rustfmt wrapping
 fn b(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize }
 fn c(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(len-read-bounded)
-fn d(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(durable-rename): wrong rule
+fn d(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:allow(unchecked-arith-in-decode): wrong rule
 ";
         let f = file("crates/x/src/lib.rs", src);
         let mut findings = Vec::new();
@@ -1177,109 +741,6 @@ fn d(b: &[u8], p: &mut usize) -> usize { read_varint(b, p) as usize } // lint:al
         );
         let lines: Vec<usize> = findings.iter().map(|x| x.line).collect();
         assert_eq!(lines, vec![5, 6, 7, 8, 10]);
-    }
-
-    // -- durable-rename ---------------------------------------------------
-
-    #[test]
-    fn durable_rename_requires_fsync_and_rename_in_the_writing_fn() {
-        let src = "\
-use std::fs::{self, File};
-fn atomic(p: &std::path::Path, b: &[u8]) {
-    let tmp = p.with_extension(\"tmp\");
-    let f = File::create(&tmp).unwrap();
-    f.sync_all().unwrap();
-    fs::rename(&tmp, p).unwrap();
-}
-fn bare(p: &std::path::Path, b: &[u8]) {
-    fs::write(p, b).unwrap();
-}
-fn synced_only(p: &std::path::Path) {
-    let f = File::create(p).unwrap();
-    f.sync_all().unwrap();
-}
-fn not_a_write(w: &mut impl std::io::Write, b: &[u8]) {
-    w.write(b).unwrap();
-}
-#[cfg(test)]
-mod tests { fn t(p: &std::path::Path) { std::fs::write(p, b\"x\").unwrap(); } }
-";
-        let f = file("crates/store/src/lib.rs", src);
-        let (hits, sites) = durable_rename_hits(&f);
-        // atomic, bare, synced_only — the `.write(` method call and the
-        // test-module write are not sites.
-        assert_eq!(sites, 3);
-        let lines: Vec<usize> = hits.iter().map(|&(i, _)| f.position(i).0).collect();
-        assert_eq!(lines, vec![9, 12]);
-        assert!(hits[0].1.contains("no fsync, no rename"));
-        assert!(hits[1].1.contains("no rename"));
-    }
-
-    #[test]
-    fn durable_rename_empty_scan_is_a_finding() {
-        let f = file("crates/store/src/lib.rs", "fn quiet() {}\n");
-        let ws = Workspace::from_files(vec![f]);
-        let config = Config {
-            durable_rename: vec!["crates/store/src/lib.rs".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        durable_rename(&ws, &config, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "durable-rename");
-        assert!(findings[0].message.contains("scan is broken"));
-    }
-
-    // -- error-variant-coverage -------------------------------------------
-
-    #[test]
-    fn error_variant_coverage_reports_unconstructed_and_untested() {
-        let src = "\
-pub enum DecodeError { Truncated, BadMagic, ValueOverflow, Reserved }
-pub fn decode(b: &[u8]) -> Result<(), DecodeError> {
-    if b.is_empty() { return Err(DecodeError::Truncated); }
-    if b.first() == Some(&9) { return Err(DecodeError::BadMagic); }
-    Ok(())
-}
-fn classify(e: &DecodeError) -> u8 { match e { DecodeError::ValueOverflow => 1, _ => 0 } }
-#[cfg(test)]
-mod tests { fn t() { let _ = DecodeError::Truncated; } }
-";
-        let ws = Workspace::from_files(vec![file("crates/x/src/lib.rs", src)]);
-        let config = Config {
-            error_variant_enums: vec!["DecodeError".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        error_variants(&ws, &config, &mut findings);
-        let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-        // Truncated: constructed + tested, clean. BadMagic: untested only.
-        // ValueOverflow: match-arm pattern is not a construction; untested.
-        // Reserved: neither.
-        assert_eq!(findings.len(), 5, "{msgs:#?}");
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`DecodeError::BadMagic` is never referenced")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`DecodeError::ValueOverflow` is never constructed")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`DecodeError::Reserved` is never constructed")));
-        assert!(!msgs.iter().any(|m| m.contains("Truncated")));
-    }
-
-    #[test]
-    fn error_variant_coverage_reports_missing_enum() {
-        let ws = Workspace::from_files(vec![file("crates/x/src/lib.rs", "fn f() {}")]);
-        let config = Config {
-            error_variant_enums: vec!["NoSuchError".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        error_variants(&ws, &config, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("was not found"));
     }
 
     // -- obs-label-unique -------------------------------------------------

@@ -18,52 +18,34 @@
 
 use crate::lexer::{Token, TokenKind};
 
-/// What kind of item a node is.
+/// What kind of item a keyword introduces; decides whose body is parsed
+/// for child items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
+enum ItemKind {
     /// `fn` item (free function, method, or trait default method).
     Fn,
-    /// `mod name { … }` or `mod name;`.
-    Mod,
     /// `impl … { … }` (inherent or trait impl).
     Impl,
-    /// `struct` / `union` definition.
-    Struct,
-    /// `enum` definition.
-    Enum,
-    /// `trait` definition.
-    Trait,
-    /// Anything else at item position (use, const, static, type, macro
-    /// invocation, extern block, …).
-    Other,
+    /// `mod` / `trait`: a body of items.
+    Scope,
+    /// `struct` / `union` / `enum`: no child items.
+    Data,
 }
 
-/// One node of the item tree.
+/// One node of the item tree: the token extent of an item and whether
+/// it is test-only code.
 #[derive(Debug)]
 pub struct Item {
-    /// The item kind.
-    pub kind: ItemKind,
-    /// Name token text for fn/mod/struct/enum/trait; `None` for impls
-    /// and unnamed constructs.
-    pub name: Option<String>,
-    /// True when the item's visibility is exactly `pub` (not `pub(crate)`
-    /// or private).
-    pub is_pub: bool,
     /// True when an attached attribute contains `cfg` … `test` — the
     /// item (and everything inside it) is test-only code.
     pub cfg_test: bool,
     /// Token index of the first attached attribute (or the item keyword
     /// when there are none).
     pub first_token: usize,
-    /// Token index range `[open, close)` of the tokens between the item's
-    /// body braces, when it has a braced body.
-    pub body: Option<(usize, usize)>,
-    /// Token index range `[start, end)` of the header: from the item
-    /// keyword to the body open brace / terminating semicolon.
-    pub header: (usize, usize),
     /// Token index one past the item's last token (closing brace or `;`).
     pub end_token: usize,
-    /// Child items (for `mod` / `impl` / `trait` bodies).
+    /// Child items (for `mod` / `impl` / `trait` bodies, and items nested
+    /// in `fn` bodies).
     pub children: Vec<Item>,
 }
 
@@ -77,11 +59,9 @@ pub fn parse(src: &str, tokens: &[Token]) -> Vec<Item> {
 fn item_kind(kw: &str) -> Option<ItemKind> {
     Some(match kw {
         "fn" => ItemKind::Fn,
-        "mod" => ItemKind::Mod,
         "impl" => ItemKind::Impl,
-        "struct" | "union" => ItemKind::Struct,
-        "enum" => ItemKind::Enum,
-        "trait" => ItemKind::Trait,
+        "mod" | "trait" => ItemKind::Scope,
+        "struct" | "union" | "enum" => ItemKind::Data,
         _ => return None,
     })
 }
@@ -128,27 +108,21 @@ fn parse_item(src: &str, tokens: &[Token], pos: &mut usize, end: usize) -> Optio
         return None;
     }
 
-    // Inner attribute `#![…]`: consume as an anonymous Other item.
+    // Inner attribute `#![…]`: consume as an anonymous item.
     if tokens.get(i).is_some_and(|t| t.is_punct(b'#'))
         && tokens.get(i + 1).is_some_and(|t| t.is_punct(b'!'))
     {
         let close = matching(tokens, i + 2, end, b'[', b']')?;
         *pos = close + 1;
         return Some(Item {
-            kind: ItemKind::Other,
-            name: None,
-            is_pub: false,
             cfg_test: false,
             first_token,
-            body: None,
-            header: (i, close + 1),
             end_token: close + 1,
             children: Vec::new(),
         });
     }
 
     // Visibility and modifier keywords before the defining keyword.
-    let mut is_pub = false;
     let header_start = i;
     let mut kind = None;
     while i < end {
@@ -163,14 +137,11 @@ fn parse_item(src: &str, tokens: &[Token], pos: &mut usize, end: usize) -> Optio
             break;
         }
         if text == "pub" {
-            // `pub` vs `pub(crate)`: only bare pub counts as public API.
-            is_pub = tokens.get(i + 1).is_none_or(|n| !n.is_punct(b'('));
-            if !is_pub {
-                let close = matching(tokens, i + 1, end, b'(', b')')?;
-                i = close + 1;
-                continue;
-            }
-            i += 1;
+            // `pub(crate)` / `pub(super)`: skip the restriction group.
+            i = match tokens.get(i + 1) {
+                Some(n) if n.is_punct(b'(') => matching(tokens, i + 1, end, b'(', b')')? + 1,
+                _ => i + 1,
+            };
             continue;
         }
         if is_modifier(text) {
@@ -194,26 +165,11 @@ fn parse_item(src: &str, tokens: &[Token], pos: &mut usize, end: usize) -> Optio
         }
         *pos = skipped;
         return Some(Item {
-            kind: ItemKind::Other,
-            name: None,
-            is_pub,
             cfg_test,
             first_token,
-            body: None,
-            header: (header_start, skipped),
             end_token: skipped,
             children: Vec::new(),
         });
-    };
-
-    // Name (fn/mod/struct/enum/trait). Impls have none.
-    let name = if kind == ItemKind::Impl {
-        None
-    } else {
-        tokens
-            .get(i)
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text(src).to_string())
     };
 
     // Scan the header for the body `{` or terminating `;`, skipping
@@ -233,26 +189,19 @@ fn parse_item(src: &str, tokens: &[Token], pos: &mut usize, end: usize) -> Optio
             _ => j += 1,
         }
     }
-    let header = (header_start, j);
-
     let Some(open) = body_open else {
         // `;`-terminated (fn in trait without default, `mod name;`, …).
         *pos = (j + 1).min(end);
         return Some(Item {
-            kind,
-            name,
-            is_pub,
             cfg_test,
             first_token,
-            body: None,
-            header,
             end_token: *pos,
             children: Vec::new(),
         });
     };
     let close = matching(tokens, open, end, b'{', b'}')?;
     let children = match kind {
-        ItemKind::Mod | ItemKind::Impl | ItemKind::Trait => {
+        ItemKind::Scope | ItemKind::Impl => {
             let mut p = open + 1;
             parse_items(src, tokens, &mut p, close)
         }
@@ -262,17 +211,12 @@ fn parse_item(src: &str, tokens: &[Token], pos: &mut usize, end: usize) -> Optio
             let mut p = open + 1;
             collect_nested_items(src, tokens, &mut p, close)
         }
-        _ => Vec::new(),
+        ItemKind::Data => Vec::new(),
     };
     *pos = close + 1;
     Some(Item {
-        kind,
-        name,
-        is_pub,
         cfg_test,
         first_token,
-        body: Some((open + 1, close)),
-        header,
         end_token: close + 1,
         children,
     })
@@ -398,16 +342,6 @@ pub fn shipping_mask(tokens: &[Token], items: &[Item]) -> Vec<bool> {
     mask
 }
 
-/// Depth-first iterator over all items (the tree flattened), yielding
-/// `(item, inside_cfg_test)`.
-pub fn walk_items<'a>(items: &'a [Item], out: &mut Vec<(&'a Item, bool)>, in_test: bool) {
-    for item in items {
-        let t = in_test || item.cfg_test;
-        out.push((item, t));
-        walk_items(&item.children, out, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,38 +353,61 @@ mod tests {
         (tokens, items)
     }
 
-    #[test]
-    fn top_level_items_with_names() {
-        let src = "pub fn alpha() {}\nmod beta { fn gamma() {} }\nstruct Delta;\nenum E { A, B }\n";
-        let (_, items) = tree(src);
-        let names: Vec<(ItemKind, Option<String>)> =
-            items.iter().map(|i| (i.kind, i.name.clone())).collect();
-        assert_eq!(names[0], (ItemKind::Fn, Some("alpha".into())));
-        assert_eq!(names[1], (ItemKind::Mod, Some("beta".into())));
-        assert_eq!(names[2], (ItemKind::Struct, Some("Delta".into())));
-        assert_eq!(names[3], (ItemKind::Enum, Some("E".into())));
-        assert!(items[0].is_pub);
-        assert!(!items[1].is_pub);
-        assert_eq!(items[1].children.len(), 1);
-        assert_eq!(items[1].children[0].name.as_deref(), Some("gamma"));
+    /// The source text an item spans, attributes included.
+    fn text<'a>(src: &'a str, tokens: &[crate::lexer::Token], item: &Item) -> &'a str {
+        let start = tokens[item.first_token].start;
+        let end = tokens[item.end_token - 1].end;
+        &src[start..end]
+    }
+
+    fn texts<'a>(src: &'a str, tokens: &[crate::lexer::Token], items: &[Item]) -> Vec<&'a str> {
+        items.iter().map(|i| text(src, tokens, i)).collect()
     }
 
     #[test]
-    fn pub_crate_is_not_pub() {
-        let src = "pub(crate) fn f() {}\npub fn g() {}\n";
-        let (_, items) = tree(src);
-        assert!(!items[0].is_pub);
-        assert!(items[1].is_pub);
+    fn top_level_items_and_their_children() {
+        let src = "pub fn alpha() {}\nmod beta { fn gamma() {} }\nstruct Delta;\nenum E { A, B }\n";
+        let (tokens, items) = tree(src);
+        assert_eq!(
+            texts(src, &tokens, &items),
+            vec![
+                "pub fn alpha() {}",
+                "mod beta { fn gamma() {} }",
+                "struct Delta;",
+                "enum E { A, B }"
+            ]
+        );
+        assert_eq!(
+            texts(src, &tokens, &items[1].children),
+            vec!["fn gamma() {}"]
+        );
+        assert!(items[3].children.is_empty());
+    }
+
+    #[test]
+    fn pub_restrictions_are_skipped() {
+        let src = "pub(crate) fn f() {}\npub(super) fn g() {}\npub fn h() {}\n";
+        let (tokens, items) = tree(src);
+        assert_eq!(
+            texts(src, &tokens, &items),
+            vec![
+                "pub(crate) fn f() {}",
+                "pub(super) fn g() {}",
+                "pub fn h() {}"
+            ]
+        );
     }
 
     #[test]
     fn impl_blocks_hold_methods() {
         let src = "impl Foo { pub fn a(&self) {} fn b() {} }\nimpl Tr for Foo { fn c() {} }\n";
-        let (_, items) = tree(src);
-        assert_eq!(items[0].kind, ItemKind::Impl);
-        assert_eq!(items[0].children.len(), 2);
-        assert!(items[0].children[0].is_pub);
-        assert_eq!(items[1].children[0].name.as_deref(), Some("c"));
+        let (tokens, items) = tree(src);
+        assert_eq!(items.len(), 2);
+        assert_eq!(
+            texts(src, &tokens, &items[0].children),
+            vec!["pub fn a(&self) {}", "fn b() {}"]
+        );
+        assert_eq!(texts(src, &tokens, &items[1].children), vec!["fn c() {}"]);
     }
 
     #[test]
@@ -514,20 +471,21 @@ mod tests { fn t() { panic!(); } }\n";
     #[test]
     fn other_items_are_skipped_whole() {
         let src = "use std::fmt;\nconst X: Foo = Foo { a: 1 };\nstatic Y: [u8; 2] = [0, 1];\nmacro_rules! m { () => {} }\nfn tail() {}\n";
-        let (_, items) = tree(src);
-        assert_eq!(items.last().and_then(|i| i.name.as_deref()), Some("tail"));
-        assert_eq!(
-            items.iter().filter(|i| i.kind == ItemKind::Other).count(),
-            4
-        );
+        let (tokens, items) = tree(src);
+        let lines: Vec<&str> = src.lines().collect();
+        assert_eq!(texts(src, &tokens, &items), lines);
     }
 
     #[test]
     fn fn_with_nested_test_mod() {
         let src = "fn outer() { if x { y(); } #[cfg(test)] mod inner {} }\n";
-        let (_, items) = tree(src);
-        assert_eq!(items[0].kind, ItemKind::Fn);
-        assert!(items[0].children.iter().any(|c| c.cfg_test));
+        let (tokens, items) = tree(src);
+        assert_eq!(items.len(), 1);
+        assert_eq!(
+            texts(src, &tokens, &items[0].children),
+            vec!["#[cfg(test)] mod inner {}"]
+        );
+        assert!(items[0].children[0].cfg_test);
     }
 
     #[test]

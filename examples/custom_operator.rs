@@ -2,7 +2,7 @@
 //!
 //! The paper frames BOS as a drop-in replacement for the bit-packing
 //! *operator* inside existing encoders. This example shows the extension
-//! point from the other side: implement `encodings::IntPacker` (the
+//! point from the other side: implement `encodings::BlockCodec` (the
 //! workspace-wide `bitpack::BlockCodec`, re-exported) for your own codec
 //! and run it inside TS2DIFF, next to BOS and BP.
 //!
@@ -13,15 +13,15 @@
 //! Run with: `cargo run --release --example custom_operator`
 
 use bos_repro::bitpack::zigzag::{read_varint, write_varint, zigzag_decode, zigzag_encode};
+use bos_repro::bitpack::BlockCodec;
 use bos_repro::bos::{BosCodec, SolverKind};
 use bos_repro::datasets::generate;
 use bos_repro::encodings::ts2diff::Ts2DiffEncoding;
-use bos_repro::encodings::IntPacker;
 
 /// A zigzag-varint operator: one LEB128 varint per value.
 struct VarintPacker;
 
-impl IntPacker for VarintPacker {
+impl BlockCodec for VarintPacker {
     fn name(&self) -> &'static str {
         "VARINT"
     }
@@ -51,7 +51,7 @@ impl IntPacker for VarintPacker {
     }
 }
 
-fn measure<P: IntPacker>(packer: P, values: &[i64]) -> (String, usize) {
+fn measure<P: BlockCodec>(packer: P, values: &[i64]) -> (String, usize) {
     let enc = Ts2DiffEncoding::new(packer);
     let mut buf = Vec::new();
     enc.encode(values, &mut buf);
@@ -80,6 +80,6 @@ fn main() {
             raw as f64 / bytes as f64
         );
     }
-    println!("\nAny `IntPacker` slots into RLE/TS2DIFF/SPRINTZ unchanged —");
+    println!("\nAny `BlockCodec` slots into RLE/TS2DIFF/SPRINTZ unchanged —");
     println!("exactly how BOS replaced bit-packing in Apache IoTDB.");
 }

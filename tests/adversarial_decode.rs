@@ -9,17 +9,20 @@
 //! sources honest statically; these tests check the same promise
 //! dynamically.
 
-use bos_repro::bitpack::zigzag::read_varint;
+use bos_repro::bitpack::zigzag::{read_varint, write_varint};
+use bos_repro::bitpack::BlockCodec;
 use bos_repro::bitpack::{simple8b, DecodeError};
-use bos_repro::bos::format::{decode_block, encode_block};
-use bos_repro::bos::BitWidthSolver;
-use bos_repro::pfor::{self, Codec};
+use bos_repro::bos::format::decode_block;
+use bos_repro::bos::kpart::decode_kpart;
+use bos_repro::bos::{BosCodec, SolverKind};
+use bos_repro::gpcomp::{ByteCodec, Lz4Like, LzmaLite};
 use bos_repro::tsfile::{EncodingChoice, TsFileReader, TsFileWriter};
+use bos_repro::{floatcodec, pfor};
 use proptest::prelude::*;
 
 /// The three codecs that carry the word-packed layout's version byte
 /// ([`pfor::FORMAT_V2`]) right after `varint n`.
-fn migrated_codecs() -> Vec<Box<dyn Codec>> {
+fn migrated_codecs() -> Vec<Box<dyn BlockCodec>> {
     vec![
         Box::new(pfor::PforCodec::new()),
         Box::new(pfor::FastPforCodec::new()),
@@ -41,8 +44,44 @@ fn outlier_blocks() -> impl Strategy<Value = Vec<i64>> {
     )
 }
 
+/// Byte strings built mostly from varints: small ones (counts that pass
+/// the caps), huge ones (lengths that overflow a cursor sum), and raw
+/// bytes between them. The header fields of the byte, float and k-part
+/// decoders are varints, so uniform garbage rarely reaches past them.
+fn varint_heavy_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let varint = |v: u64| {
+        let mut out = Vec::new();
+        write_varint(&mut out, v);
+        out
+    };
+    let field = prop_oneof![
+        4 => (0u64..128).prop_map(varint),
+        2 => prop::sample::select(vec![u64::MAX, u64::MAX - 1, 1 << 63, 1 << 32])
+            .prop_map(varint),
+        1 => any::<u64>().prop_map(varint),
+        2 => any::<u8>().prop_map(|b| vec![b])
+    ];
+    prop::collection::vec(field, 0..24).prop_map(|fields| fields.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // --- gpcomp, floatcodec and k-part decoders -------------------------
+
+    #[test]
+    fn varint_heavy_bytes_never_panic_byte_float_or_kpart_decoders(
+        bytes in varint_heavy_bytes(),
+    ) {
+        let byte_codecs: [&dyn ByteCodec; 2] = [&Lz4Like, &LzmaLite];
+        for codec in byte_codecs {
+            let _ = codec.decompress(&bytes, &mut 0, &mut Vec::new());
+        }
+        for codec in floatcodec::all_codecs() {
+            let _ = codec.decode(&bytes, &mut 0, &mut Vec::new());
+        }
+        let _ = decode_kpart(&bytes, &mut 0, &mut Vec::new());
+    }
 
     // --- bos::format::decode_block -------------------------------------
 
@@ -59,7 +98,7 @@ proptest! {
     #[test]
     fn decode_block_errors_on_truncation(values in outlier_blocks(), frac in 0.0f64..1.0) {
         let mut buf = Vec::new();
-        encode_block(&values, &BitWidthSolver::new(), &mut buf);
+        BosCodec::new(SolverKind::BitWidth).encode(&values, &mut buf);
         let mut out = Vec::new();
         let mut pos = 0;
         decode_block(&buf, &mut pos, &mut out).expect("intact block");
@@ -80,7 +119,7 @@ proptest! {
         bit in 0u32..8,
     ) {
         let mut buf = Vec::new();
-        encode_block(&values, &BitWidthSolver::new(), &mut buf);
+        BosCodec::new(SolverKind::BitWidth).encode(&values, &mut buf);
         let at = ((buf.len() as f64) * at_frac) as usize % buf.len();
         buf[at] ^= 1u8 << bit;
         let mut out = Vec::new();

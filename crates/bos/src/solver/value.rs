@@ -11,15 +11,7 @@ use super::{Solver, SolverConfig, SolverScratch};
 use crate::cost::{Separation, Solution, SortedBlock};
 use bitpack::width::{range_u64, width1};
 
-/// Minimum number of distinct values before the O(m²) enumeration is
-/// worth splitting across threads (below this the spawn/join overhead
-/// dominates the search itself).
-const PARALLEL_MIN_DISTINCT: usize = 2048;
-
-/// Cap on worker threads for the intra-block search.
-const PARALLEL_MAX_THREADS: usize = 8;
-
-/// Chunk-local result of scanning a contiguous `li` range.
+/// Result of the O(m²) scan.
 struct RangeBest {
     cost: u64,
     pair: Option<(usize, usize)>,
@@ -71,15 +63,11 @@ impl Solver for ValueSolver {
     }
 }
 
-/// Scans the contiguous family range `li ∈ [lo, hi)` of the O(m²)
-/// enumeration and returns the chunk-local best (seeded with the plain
-/// cost so an empty or fruitless chunk reports `pair: None`).
-///
-/// Candidate order inside the chunk is identical to the sequential loop,
-/// and the chunk-local update uses strict `<`, so merging chunk results
-/// in `li` order with strict `<` reproduces the sequential
-/// first-attainer tie-breaking bit for bit.
-fn search_range(block: &SortedBlock, lo: usize, hi: usize) -> RangeBest {
+/// Scans the families `li ∈ [0, hi)` of the O(m²) enumeration and returns
+/// the best pair, seeded with the plain cost so a fruitless scan reports
+/// `pair: None`. The update uses strict `<`, so the first attainer of the
+/// optimum in visit order wins ties.
+fn search_range(block: &SortedBlock, hi: usize) -> RangeBest {
     let vals = block.distinct();
     let cum = block.cumulative();
     let n = block.n() as u64;
@@ -96,7 +84,7 @@ fn search_range(block: &SortedBlock, lo: usize, hi: usize) -> RangeBest {
 
     // li = 0 encodes xl = None; li = k ≥ 1 encodes xl = vals[k−1].
     // ui = m encodes xu = None; ui < m encodes xu = vals[ui].
-    for li in lo..hi {
+    for li in 0..hi {
         let (nl, alpha) = if li == 0 {
             (0u64, 0u64)
         } else {
@@ -135,29 +123,6 @@ fn search_range(block: &SortedBlock, lo: usize, hi: usize) -> RangeBest {
     best
 }
 
-/// Splits `0..=m` into up to `threads` contiguous `li` ranges with
-/// roughly equal *work* (family `li` costs `m − li + 1` candidate
-/// evaluations, so early ranges must be shorter than late ones).
-fn balanced_ranges(m: usize, threads: usize) -> Vec<(usize, usize)> {
-    let total: u64 = ((m as u64 + 1) * (m as u64 + 2)) / 2;
-    let target = total / threads as u64;
-    let mut ranges = Vec::with_capacity(threads);
-    let mut lo = 0usize;
-    let mut acc = 0u64;
-    for li in 0..=m {
-        acc += (m - li + 1) as u64;
-        if acc >= target && ranges.len() + 1 < threads {
-            ranges.push((lo, li + 1));
-            lo = li + 1;
-            acc = 0;
-        }
-    }
-    if lo <= m {
-        ranges.push((lo, m + 1));
-    }
-    ranges
-}
-
 impl ValueSolver {
     /// Solves from a pre-built [`SortedBlock`] summary.
     ///
@@ -175,35 +140,22 @@ impl ValueSolver {
         let m = vals.len();
 
         let li_end = if self.config.upper_only { 1 } else { m + 1 };
-        // Threshold first: `available_parallelism` allocates on every call,
-        // and most blocks are far below the parallel threshold.
-        let threads = if li_end > PARALLEL_MIN_DISTINCT {
-            std::thread::available_parallelism()
-                .map_or(1, usize::from)
-                .min(PARALLEL_MAX_THREADS)
-        } else {
-            1
-        };
-        let merged = if threads > 1 {
-            Self::solve_parallel(block, li_end - 1, threads)
-        } else {
-            search_range(block, 0, li_end)
-        };
+        let found = search_range(block, li_end);
 
         if obs::enabled() {
             BLOCKS.inc();
-            CANDIDATES.add(merged.candidates);
-            PRUNES.add(merged.prunes);
+            CANDIDATES.add(found.candidates);
+            PRUNES.add(found.prunes);
             obs::trail::emit(obs::trail::Event::BlockSolved {
                 solver: self.name(),
-                separated: merged.pair.is_some(),
-                cost_bits: merged.cost,
-                candidates: merged.candidates,
-                prunes: merged.prunes,
+                separated: found.pair.is_some(),
+                cost_bits: found.cost,
+                candidates: found.candidates,
+                prunes: found.prunes,
             });
         }
-        let best_cost = merged.cost;
-        if let Some((li, ui)) = merged.pair {
+        let best_cost = found.cost;
+        if let Some((li, ui)) = found.pair {
             let sep = Separation {
                 xl: if li == 0 { None } else { Some(vals[li - 1]) },
                 xu: if ui == m { None } else { Some(vals[ui]) },
@@ -215,39 +167,6 @@ impl ValueSolver {
             };
         }
         best
-    }
-
-    /// Fans the `li` families of the O(m²) enumeration out over scoped
-    /// threads. Each worker scans a contiguous, work-balanced range with
-    /// [`search_range`]; merging the chunk bests in `li` order with strict
-    /// `<` keeps the result bit-identical to the sequential scan.
-    fn solve_parallel(block: &SortedBlock, m: usize, threads: usize) -> RangeBest {
-        let ranges = balanced_ranges(m, threads);
-        let mut chunk_bests: Vec<Option<RangeBest>> = Vec::new();
-        chunk_bests.resize_with(ranges.len(), || None);
-        // The scope joins every worker and re-raises a worker's panic.
-        std::thread::scope(|scope| {
-            for (slot, &(lo, hi)) in chunk_bests.iter_mut().zip(&ranges) {
-                scope.spawn(move || {
-                    *slot = Some(search_range(block, lo, hi));
-                });
-            }
-        });
-        let mut merged = RangeBest {
-            cost: block.plain_cost_bits(),
-            pair: None,
-            candidates: 0,
-            prunes: 0,
-        };
-        for chunk in chunk_bests.into_iter().flatten() {
-            merged.candidates += chunk.candidates;
-            merged.prunes += chunk.prunes;
-            if chunk.cost < merged.cost {
-                merged.cost = chunk.cost;
-                merged.pair = chunk.pair;
-            }
-        }
-        merged
     }
 }
 

@@ -2,8 +2,8 @@
 //! references.
 //!
 //! The PR8 search overhaul (seeded pruning, Proposition 2/3 family jumps,
-//! intra-block parallelism, scratch reuse) is only allowed to make the
-//! solvers *faster*: the `reference` module keeps verbatim copies of the
+//! scratch reuse) is only allowed to make the solvers *faster*: the
+//! `reference` module keeps verbatim copies of the
 //! pre-overhaul searches, and every test here demands the shipping solvers
 //! return **bit-identical `Solution`s** — same variant, same thresholds,
 //! same cost — over adversarial distributions. A cost-only comparison
@@ -126,10 +126,11 @@ proptest! {
     }
 }
 
-/// The intra-block parallel BOS-V path only engages above 2048 distinct
-/// values; the proptest blocks never reach that, so force it here.
+/// A block far larger than the proptest strategies draw, pinned against
+/// the frozen reference: thousands of distinct values, so the O(m²) scan
+/// runs its longest families.
 #[test]
-fn bosv_parallel_path_bit_identical_to_frozen_reference() {
+fn bosv_large_block_bit_identical_to_frozen_reference() {
     // > 2048 distinct values with tails on both sides and heavy ties.
     let mut values: Vec<i64> = (0..2600).map(|i| i * 3 % 7919).collect();
     values.extend((0..2600).map(|i| i * 3 % 7919)); // duplicate everything
@@ -142,8 +143,8 @@ fn bosv_parallel_path_bit_identical_to_frozen_reference() {
     assert!(got.cost_bits() <= expected.cost_bits());
 }
 
-/// Same forced-parallel block through BOS-B: exercises the seeded cut on
-/// a large candidate ladder.
+/// A large block through BOS-B: exercises the seeded cut on a large
+/// candidate ladder.
 #[test]
 fn bosb_large_block_bit_identical_to_frozen_reference() {
     let mut values: Vec<i64> = (0..2600).map(|i| (i * i) % 100_003).collect();

@@ -5,8 +5,8 @@
 //! linear trend (timestamps above all), where first-order deltas are still
 //! large but second-order ones collapse to noise. This module provides
 //! order-k differencing as a reusable transform; `Ts2DiffEncoding` uses
-//! order 1 by default and order 2 via
-//! [`Ts2DiffEncoding::second_order`](crate::ts2diff::Ts2DiffEncoding).
+//! order 1 by default and higher orders via
+//! [`Ts2DiffEncoding::with_options`](crate::ts2diff::Ts2DiffEncoding::with_options).
 //!
 //! All arithmetic is wrapping, so the transform is a bijection on `i64`
 //! sequences and the inverse is exact for any input.

@@ -97,6 +97,14 @@ pub fn infer_precision(values: &[f64]) -> Option<u32> {
     })
 }
 
+/// Scales a float series at its [`infer_precision`] into integers:
+/// `(precision, ints)`, or why the series has no exact integer form.
+pub fn scale(values: &[f64]) -> Result<(u32, Vec<i64>), FloatEncodeError> {
+    let p = infer_precision(values).ok_or(FloatEncodeError::NoExactScaling)?;
+    let ints = floats_to_ints(values, p).ok_or(FloatEncodeError::Overflow { precision: p })?;
+    Ok((p, ints))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

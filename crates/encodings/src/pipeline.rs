@@ -100,20 +100,16 @@ impl Pipeline {
         }
     }
 
-    /// Encodes a float series via `×10^p` scaling. The precision byte is
-    /// stored in the stream. Fails with a typed
+    /// Encodes a float series via `×10^p` scaling ([`floatint::scale`]).
+    /// The precision byte is stored in the stream. Fails with a typed
     /// [`FloatEncodeError`](floatint::FloatEncodeError) when the series has
-    /// no exact decimal scaling (see [`floatint::infer_precision`]) or the
-    /// scaled values overflow `i64`.
+    /// no exact decimal scaling or the scaled values overflow `i64`.
     pub fn encode_f64(
         &self,
         values: &[f64],
         out: &mut Vec<u8>,
     ) -> Result<(), floatint::FloatEncodeError> {
-        let p =
-            floatint::infer_precision(values).ok_or(floatint::FloatEncodeError::NoExactScaling)?;
-        let ints = floatint::floats_to_ints(values, p)
-            .ok_or(floatint::FloatEncodeError::Overflow { precision: p })?;
+        let (p, ints) = floatint::scale(values)?;
         out.push(p as u8);
         self.encode(&ints, out);
         Ok(())

@@ -44,12 +44,6 @@ impl<P: BlockCodec> Ts2DiffEncoding<P> {
         Self::with_options(packer, Self::DEFAULT_BLOCK, 1)
     }
 
-    /// Creates a second-order (delta-of-delta) encoding — best for series
-    /// with strong linear trends.
-    pub fn second_order(packer: P) -> Self {
-        Self::with_options(packer, Self::DEFAULT_BLOCK, 2)
-    }
-
     /// Creates the encoding with a custom block size (≥ 2).
     pub fn with_block_size(packer: P, block_size: usize) -> Self {
         Self::with_options(packer, block_size, 1)
@@ -392,7 +386,7 @@ mod tests {
     fn order_is_self_describing() {
         // A stream written at order 2 decodes through an order-1 handle.
         let values: Vec<i64> = (0..3000).map(|i| i * 13).collect();
-        let writer = Ts2DiffEncoding::second_order(PackerKind::BosB.build());
+        let writer = Ts2DiffEncoding::with_options(PackerKind::BosB.build(), 1024, 2);
         let mut buf = Vec::new();
         writer.encode(&values, &mut buf);
         let reader = Ts2DiffEncoding::new(PackerKind::BosB.build());

@@ -112,16 +112,7 @@ impl<'a> RangeDecoder<'a> {
     }
 
     #[inline]
-    fn next_byte(&mut self) -> u8 {
-        // Reading past the end yields zero bytes; corruption is caught by
-        // the structural checks of the caller.
-        let b = self.buf.get(self.pos).copied().unwrap_or(0);
-        self.pos += 1;
-        b
-    }
-
-    #[inline]
-    fn decode_bit(&mut self, prob: &mut u16) -> bool {
+    fn decode_bit(&mut self, prob: &mut u16) -> DecodeResult<bool> {
         let bound = (self.range >> PROB_BITS) * (*prob as u32);
         let bit = if self.code < bound {
             self.range = bound;
@@ -134,10 +125,15 @@ impl<'a> RangeDecoder<'a> {
             true
         };
         while self.range < TOP {
+            // The encoder's `finish` flushes every byte a renormalization
+            // here asks for, so reading past the payload means the frame
+            // is cut short or claims more output than it encodes.
+            let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
+            self.pos += 1;
             self.range <<= 8;
-            self.code = (self.code << 8) | self.next_byte() as u32;
+            self.code = (self.code << 8) | b as u32;
         }
-        bit
+        Ok(bit)
     }
 }
 
@@ -165,13 +161,13 @@ impl BitTree {
         }
     }
 
-    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> DecodeResult<u32> {
         let mut node = 1usize;
         for _ in 0..self.bits {
-            let bit = dec.decode_bit(&mut self.probs[node]);
+            let bit = dec.decode_bit(&mut self.probs[node])?;
             node = (node << 1) | bit as usize;
         }
-        (node - (1 << self.bits)) as u32
+        Ok((node - (1 << self.bits)) as u32)
     }
 }
 
@@ -292,12 +288,14 @@ impl ByteCodec for LzmaLite {
         let mut model = Model::new();
         let mut dec = RangeDecoder::new(payload)?;
         let start = out.len();
-        out.reserve(n);
+        // `n` is only a claim: reserve no more than the payload's own
+        // length, and let a compressible stream grow `out` as it decodes.
+        out.reserve(n.min(payload.len()));
         let mut prev_byte = 0u8;
         while out.len() - start < n {
-            if dec.decode_bit(&mut model.is_match) {
-                let mlen = model.len.decode(&mut dec) as usize;
-                let mdist = model.dist.decode(&mut dec) as usize;
+            if dec.decode_bit(&mut model.is_match)? {
+                let mlen = model.len.decode(&mut dec)? as usize;
+                let mdist = model.dist.decode(&mut dec)? as usize;
                 let produced = out.len() - start;
                 if mlen < MIN_MATCH || mdist == 0 || mdist > produced {
                     return Err(DecodeError::CountOverflow {
@@ -321,7 +319,7 @@ impl ByteCodec for LzmaLite {
                     .literals
                     .get_mut(prev_byte as usize)
                     .ok_or(DecodeError::Truncated)?;
-                let b = tree.decode(&mut dec) as u8;
+                let b = tree.decode(&mut dec)? as u8;
                 out.push(b);
                 prev_byte = b;
             }
@@ -381,6 +379,24 @@ mod tests {
             })
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn count_past_what_the_payload_holds_is_an_error() {
+        // varint n = 2^27, varint plen = 5, five zero bytes: the range
+        // decoder runs out of payload within the first literal, so the
+        // frame fails there instead of yielding 128 MiB of zeros.
+        let mut hostile = Vec::new();
+        write_varint(&mut hostile, 1 << 27);
+        write_varint(&mut hostile, 5);
+        hostile.extend_from_slice(&[0; 5]);
+        assert_eq!(hostile.len(), 10);
+        let mut out = Vec::new();
+        assert_eq!(
+            LzmaLite::new().decompress(&hostile, &mut 0, &mut out),
+            Err(DecodeError::Truncated)
+        );
+        assert!(out.capacity() < 64, "reserved {} bytes", out.capacity());
     }
 
     #[test]

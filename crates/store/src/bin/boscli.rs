@@ -24,6 +24,7 @@
 
 use bos::SolverKind;
 use datasets::csv;
+use encodings::floatint::{self, FloatEncodeError};
 use encodings::{OuterKind, PackerKind, Pipeline};
 use std::path::Path;
 use std::process::ExitCode;
@@ -186,15 +187,32 @@ fn json_str(s: &str) -> String {
 
 /// A parsed CSV column: integer series when the parse succeeds, float
 /// series otherwise.
-type LoadedSeries = (Option<Vec<i64>>, Option<Vec<f64>>);
+enum LoadedSeries {
+    Ints(Vec<i64>),
+    Floats(Vec<f64>),
+}
 
 /// Loads a CSV column, preferring the integer parse.
 fn load_series(path: &Path) -> Result<LoadedSeries, String> {
     if let Ok(ints) = csv::load_ints(path) {
-        return Ok((Some(ints), None));
+        return Ok(LoadedSeries::Ints(ints));
     }
     let floats = csv::load_floats(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((None, Some(floats)))
+    Ok(LoadedSeries::Floats(floats))
+}
+
+/// Loads a CSV column as integers, scaling a float column by `10^p`.
+fn load_scaled_ints(path: &Path) -> Result<Vec<i64>, String> {
+    match load_series(path)? {
+        LoadedSeries::Ints(ints) => Ok(ints),
+        LoadedSeries::Floats(floats) => match floatint::scale(&floats) {
+            Ok((_, ints)) => Ok(ints),
+            Err(FloatEncodeError::NoExactScaling) => {
+                Err("floats have no exact decimal scaling".into())
+            }
+            Err(FloatEncodeError::Overflow { .. }) => Err("scaling overflow".into()),
+        },
+    }
 }
 
 fn cmd_pack(args: &[String]) -> CliResult {
@@ -211,7 +229,7 @@ fn cmd_pack(args: &[String]) -> CliResult {
             .split_once('=')
             .ok_or_else(|| format!("bad series spec {spec:?}, expected name=path.csv"))?;
         match load_series(Path::new(path))? {
-            (Some(ints), _) => {
+            LoadedSeries::Ints(ints) => {
                 raw_total += ints.len() * 8;
                 let choice = EncodingChoice::auto_for(&ints);
                 println!(
@@ -223,7 +241,7 @@ fn cmd_pack(args: &[String]) -> CliResult {
                     .add_int_series(name, &ints, choice)
                     .map_err(|e| e.to_string())?;
             }
-            (_, Some(floats)) => {
+            LoadedSeries::Floats(floats) => {
                 raw_total += floats.len() * 8;
                 println!(
                     "{name}: {} floats, encoding {}",
@@ -234,7 +252,6 @@ fn cmd_pack(args: &[String]) -> CliResult {
                     .add_float_series(name, &floats, EncodingChoice::TS2DIFF_BOS)
                     .map_err(|e| e.to_string())?;
             }
-            _ => unreachable!("load_series always fills one side"),
         }
     }
     let bytes = writer.finish();
@@ -319,16 +336,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
     let [path] = args else {
         return Err("bench needs <path.csv>".into());
     };
-    let (ints, floats) = load_series(Path::new(path))?;
-    let ints = match (ints, floats) {
-        (Some(i), _) => i,
-        (_, Some(f)) => {
-            let p = encodings::floatint::infer_precision(&f)
-                .ok_or("floats have no exact decimal scaling")?;
-            encodings::floatint::floats_to_ints(&f, p).ok_or("scaling overflow")?
-        }
-        _ => unreachable!(),
-    };
+    let ints = load_scaled_ints(Path::new(path))?;
     println!(
         "{}: {} values, raw {} bytes",
         path,
@@ -376,16 +384,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
         None | Some("all") => SolverKind::ALL.to_vec(),
         Some(s) => vec![s.parse()?],
     };
-    let (ints, floats) = load_series(Path::new(path))?;
-    let ints = match (ints, floats) {
-        (Some(i), _) => i,
-        (_, Some(f)) => {
-            let p = encodings::floatint::infer_precision(&f)
-                .ok_or("floats have no exact decimal scaling")?;
-            encodings::floatint::floats_to_ints(&f, p).ok_or("scaling overflow")?
-        }
-        _ => unreachable!(),
-    };
+    let ints = load_scaled_ints(Path::new(path))?;
     println!(
         "{}: {} values, {} blocks of {}",
         path,
@@ -430,16 +429,7 @@ fn cmd_encode(args: &[String]) -> CliResult {
             .ok_or_else(|| format!("bad block_size {b:?} (need an integer >= 1)"))?,
     };
     let kind: SolverKind = solver_arg.unwrap_or("bos-a").parse()?;
-    let (ints, floats) = load_series(Path::new(input))?;
-    let ints = match (ints, floats) {
-        (Some(i), _) => i,
-        (_, Some(f)) => {
-            let p = encodings::floatint::infer_precision(&f)
-                .ok_or("floats have no exact decimal scaling")?;
-            encodings::floatint::floats_to_ints(&f, p).ok_or("scaling overflow")?
-        }
-        _ => unreachable!(),
-    };
+    let ints = load_scaled_ints(Path::new(input))?;
     // At least two workers so the flight recorder sees the parallel
     // driver's dispatch/join provenance, capped to keep small inputs cheap.
     let threads = std::thread::available_parallelism()
@@ -589,9 +579,8 @@ fn cmd_store(args: &[String]) -> CliResult {
                 let (name, path) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("bad series spec {spec:?}, expected name=path.csv"))?;
-                let ints = match load_series(Path::new(path))? {
-                    (Some(ints), _) => ints,
-                    _ => return Err(format!("{path}: store append takes integer series only")),
+                let LoadedSeries::Ints(ints) = load_series(Path::new(path))? else {
+                    return Err(format!("{path}: store append takes integer series only"));
                 };
                 println!("{name}: appending {} integers", ints.len());
                 if let Some(id) = store.append(name, &ints).map_err(|e| e.to_string())? {

@@ -19,6 +19,12 @@
 //! intact orphans, deleting committed-dead leftovers — and routes
 //! damaged files through [`TsFileReader::open_salvage`] into a typed
 //! quarantine instead of failing the open.
+//!
+//! Strict reads go through one per-file series read: [`Store::read_series`]
+//! appends each live file's values of a series in `(order, id)` order, and
+//! [`Store::compact`] gathers each series from its inputs the same way,
+//! one series at a time, so a compaction holds the inputs' file bytes and
+//! one series' values, never every decoded input.
 
 #![deny(
     clippy::unwrap_used,
@@ -31,7 +37,7 @@ pub mod manifest;
 
 use faultsim::CrashSchedule;
 use manifest::{LiveFile, Record, ReplayState};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -328,6 +334,23 @@ fn append_values(out: &mut Vec<i64>, values: Vec<i64>) {
     }
 }
 
+/// The store's one strict per-file series read, under both
+/// [`Store::read_series`] and [`Store::compact`]: appends `reader`'s values
+/// of `name` to `out` ([`append_values`]). A file without the series adds
+/// nothing; any other error is returned.
+fn append_file_series(
+    reader: &TsFileReader<'_>,
+    name: &str,
+    out: &mut Vec<i64>,
+) -> Result<(), StoreError> {
+    match reader.read_ints(name) {
+        Ok(values) => append_values(out, values),
+        Err(TsFileError::NoSuchSeries(_)) => {}
+        Err(e) => return Err(e.into()),
+    }
+    Ok(())
+}
+
 /// Best-effort salvage census of a damaged file: recoverable integer
 /// values and skipped chunks.
 fn salvage_summary(bytes: &[u8]) -> (u64, usize) {
@@ -447,6 +470,12 @@ impl Store {
     /// On-disk path of a data file id.
     pub fn path_for(&self, id: u64) -> PathBuf {
         self.dir.join(format!("{id:06}{DATA_SUFFIX}"))
+    }
+
+    /// Reads a data file's bytes whole.
+    fn read_file(&self, id: u64) -> Result<Vec<u8>, StoreError> {
+        let path = self.path_for(id);
+        fs::read(&path).map_err(|e| io_err(&path, e))
     }
 
     fn fail_if_crashed(&self) -> Result<(), StoreError> {
@@ -586,19 +615,33 @@ impl Store {
         Ok(Some(id))
     }
 
-    /// Merges all small sealed files into one: decodes every input
-    /// series, concatenates each series' values in file order, and
-    /// re-encodes each merged series through the parallel encode path.
-    /// While the input chunks of a series hold whole blocks, the solver
-    /// sees the very blocks it solved at flush time and writes the same
-    /// bytes for them; a chunk of any other length shifts the block
-    /// boundaries after it, and those blocks are solved afresh. What the
-    /// merge saves is per-file and per-chunk overhead (headers, footers,
-    /// partial last blocks), not better thresholds. Committed via the
-    /// begin/commit manifest protocol: a crash anywhere leaves either the
-    /// old files or the new file live, never both, never neither. Returns
-    /// the output id, or `None` when fewer than `compact_min_inputs`
-    /// candidates exist.
+    /// Merges all small sealed files into one.
+    ///
+    /// Each candidate file is read and opened once. Then the series are
+    /// merged one at a time, in name order: a series' values are gathered
+    /// from every input in `(order, id)` file order through the same
+    /// per-file read as [`read_series`](Self::read_series), encoded through
+    /// the parallel encode path, and dropped before the next series starts.
+    /// So compaction holds at most the inputs' file bytes, the output file
+    /// under construction and one series' values.
+    ///
+    /// The output holds every input series once, in name order, each with
+    /// its values concatenated in file order, and the encoder is
+    /// deterministic per block; which series is in memory at a time does
+    /// not change a byte. While the input chunks of a series hold whole
+    /// blocks, the solver sees the very blocks it solved at flush time and
+    /// writes the same bytes for them; a chunk of any other length shifts
+    /// the block boundaries after it, and those blocks are solved afresh.
+    /// What the merge saves is per-file and per-chunk overhead (headers,
+    /// footers, partial last blocks), not better thresholds.
+    ///
+    /// Reading and encoding come before the begin/commit manifest
+    /// protocol, so a read error or an encode error
+    /// ([`TsFileError::Encode`]) returns before `CompactionBegin` and
+    /// leaves the manifest as it was. From `CompactionBegin` on, a crash
+    /// anywhere leaves either the old files or the new file live, never
+    /// both, never neither. Returns the output id, or `None` when fewer
+    /// than `compact_min_inputs` candidates exist.
     pub fn compact(&mut self) -> Result<Option<u64>, StoreError> {
         self.fail_if_crashed()?;
         let _span = obs::span("store.compact");
@@ -612,19 +655,8 @@ impl Store {
         if candidates.len() < self.opts.compact_min_inputs {
             return Ok(None);
         }
-        let mut merged: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-        let mut min_order = u64::MAX;
-        for f in &candidates {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let reader = TsFileReader::open(&bytes)?;
-            let names: Vec<String> = reader.series().iter().map(|i| i.name.clone()).collect();
-            for name in names {
-                let values = reader.read_ints(&name)?;
-                append_values(merged.entry(name).or_default(), values);
-            }
-            min_order = min_order.min(f.order);
-        }
+        let (bytes, total) = self.merge(&candidates)?;
+        let min_order = candidates.first().map_or(u64::MAX, |f| f.order);
         let inputs: Vec<u64> = candidates.iter().map(|f| f.id).collect();
         let output = self.next_id;
         self.next_id += 1;
@@ -639,13 +671,7 @@ impl Store {
                 output,
             });
         }
-        let mut writer = TsFileWriter::new();
-        let mut total = 0u64;
-        for (name, values) in &merged {
-            writer.add_int_series_parallel(name, values, self.opts.encoding, self.opts.threads)?;
-            total += values.len() as u64;
-        }
-        self.durable_write(&self.path_for(output), writer.finish())?;
+        self.durable_write(&self.path_for(output), bytes)?;
         self.append_manifest(Record::CompactionCommit {
             inputs: inputs.clone(),
             output,
@@ -680,6 +706,35 @@ impl Store {
         Ok(Some(output))
     }
 
+    /// Compaction's merge, a series at a time (see [`compact`](Self::compact)):
+    /// returns the output file's bytes and its value count. The inputs'
+    /// bytes are dropped on return.
+    fn merge(&self, inputs: &[LiveFile]) -> Result<(Vec<u8>, u64), StoreError> {
+        let files = inputs
+            .iter()
+            .map(|f| self.read_file(f.id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let readers = files
+            .iter()
+            .map(|bytes| TsFileReader::open(bytes))
+            .collect::<Result<Vec<_>, _>>()?;
+        let names: BTreeSet<&str> = readers
+            .iter()
+            .flat_map(|r| r.series().iter().map(|i| i.name.as_str()))
+            .collect();
+        let mut writer = TsFileWriter::new();
+        let mut total = 0u64;
+        for name in names {
+            let mut values = Vec::new();
+            for reader in &readers {
+                append_file_series(reader, name, &mut values)?;
+            }
+            writer.add_int_series_parallel(name, &values, self.opts.encoding, self.opts.threads)?;
+            total += values.len() as u64;
+        }
+        Ok((writer.finish(), total))
+    }
+
     /// Drops a live file by retention policy. Returns false when the id
     /// is not live.
     pub fn retention_delete(&mut self, id: u64) -> Result<bool, StoreError> {
@@ -699,14 +754,8 @@ impl Store {
     pub fn read_series(&self, name: &str) -> Result<Vec<i64>, StoreError> {
         let mut out = Vec::new();
         for f in self.live_files() {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let reader = TsFileReader::open(&bytes)?;
-            match reader.read_ints(name) {
-                Ok(values) => append_values(&mut out, values),
-                Err(TsFileError::NoSuchSeries(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            let bytes = self.read_file(f.id)?;
+            append_file_series(&TsFileReader::open(&bytes)?, name, &mut out)?;
         }
         Ok(out)
     }
@@ -717,8 +766,7 @@ impl Store {
     pub fn scan_series(&self, name: &str) -> Result<SeriesScan, StoreError> {
         let mut scan = SeriesScan::default();
         for f in self.live_files() {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            let bytes = self.read_file(f.id)?;
             let (reader, report) = TsFileReader::open_salvage(&bytes);
             scan.skipped.extend(report.skipped);
             match reader.read_ints_salvage(name) {
@@ -750,8 +798,7 @@ impl Store {
     pub fn series_names(&self) -> Result<Vec<String>, StoreError> {
         let mut names: Vec<String> = Vec::new();
         for f in self.live_files() {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            let bytes = self.read_file(f.id)?;
             let reader = TsFileReader::open(&bytes)?;
             for info in reader.series() {
                 if !names.contains(&info.name) {

@@ -6,6 +6,14 @@
 //! choice (any outer × operator pipeline, BOS included), with CRC-32
 //! integrity on every chunk and a footer index for random access by name.
 //!
+//! [`TsFileReader`] reads a series by name with its type checked:
+//! [`read_ints`](TsFileReader::read_ints) and
+//! [`read_floats`](TsFileReader::read_floats) fail on any damage, while
+//! [`read_ints_salvage`](TsFileReader::read_ints_salvage) and
+//! [`read_floats_salvage`](TsFileReader::read_floats_salvage) report a
+//! damaged chunk as a [`SkippedChunk`]. All four share one lookup and one
+//! CRC-checked chunk read.
+//!
 //! ```text
 //! file := magic
 //!         chunk*                      one per series, written in order
@@ -367,10 +375,8 @@ impl TsFileWriter {
         encoding: EncodingChoice,
     ) -> Result<(), TsFileError> {
         self.check_name(name)?;
-        let p = encodings::floatint::infer_precision(values)
-            .ok_or_else(|| TsFileError::UnrepresentableFloats(name.to_string()))?;
-        let ints = encodings::floatint::floats_to_ints(values, p)
-            .ok_or_else(|| TsFileError::UnrepresentableFloats(name.to_string()))?;
+        let (p, ints) = encodings::floatint::scale(values)
+            .map_err(|_| TsFileError::UnrepresentableFloats(name.to_string()))?;
         let mut payload = Vec::new();
         encoding.pipeline().encode(&ints, &mut payload);
         self.add_chunk(
@@ -380,53 +386,6 @@ impl TsFileWriter {
             encoding,
             values.len(),
             &payload,
-        );
-        Ok(())
-    }
-
-    /// Adds a timestamped integer series: the timestamp column is stored
-    /// as its own chunk (`<name>/time`) with second-order differencing —
-    /// regular timestamps collapse to almost nothing — and values as
-    /// `<name>/value` with `encoding`. This mirrors how Apache TsFile
-    /// stores (time, value) pages.
-    pub fn add_timed_series(
-        &mut self,
-        name: &str,
-        points: &[(i64, i64)],
-        encoding: EncodingChoice,
-    ) -> Result<(), TsFileError> {
-        let times: Vec<i64> = points.iter().map(|&(t, _)| t).collect();
-        let values: Vec<i64> = points.iter().map(|&(_, v)| v).collect();
-        // Timestamps: second-order TS2DIFF + BOS-B, independent of the
-        // value encoding choice.
-        let time_name = format!("{name}/time");
-        let value_name = format!("{name}/value");
-        self.check_name(&time_name)?;
-        self.check_name(&value_name)?;
-        let mut payload = Vec::new();
-        encodings::ts2diff::Ts2DiffEncoding::second_order(bos::BosCodec::new(
-            bos::SolverKind::BitWidth,
-        ))
-        .encode(&times, &mut payload);
-        // Timestamp chunks reuse the TS2DIFF+BOS-B encoding id; the order
-        // byte inside the payload makes the stream self-describing.
-        self.add_chunk(
-            &time_name,
-            TYPE_INT,
-            None,
-            EncodingChoice::TS2DIFF_BOS,
-            times.len(),
-            &payload,
-        );
-        let mut vpayload = Vec::new();
-        encoding.pipeline().encode(&values, &mut vpayload);
-        self.add_chunk(
-            &value_name,
-            TYPE_INT,
-            None,
-            encoding,
-            values.len(),
-            &vpayload,
         );
         Ok(())
     }
@@ -480,10 +439,6 @@ pub enum SkipReason {
     /// The chunk header failed structural validation, or a CRC-valid
     /// payload failed to decode.
     BadHeader,
-    /// The chunk never made it into the (possibly rebuilt) index — its
-    /// bytes are gone entirely, e.g. one column of a timestamped pair
-    /// lost to a truncation that consumed the whole chunk.
-    Missing,
 }
 
 impl SkipReason {
@@ -494,7 +449,6 @@ impl SkipReason {
             Self::CrcMismatch => "crc-mismatch",
             Self::Truncated => "truncated",
             Self::BadHeader => "bad-header",
-            Self::Missing => "missing",
         }
     }
 }
@@ -524,45 +478,6 @@ pub struct SalvageOutcome<T> {
     pub values: Vec<T>,
     /// Chunks that could not be recovered.
     pub skipped: Vec<SkippedChunk>,
-}
-
-/// Outcome of a salvage read of a timestamped (paired) series: the two
-/// columns are recovered independently, and the variant states exactly
-/// which sides survived so damage on one column can never surface as
-/// silently misaligned `(time, value)` pairs.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum TimedSalvage {
-    /// Both columns decoded and align: full points, as written.
-    Paired(Vec<(i64, i64)>),
-    /// The value column was lost; timestamps survive.
-    TimesOnly {
-        /// The recovered timestamp column.
-        times: Vec<i64>,
-        /// Why the value column was skipped.
-        skipped: Vec<SkippedChunk>,
-    },
-    /// The time column was lost; values survive (ordered, un-stamped).
-    ValuesOnly {
-        /// The recovered value column.
-        values: Vec<i64>,
-        /// Why the time column was skipped.
-        skipped: Vec<SkippedChunk>,
-    },
-    /// Both columns decoded but their lengths differ, so pairing them
-    /// up would misattribute timestamps; the columns are returned
-    /// unzipped for the caller to reconcile.
-    Misaligned {
-        /// The recovered timestamp column.
-        times: Vec<i64>,
-        /// The recovered value column.
-        values: Vec<i64>,
-    },
-    /// Neither column survived.
-    Unrecovered {
-        /// Why each column was skipped.
-        skipped: Vec<SkippedChunk>,
-    },
 }
 
 /// What [`TsFileReader::open_salvage`] found while building the file view.
@@ -679,6 +594,12 @@ fn decode_chunk_values(header: &ChunkHeader<'_>, payload: &[u8]) -> Result<Vec<i
     Ok(out)
 }
 
+/// Turns a float chunk's scaled integers back into floats.
+fn unscale(decimals: Option<u8>, ints: &[i64]) -> Result<Vec<f64>, TsFileError> {
+    let p = decimals.ok_or(TsFileError::Corrupt("missing decimals"))?;
+    Ok(encodings::floatint::ints_to_floats(ints, u32::from(p)))
+}
+
 /// Maps a chunk-read failure onto the salvage skip taxonomy.
 fn skip_reason(e: &TsFileError) -> SkipReason {
     match e {
@@ -689,6 +610,10 @@ fn skip_reason(e: &TsFileError) -> SkipReason {
         _ => SkipReason::BadHeader,
     }
 }
+
+/// What reading one chunk gives: the decimals (floats only) and the
+/// decoded integers, or the chunk's error.
+type ChunkRead = Result<(Option<u8>, Vec<i64>), TsFileError>;
 
 /// Reads a TsFile from a byte buffer.
 pub struct TsFileReader<'a> {
@@ -792,7 +717,7 @@ impl<'a> TsFileReader<'a> {
 
     /// Parses a chunk at `info.offset`, verifying its CRC. Returns the
     /// decimals (floats only) and decoded integers.
-    fn read_chunk(&self, info: &SeriesInfo) -> Result<(Option<u8>, Vec<i64>), TsFileError> {
+    fn read_chunk(&self, info: &SeriesInfo) -> ChunkRead {
         let header = parse_chunk_header(self.data, info.offset as usize)?;
         if header.name != info.name.as_bytes() {
             return Err(TsFileError::Corrupt("index/chunk name mismatch"));
@@ -991,6 +916,35 @@ impl<'a> TsFileReader<'a> {
         )
     }
 
+    /// The lookup-and-read under the four typed reads: finds `name`,
+    /// checks that it holds the wanted value type, and reads its chunk.
+    /// Lookup failures ([`TsFileError::NoSuchSeries`],
+    /// [`TsFileError::WrongType`]) are the outer error; the chunk read's
+    /// own result comes back whole, so a salvage read can turn it into a
+    /// skip.
+    fn lookup_read(
+        &self,
+        name: &str,
+        is_float: bool,
+    ) -> Result<(&SeriesInfo, ChunkRead), TsFileError> {
+        let info = self.info(name)?;
+        if info.is_float != is_float {
+            return Err(TsFileError::WrongType(name.to_string()));
+        }
+        Ok((info, self.read_chunk(info)))
+    }
+
+    /// Reads an integer series by name.
+    pub fn read_ints(&self, name: &str) -> Result<Vec<i64>, TsFileError> {
+        Ok(self.lookup_read(name, false)?.1?.1)
+    }
+
+    /// Reads a float series by name.
+    pub fn read_floats(&self, name: &str) -> Result<Vec<f64>, TsFileError> {
+        let (decimals, ints) = self.lookup_read(name, true)?.1?;
+        unscale(decimals, &ints)
+    }
+
     /// Partial-recovery read of an integer series: decodes what survives
     /// and reports what does not, instead of failing the whole read.
     ///
@@ -998,36 +952,27 @@ impl<'a> TsFileReader<'a> {
     /// [`TsFileError::WrongType`]); chunk damage is returned inside the
     /// outcome.
     pub fn read_ints_salvage(&self, name: &str) -> Result<SalvageOutcome<i64>, TsFileError> {
-        let info = self.info(name)?.clone();
-        if info.is_float {
-            return Err(TsFileError::WrongType(name.to_string()));
-        }
-        match self.read_chunk(&info) {
-            Ok((_, values)) => Ok(SalvageOutcome {
+        let (info, read) = self.lookup_read(name, false)?;
+        Ok(match read {
+            Ok((_, values)) => SalvageOutcome {
                 values,
                 skipped: Vec::new(),
-            }),
-            Err(e) => Ok(self.skip_outcome(&info, &e)),
-        }
+            },
+            Err(e) => self.skip_outcome(info, &e),
+        })
     }
 
     /// Partial-recovery read of a float series; see
     /// [`read_ints_salvage`](Self::read_ints_salvage).
     pub fn read_floats_salvage(&self, name: &str) -> Result<SalvageOutcome<f64>, TsFileError> {
-        let info = self.info(name)?.clone();
-        if !info.is_float {
-            return Err(TsFileError::WrongType(name.to_string()));
-        }
-        match self.read_chunk(&info) {
-            Ok((decimals, ints)) => {
-                let p = decimals.ok_or(TsFileError::Corrupt("missing decimals"))? as u32;
-                Ok(SalvageOutcome {
-                    values: encodings::floatint::ints_to_floats(&ints, p),
-                    skipped: Vec::new(),
-                })
-            }
-            Err(e) => Ok(self.skip_outcome(&info, &e)),
-        }
+        let (info, read) = self.lookup_read(name, true)?;
+        Ok(match read {
+            Ok((decimals, ints)) => SalvageOutcome {
+                values: unscale(decimals, &ints)?,
+                skipped: Vec::new(),
+            },
+            Err(e) => self.skip_outcome(info, &e),
+        })
     }
 
     /// Builds the all-skipped outcome for a chunk that failed to read.
@@ -1048,97 +993,6 @@ impl<'a> TsFileReader<'a> {
                 reason,
             }],
         }
-    }
-
-    /// Reads an integer series by name.
-    pub fn read_ints(&self, name: &str) -> Result<Vec<i64>, TsFileError> {
-        let info = self.info(name)?.clone();
-        if info.is_float {
-            return Err(TsFileError::WrongType(name.to_string()));
-        }
-        Ok(self.read_chunk(&info)?.1)
-    }
-
-    /// Reads a timestamped series written by
-    /// [`TsFileWriter::add_timed_series`].
-    pub fn read_timed_series(&self, name: &str) -> Result<Vec<(i64, i64)>, TsFileError> {
-        let time_name = format!("{name}/time");
-        let value_name = format!("{name}/value");
-        let tinfo = self.info(&time_name)?.clone();
-        let (_, payload_times) = self.read_chunk(&tinfo)?;
-        let values = self.read_ints(&value_name)?;
-        if payload_times.len() != values.len() {
-            return Err(TsFileError::Corrupt("time/value length mismatch"));
-        }
-        Ok(payload_times.into_iter().zip(values).collect())
-    }
-
-    /// Partial-recovery read of a timestamped series written by
-    /// [`TsFileWriter::add_timed_series`]: each column is salvaged
-    /// independently and the [`TimedSalvage`] variant states which
-    /// sides survived, so a skipped chunk on one side degrades to a
-    /// typed partial pair instead of misaligned columns.
-    ///
-    /// Errors only when *neither* column exists in the index under any
-    /// state ([`TsFileError::NoSuchSeries`]); a single missing column is
-    /// reported inside the outcome with [`SkipReason::Missing`].
-    pub fn read_timed_salvage(&self, name: &str) -> Result<TimedSalvage, TsFileError> {
-        let time_name = format!("{name}/time");
-        let value_name = format!("{name}/value");
-        let missing = |series: &str| SkippedChunk {
-            series: series.to_string(),
-            range: 0..0,
-            reason: SkipReason::Missing,
-        };
-        let column = |col: &str| -> Result<SalvageOutcome<i64>, TsFileError> {
-            match self.read_ints_salvage(col) {
-                Ok(out) => Ok(out),
-                Err(TsFileError::NoSuchSeries(_)) => Ok(SalvageOutcome {
-                    values: Vec::new(),
-                    skipped: vec![missing(col)],
-                }),
-                Err(e) => Err(e),
-            }
-        };
-        if self.info(&time_name).is_err() && self.info(&value_name).is_err() {
-            return Err(TsFileError::NoSuchSeries(name.to_string()));
-        }
-        let times = column(&time_name)?;
-        let values = column(&value_name)?;
-        let (t_ok, v_ok) = (times.skipped.is_empty(), values.skipped.is_empty());
-        Ok(match (t_ok, v_ok) {
-            (true, true) if times.values.len() == values.values.len() => {
-                TimedSalvage::Paired(times.values.into_iter().zip(values.values).collect())
-            }
-            (true, true) => TimedSalvage::Misaligned {
-                times: times.values,
-                values: values.values,
-            },
-            (true, false) => TimedSalvage::TimesOnly {
-                times: times.values,
-                skipped: values.skipped,
-            },
-            (false, true) => TimedSalvage::ValuesOnly {
-                values: values.values,
-                skipped: times.skipped,
-            },
-            (false, false) => {
-                let mut skipped = times.skipped;
-                skipped.extend(values.skipped);
-                TimedSalvage::Unrecovered { skipped }
-            }
-        })
-    }
-
-    /// Reads a float series by name.
-    pub fn read_floats(&self, name: &str) -> Result<Vec<f64>, TsFileError> {
-        let info = self.info(name)?.clone();
-        if !info.is_float {
-            return Err(TsFileError::WrongType(name.to_string()));
-        }
-        let (decimals, ints) = self.read_chunk(&info)?;
-        let p = decimals.ok_or(TsFileError::Corrupt("missing decimals"))? as u32;
-        Ok(encodings::floatint::ints_to_floats(&ints, p))
     }
 }
 
@@ -1235,43 +1089,6 @@ mod tests {
         for cut in 0..bytes.len() {
             let _ = TsFileReader::open(&bytes[..cut]); // must not panic
         }
-    }
-
-    #[test]
-    fn timed_series_roundtrip() {
-        // Regular 1 Hz timestamps with small jitter + a value channel.
-        let points: Vec<(i64, i64)> = (0..20_000i64)
-            .map(|i| (1_700_000_000_000 + i * 1000 + (i % 3), 500 + (i % 12)))
-            .collect();
-        let mut w = TsFileWriter::new();
-        w.add_timed_series("engine.rpm", &points, EncodingChoice::TS2DIFF_BOS)
-            .unwrap();
-        let bytes = w.finish();
-        let r = TsFileReader::open(&bytes).unwrap();
-        assert_eq!(r.read_timed_series("engine.rpm").unwrap(), points);
-        // Both columns appear in the index.
-        assert!(r.info("engine.rpm/time").is_ok());
-        assert!(r.info("engine.rpm/value").is_ok());
-        // Second-order differencing makes the timestamp column tiny:
-        // well under 1 bit per point for near-regular stamps.
-        let tinfo = r.info("engine.rpm/time").unwrap();
-        let vinfo = r.info("engine.rpm/value").unwrap();
-        let time_bytes = (vinfo.offset - tinfo.offset) as usize;
-        assert!(
-            time_bytes < points.len() / 2,
-            "time column {time_bytes} bytes"
-        );
-    }
-
-    #[test]
-    fn timed_series_name_collisions() {
-        let mut w = TsFileWriter::new();
-        w.add_int_series("a/time", &[1], EncodingChoice::TS2DIFF_BP)
-            .unwrap();
-        assert!(matches!(
-            w.add_timed_series("a", &[(1, 2)], EncodingChoice::TS2DIFF_BOS),
-            Err(TsFileError::DuplicateSeries(_))
-        ));
     }
 
     #[test]
@@ -1488,123 +1305,6 @@ mod tests {
             r.read_floats_salvage("missing"),
             Err(TsFileError::NoSuchSeries(_))
         ));
-    }
-
-    /// One timed series plus byte ranges of its two column chunks.
-    #[allow(clippy::type_complexity)]
-    fn timed_fixture() -> (Vec<u8>, Vec<(i64, i64)>, Range<usize>, Range<usize>) {
-        let points: Vec<(i64, i64)> = (0..3000i64)
-            .map(|i| (1_700_000_000 + i * 100 + (i % 2), (i * i * 29) % 4093))
-            .collect();
-        let mut w = TsFileWriter::new();
-        w.add_timed_series("m", &points, EncodingChoice::TS2DIFF_BOS)
-            .unwrap();
-        let bytes = w.finish();
-        let r = TsFileReader::open(&bytes).unwrap();
-        let (_, tpay) = r.chunk_ranges("m/time").unwrap();
-        let (_, vpay) = r.chunk_ranges("m/value").unwrap();
-        (bytes, points, tpay, vpay)
-    }
-
-    #[test]
-    fn timed_salvage_pairs_when_intact() {
-        let (bytes, points, _, _) = timed_fixture();
-        let (r, _) = TsFileReader::open_salvage(&bytes);
-        assert_eq!(
-            r.read_timed_salvage("m").unwrap(),
-            TimedSalvage::Paired(points)
-        );
-        assert!(matches!(
-            r.read_timed_salvage("nope"),
-            Err(TsFileError::NoSuchSeries(_))
-        ));
-    }
-
-    #[test]
-    fn timed_salvage_keeps_times_when_values_die() {
-        let (mut bytes, points, _, vpay) = timed_fixture();
-        bytes[vpay.start + vpay.len() / 2] ^= 0x08;
-        let (r, _) = TsFileReader::open_salvage(&bytes);
-        match r.read_timed_salvage("m").unwrap() {
-            TimedSalvage::TimesOnly { times, skipped } => {
-                let want: Vec<i64> = points.iter().map(|&(t, _)| t).collect();
-                assert_eq!(times, want);
-                assert_eq!(skipped.len(), 1);
-                assert_eq!(skipped[0].series, "m/value");
-                assert_eq!(skipped[0].reason, SkipReason::CrcMismatch);
-            }
-            other => panic!("expected TimesOnly, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timed_salvage_keeps_values_when_times_die() {
-        let (mut bytes, points, tpay, _) = timed_fixture();
-        bytes[tpay.start + 1] ^= 0x20;
-        let (r, _) = TsFileReader::open_salvage(&bytes);
-        match r.read_timed_salvage("m").unwrap() {
-            TimedSalvage::ValuesOnly { values, skipped } => {
-                let want: Vec<i64> = points.iter().map(|&(_, v)| v).collect();
-                assert_eq!(values, want);
-                assert_eq!(skipped[0].series, "m/time");
-            }
-            other => panic!("expected ValuesOnly, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timed_salvage_reports_both_columns_lost() {
-        let (mut bytes, _, tpay, vpay) = timed_fixture();
-        bytes[tpay.start] ^= 0x04;
-        bytes[vpay.start] ^= 0x04;
-        let (r, _) = TsFileReader::open_salvage(&bytes);
-        match r.read_timed_salvage("m").unwrap() {
-            TimedSalvage::Unrecovered { skipped } => {
-                assert_eq!(skipped.len(), 2);
-                let names: Vec<&str> = skipped.iter().map(|s| s.series.as_str()).collect();
-                assert_eq!(names, ["m/time", "m/value"]);
-            }
-            other => panic!("expected Unrecovered, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timed_salvage_types_a_fully_missing_column() {
-        // Only the value column exists: the time side is typed Missing,
-        // not conflated with in-file damage.
-        let mut w = TsFileWriter::new();
-        w.add_int_series("m/value", &[5, 6, 7], EncodingChoice::TS2DIFF_BP)
-            .unwrap();
-        let bytes = w.finish();
-        let r = TsFileReader::open(&bytes).unwrap();
-        match r.read_timed_salvage("m").unwrap() {
-            TimedSalvage::ValuesOnly { values, skipped } => {
-                assert_eq!(values, vec![5, 6, 7]);
-                assert_eq!(skipped[0].reason, SkipReason::Missing);
-                assert_eq!(SkipReason::Missing.label(), "missing");
-                assert!(skipped[0].range.is_empty());
-            }
-            other => panic!("expected ValuesOnly, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timed_salvage_detects_misaligned_columns() {
-        // Hand-build a pair whose columns decode to different lengths.
-        let mut w = TsFileWriter::new();
-        w.add_int_series("m/time", &[10, 20, 30], EncodingChoice::TS2DIFF_BP)
-            .unwrap();
-        w.add_int_series("m/value", &[1, 2], EncodingChoice::TS2DIFF_BP)
-            .unwrap();
-        let bytes = w.finish();
-        let r = TsFileReader::open(&bytes).unwrap();
-        assert_eq!(
-            r.read_timed_salvage("m").unwrap(),
-            TimedSalvage::Misaligned {
-                times: vec![10, 20, 30],
-                values: vec![1, 2],
-            }
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use bos::kpart::decode_kpart;
 use bos::{BosCodec, SolverKind};
 use gpcomp::{InnerPacker, TransformCodec, TransformKind};
 use pfor::BpCodec;
-use tsfile::{EncodingChoice, SkipReason, TimedSalvage, TsFileReader, TsFileWriter};
+use tsfile::{EncodingChoice, SkipReason, TsFileReader, TsFileWriter};
 
 /// Tally slot of each [`DecodeError`] variant.
 fn decode_slot(e: &DecodeError) -> usize {
@@ -51,10 +51,9 @@ fn skip_slot(r: &SkipReason) -> usize {
         SkipReason::CrcMismatch => 0,
         SkipReason::Truncated => 1,
         SkipReason::BadHeader => 2,
-        SkipReason::Missing => 3,
     }
 }
-const SKIP_SLOTS: usize = 4;
+const SKIP_SLOTS: usize = 3;
 
 /// Asserts every slot in `0..slots` is hit by at least one witness.
 fn assert_every_slot<E: Debug>(what: &str, slots: usize, slot: fn(&E) -> usize, seen: &[E]) {
@@ -235,17 +234,6 @@ fn every_skip_reason_has_a_witness() {
     let (mut bytes, chunk, _) = three_series_file();
     bytes[chunk.start] ^= 0xFF;
     seen.extend(salvage_reasons(&bytes, "s1"));
-
-    // A timed pair whose time column was never written.
-    let mut w = TsFileWriter::new();
-    w.add_int_series("m/value", &[5, 6, 7], EncodingChoice::TS2DIFF_BP)
-        .expect("add series");
-    let bytes = w.finish();
-    let (r, _) = TsFileReader::open_salvage(&bytes);
-    match r.read_timed_salvage("m").expect("value column indexed") {
-        TimedSalvage::ValuesOnly { skipped, .. } => seen.extend(skipped.iter().map(|s| s.reason)),
-        other => panic!("expected ValuesOnly, got {other:?}"),
-    }
 
     assert_every_slot("SkipReason", SKIP_SLOTS, skip_slot, &seen);
 }

@@ -56,22 +56,6 @@ fn bos_archives_are_smaller_than_bp_archives() {
 }
 
 #[test]
-fn timed_series_through_the_stack() {
-    let values = generate("TF", 8_000).expect("dataset").as_scaled_ints();
-    let points: Vec<(i64, i64)> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (1_700_000_000_000 + (i as i64) * 500, v))
-        .collect();
-    let mut w = TsFileWriter::new();
-    w.add_timed_series("vehicle.fuel", &points, EncodingChoice::TS2DIFF_BOS)
-        .unwrap();
-    let bytes = w.finish();
-    let r = TsFileReader::open(&bytes).unwrap();
-    assert_eq!(r.read_timed_series("vehicle.fuel").unwrap(), points);
-}
-
-#[test]
 fn scanner_answers_match_bruteforce_on_every_dataset() {
     for d in all_datasets(5_000) {
         let ints = d.as_scaled_ints();

@@ -44,7 +44,8 @@ pub fn measure(kind: SolverKind, block_size: usize, cfg: &Config) -> (f64, f64) 
     (comp / blocks, decomp / blocks)
 }
 
-/// Runs the experiment.
+/// Runs the experiment. Each (block size, solver) cell is measured once,
+/// and both tables print from that one pass.
 pub fn run(cfg: &Config) {
     super::banner(
         "Figure 15: compression/decompression time by block size (ns/block)",
@@ -55,42 +56,48 @@ pub fn run(cfg: &Config) {
         ("BOS-B", SolverKind::BitWidth),
         ("BOS-M", SolverKind::Median),
     ];
-    for (title, pick) in [
-        ("Compression (ns/block)", 0usize),
-        ("Decompression (ns/block)", 1),
-    ] {
+    let cells: Vec<Vec<(f64, f64)>> = SIZES
+        .iter()
+        .map(|&size| {
+            kinds
+                .iter()
+                .map(|&(_, kind)| measure(kind, size, cfg))
+                .collect()
+        })
+        .collect();
+    let print_table = |title: &str, pick: fn(&(f64, f64)) -> f64| {
         println!("{title}:");
         let mut headers = vec!["block".to_string()];
         headers.extend(kinds.iter().map(|(n, _)| n.to_string()));
         let mut table = Table::new(headers);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        for &size in &SIZES {
-            let mut row = Vec::new();
-            for &(_, kind) in &kinds {
-                let (c, d) = measure(kind, size, cfg);
-                row.push(if pick == 0 { c } else { d });
-            }
-            rows.push(row.clone());
+        for (size, row) in SIZES.iter().zip(&cells) {
             table.row(
-                std::iter::once(size.to_string()).chain(row.iter().map(|v| format!("{v:.0}"))),
+                std::iter::once(size.to_string())
+                    .chain(row.iter().map(|cell| format!("{:.0}", pick(cell)))),
             );
         }
         table.print();
         println!();
-        if pick == 0 {
-            // At the largest block, the complexity ordering must show:
-            // BOS-V (quadratic) slowest, BOS-M (linear) fastest. A tiny
-            // BOS_N yields no full 8192-value block at all (measure()
-            // reports 0 ns/block); the ordering check needs real data.
-            let last = rows.last().expect("rows");
-            if last.iter().all(|&v| v > 0.0) {
-                assert!(last[0] > last[1], "BOS-V must be slower than BOS-B at 8192");
-                assert!(last[1] > last[2], "BOS-B must be slower than BOS-M at 8192");
-            } else {
-                println!("(BOS_N too small for a full 8192-value block; ordering check skipped)");
-            }
-        }
+    };
+
+    print_table("Compression (ns/block)", |&(c, _)| c);
+    // At the largest block, the complexity ordering must show: BOS-V
+    // (quadratic) slowest, BOS-M (linear) fastest. A tiny BOS_N yields no
+    // full 8192-value block at all (measure() reports 0 ns/block); the
+    // ordering check needs real data.
+    let last: Vec<f64> = cells
+        .last()
+        .expect("rows")
+        .iter()
+        .map(|&(c, _)| c)
+        .collect();
+    if last.iter().all(|&v| v > 0.0) {
+        assert!(last[0] > last[1], "BOS-V must be slower than BOS-B at 8192");
+        assert!(last[1] > last[2], "BOS-B must be slower than BOS-M at 8192");
+    } else {
+        println!("(BOS_N too small for a full 8192-value block; ordering check skipped)");
     }
+    print_table("Decompression (ns/block)", |&(_, d)| d);
     println!("BOS-V grows fastest with block size (O(n²)), BOS-B in between");
     println!("(O(n log n)), BOS-M linear — the paper's scalability finding.");
 }

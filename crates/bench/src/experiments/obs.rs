@@ -138,10 +138,6 @@ const PERCENTILE_HISTOGRAMS: [&str; 4] = [
 /// every measurement and gate.
 pub fn run(cfg: &Config, quick: bool) {
     super::banner("Flight recorder: overhead, determinism, export", cfg);
-    if !obs::enabled() {
-        println!("obs feature off: recorder inert, nothing to measure");
-        return;
-    }
     let mut report = Report::new("exp_obs", cfg);
 
     let kernel = kernel_ab(cfg);

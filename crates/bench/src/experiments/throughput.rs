@@ -261,12 +261,8 @@ const SOLVER_KINDS: [(SolverKind, &str); 4] = [
 /// tallies and the search/pack span split back from the `obs` registry.
 ///
 /// Resets the registry per solver so the tallies are attributable; run
-/// this *after* anything whose metrics should survive. Empty when the
-/// `obs` feature is off.
+/// this *after* anything whose metrics should survive.
 fn solver_metrics_rows(cfg: &Config) -> Vec<SolverMetricsRow> {
-    if !obs::enabled() {
-        return Vec::new();
-    }
     let sets = all_datasets(cfg.n);
     let mut rows = Vec::new();
     for (kind, label) in SOLVER_KINDS {
@@ -382,7 +378,7 @@ struct StoreShapedRow {
     /// Decode time (ns, fastest run) of every block, back to back.
     decode_ns: f64,
     /// `solver.BOS-B.candidates` / `prunes` over one solve of every
-    /// block; zero when the `obs` feature is off.
+    /// block.
     candidates: u64,
     prunes: u64,
     /// Encoded BOS block bytes.
@@ -523,7 +519,7 @@ fn solver_section(cfg: &Config, report: &mut Report) {
         format!(
             "BOS-B on store-shaped blocks (million values/s): TS2DIFF order-1 \
              differences in {BLOCK}-value blocks, seeds {STORE_SEEDS:?}; \
-             search effort from the obs registry (0 with obs off)"
+             search effort from the obs registry"
         ),
         table,
     );
@@ -531,11 +527,7 @@ fn solver_section(cfg: &Config, report: &mut Report) {
 
 /// A/B comparison with the runtime kill-switch: kernel unpack and BOS-M
 /// driver encode timed obs-on vs obs-off, plus the byte-identity check.
-/// `None` when the `obs` feature is compiled out (nothing to toggle).
-fn overhead_check(cfg: &Config) -> Option<Overhead> {
-    if !obs::enabled() {
-        return None;
-    }
+fn overhead_check(cfg: &Config) -> Overhead {
     // Kernel path: width-13 unpack, the same shape the speedup gate times.
     let deltas = masked_values(cfg.n, 13);
     let mut packed = Vec::new();
@@ -565,11 +557,11 @@ fn overhead_check(cfg: &Config) -> Option<Overhead> {
         ns.min
     });
 
-    Some(Overhead {
+    Overhead {
         kernel,
         driver,
         byte_identical: buf_on == buf_off,
-    })
+    }
 }
 
 fn fmt_mvps(v: f64) -> String {
@@ -689,63 +681,57 @@ pub fn run(cfg: &Config) {
     // metrics pass, which resets the registry per solver — order matters.
     let overhead = overhead_check(cfg);
     let metrics = solver_metrics_rows(cfg);
-    if metrics.is_empty() {
-        println!("obs feature off: metrics section empty");
-    } else {
-        let mut table = Table::new([
-            "solver",
-            "blocks",
-            "candidates",
-            "prunes",
-            "search ms",
-            "pack ms",
-            "search %",
+    let mut table = Table::new([
+        "solver",
+        "blocks",
+        "candidates",
+        "prunes",
+        "search ms",
+        "pack ms",
+        "search %",
+    ]);
+    for r in &metrics {
+        table.row([
+            r.name.to_string(),
+            r.blocks.to_string(),
+            r.candidates.to_string(),
+            r.prunes.to_string(),
+            format!("{:.2}", r.search_ns as f64 / 1e6),
+            format!("{:.2}", r.pack_ns as f64 / 1e6),
+            format!("{:.1}", r.search_share() * 100.0),
         ]);
-        for r in &metrics {
-            table.row([
-                r.name.to_string(),
-                r.blocks.to_string(),
-                r.candidates.to_string(),
-                r.prunes.to_string(),
-                format!("{:.2}", r.search_ns as f64 / 1e6),
-                format!("{:.2}", r.pack_ns as f64 / 1e6),
-                format!("{:.1}", r.search_share() * 100.0),
-            ]);
-        }
-        report.table(
-            "BOS solver search effort and search-vs-pack split (obs registry)",
-            table,
-        );
     }
-    if let Some(o) = &overhead {
-        report.table(
-            format!("obs kill-switch A/B ({AB_PAIRS} alternating-order pairs)"),
-            ab_table(&[
-                ("kernel unpack (w = 13)", o.kernel),
-                ("BOS-M driver encode", o.driver),
-            ]),
-        );
-        report.gate(
-            "byte-identical across the obs kill-switch",
-            o.byte_identical,
-            "true",
-        );
+    report.table(
+        "BOS solver search effort and search-vs-pack split (obs registry)",
+        table,
+    );
+    report.table(
+        format!("obs kill-switch A/B ({AB_PAIRS} alternating-order pairs)"),
+        ab_table(&[
+            ("kernel unpack (w = 13)", overhead.kernel),
+            ("BOS-M driver encode", overhead.driver),
+        ]),
+    );
+    report.gate(
+        "byte-identical across the obs kill-switch",
+        overhead.byte_identical,
+        "true",
+    );
+    assert!(
+        overhead.byte_identical,
+        "toggling the obs kill-switch must not change encoded bytes"
+    );
+    if report.timing_gate(
+        "obs-on/obs-off kernel unpack",
+        overhead.kernel.ratio,
+        &format!("<= {OBS_OVERHEAD_GATE}"),
+    ) {
         assert!(
-            o.byte_identical,
-            "toggling the obs kill-switch must not change encoded bytes"
+            overhead.kernel.ratio <= OBS_OVERHEAD_GATE,
+            "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
+             got {:.3}x",
+            overhead.kernel.ratio
         );
-        if report.timing_gate(
-            "obs-on/obs-off kernel unpack",
-            o.kernel.ratio,
-            &format!("<= {OBS_OVERHEAD_GATE}"),
-        ) {
-            assert!(
-                o.kernel.ratio <= OBS_OVERHEAD_GATE,
-                "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
-                 got {:.3}x",
-                o.kernel.ratio
-            );
-        }
     }
 
     solver_section(cfg, &mut report);

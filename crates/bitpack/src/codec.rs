@@ -26,8 +26,8 @@ use std::time::Instant;
 // Parallel-driver metrics: per-worker block counts and busy time expose
 // imbalance; join_wait_ns is how long the caller sat blocked collecting
 // results; worker_panics counts contained session panics (each one
-// triggers a sequential retry of the batch). All no-ops unless the `obs`
-// feature is on and the runtime switch is enabled.
+// triggers a sequential retry of the batch). All no-ops while the obs
+// runtime switch is off.
 static PAR_JOBS: obs::CounterHandle = obs::CounterHandle::new("driver.parallel.jobs");
 static PAR_WORKERS: obs::CounterHandle = obs::CounterHandle::new("driver.parallel.workers");
 static PAR_JOIN_WAIT_NS: obs::CounterHandle =
@@ -333,14 +333,12 @@ where
                 })
             })
             .collect();
-        if observed {
-            PAR_JOBS.inc();
-            PAR_WORKERS.add(handles.len() as u64);
-            obs::trail::emit(obs::trail::Event::DriverDispatch {
-                blocks: n_blocks as u64,
-                workers: handles.len() as u64,
-            });
-        }
+        PAR_JOBS.inc();
+        PAR_WORKERS.add(handles.len() as u64);
+        obs::trail::emit(obs::trail::Event::DriverDispatch {
+            blocks: n_blocks as u64,
+            workers: handles.len() as u64,
+        });
         let join_started = observed.then(Instant::now);
         for h in handles {
             match h.join() {
@@ -354,12 +352,10 @@ where
         if let Some(t0) = join_started {
             PAR_JOIN_WAIT_NS.add(elapsed_ns(t0));
         }
-        if observed {
-            obs::trail::emit(obs::trail::Event::DriverJoin {
-                blocks: n_blocks as u64,
-                panicked,
-            });
-        }
+        obs::trail::emit(obs::trail::Event::DriverJoin {
+            blocks: n_blocks as u64,
+            panicked,
+        });
     });
     if !panicked {
         for part in parts {
@@ -371,12 +367,10 @@ where
     // success). Retry the batch sequentially with per-block containment:
     // transient panics complete on retry; a deterministic panic identifies
     // its block index and rolls `out` back.
-    if observed {
-        PAR_WORKER_PANICS.inc();
-        obs::trail::emit(obs::trail::Event::WorkerPanic {
-            blocks: n_blocks as u64,
-        });
-    }
+    PAR_WORKER_PANICS.inc();
+    obs::trail::emit(obs::trail::Event::WorkerPanic {
+        blocks: n_blocks as u64,
+    });
     encode_blocks_caught(new_session, values, block_size, out, restore)
 }
 

@@ -125,13 +125,11 @@ fn encode_plain(values: &[i64], out: &mut Vec<u8>) {
     let xmin = values.iter().copied().min().unwrap_or(0);
     let xmax = values.iter().copied().max().unwrap_or(0);
     let w = width(range_u64(xmin, xmax));
-    if obs::enabled() {
-        BLOCKS_PLAIN.inc();
-        obs::trail::emit(obs::trail::Event::BlockPlain {
-            n: values.len() as u64,
-            width: w as u8,
-        });
-    }
+    BLOCKS_PLAIN.inc();
+    obs::trail::emit(obs::trail::Event::BlockPlain {
+        n: values.len() as u64,
+        width: w as u8,
+    });
     write_varint_i64(out, xmin);
     out.push(w as u8);
     pack_words_for(values, xmin, w, out);
@@ -225,23 +223,21 @@ fn encode_separated(values: &[i64], sep: Separation, out: &mut Vec<u8>) {
     let upper_values = outliers.get(upper_start..).unwrap_or_default();
 
     let (alpha, beta, gamma) = (lower.width(), center.width(), upper.width());
-    if obs::enabled() {
-        BLOCKS_SEPARATED.inc();
-        WIDTH_ALPHA.record(u64::from(alpha));
-        WIDTH_BETA.record(u64::from(beta));
-        WIDTH_GAMMA.record(u64::from(gamma));
-        PART_NL.record(lower.n as u64);
-        PART_NC.record(center.n as u64);
-        PART_NU.record(upper.n as u64);
-        obs::trail::emit(obs::trail::Event::BlockSeparated {
-            alpha: alpha as u8,
-            beta: beta as u8,
-            gamma: gamma as u8,
-            nl: lower.n as u64,
-            nc: center.n as u64,
-            nu: upper.n as u64,
-        });
-    }
+    BLOCKS_SEPARATED.inc();
+    WIDTH_ALPHA.record(u64::from(alpha));
+    WIDTH_BETA.record(u64::from(beta));
+    WIDTH_GAMMA.record(u64::from(gamma));
+    PART_NL.record(lower.n as u64);
+    PART_NC.record(center.n as u64);
+    PART_NU.record(upper.n as u64);
+    obs::trail::emit(obs::trail::Event::BlockSeparated {
+        alpha: alpha as u8,
+        beta: beta as u8,
+        gamma: gamma as u8,
+        nl: lower.n as u64,
+        nc: center.n as u64,
+        nu: upper.n as u64,
+    });
     out.push(MODE_SEPARATED);
     // An empty part's minimum is i64::MAX, so this is the block minimum.
     let xmin = lower.min.min(center.min).min(upper.min);

@@ -83,9 +83,7 @@ impl Solver for AdaptiveSolver {
         if values.is_empty() {
             return approx;
         }
-        if obs::enabled() {
-            BLOCKS.inc();
-        }
+        BLOCKS.inc();
         // Cheap plain cost: min/max scan only.
         let (min, max) = values
             .iter()
@@ -94,14 +92,12 @@ impl Solver for AdaptiveSolver {
             values.len() as u64 * bitpack::width(bitpack::width::range_u64(min, max) as u64) as u64;
         if plain == 0 || (approx.cost_bits() as f64) < self.escalate_below * plain as f64 {
             // Ratio test passed: BOS-M saved enough, no exact pass.
-            if obs::enabled() {
-                obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
-                    escalated: false,
-                    prop4_skip: false,
-                    approx_bits: approx.cost_bits(),
-                    headroom_bits: 0,
-                });
-            }
+            obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
+                escalated: false,
+                prop4_skip: false,
+                approx_bits: approx.cost_bits(),
+                headroom_bits: 0,
+            });
             return approx;
         }
         // Proposition 4: approx ≤ ρ · OPT, so the recoverable gap is at
@@ -122,26 +118,22 @@ impl Solver for AdaptiveSolver {
             headroom_bits = ceiling.max(0.0) as u64;
             if ceiling < 2.0 * n_f {
                 // Prop. 4: the recoverable gap cannot pay for the search.
-                if obs::enabled() {
-                    obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
-                        escalated: false,
-                        prop4_skip: true,
-                        approx_bits: approx.cost_bits(),
-                        headroom_bits,
-                    });
-                }
+                obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
+                    escalated: false,
+                    prop4_skip: true,
+                    approx_bits: approx.cost_bits(),
+                    headroom_bits,
+                });
                 return approx;
             }
         }
-        if obs::enabled() {
-            ESCALATIONS.inc();
-            obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
-                escalated: true,
-                prop4_skip: false,
-                approx_bits: approx.cost_bits(),
-                headroom_bits,
-            });
-        }
+        ESCALATIONS.inc();
+        obs::trail::emit(obs::trail::Event::AdaptiveVerdict {
+            escalated: true,
+            prop4_skip: false,
+            approx_bits: approx.cost_bits(),
+            headroom_bits,
+        });
         scratch.block.rebuild(values, &mut scratch.buf);
         let exact = BitWidthSolver {
             config: self.config,

@@ -519,18 +519,16 @@ impl BitWidthSolver {
                 );
             }
         }
-        if obs::enabled() {
-            BLOCKS.inc();
-            CANDIDATES.add(best.candidates);
-            PRUNES.add(best.prunes);
-            obs::trail::emit(obs::trail::Event::BlockSolved {
-                solver: self.name(),
-                separated: best.sep.is_some(),
-                cost_bits: best.cost,
-                candidates: best.candidates,
-                prunes: best.prunes,
-            });
-        }
+        BLOCKS.inc();
+        CANDIDATES.add(best.candidates);
+        PRUNES.add(best.prunes);
+        obs::trail::emit(obs::trail::Event::BlockSolved {
+            solver: self.name(),
+            separated: best.sep.is_some(),
+            cost_bits: best.cost,
+            candidates: best.candidates,
+            prunes: best.prunes,
+        });
         match best.sep {
             None => Solution::Plain {
                 cost_bits: best.cost,

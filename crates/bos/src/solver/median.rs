@@ -79,7 +79,7 @@ impl Solver for MedianSolver {
 
     fn solve_into(&mut self, values: &[i64], scratch: &mut SolverScratch) -> Solution {
         let (best, candidates, prunes) = search(self.config, values, &mut scratch.buf);
-        if !values.is_empty() && obs::enabled() {
+        if !values.is_empty() {
             BLOCKS.inc();
             CANDIDATES.add(candidates);
             PRUNES.add(prunes);

@@ -142,18 +142,16 @@ impl ValueSolver {
         let li_end = if self.config.upper_only { 1 } else { m + 1 };
         let found = search_range(block, li_end);
 
-        if obs::enabled() {
-            BLOCKS.inc();
-            CANDIDATES.add(found.candidates);
-            PRUNES.add(found.prunes);
-            obs::trail::emit(obs::trail::Event::BlockSolved {
-                solver: self.name(),
-                separated: found.pair.is_some(),
-                cost_bits: found.cost,
-                candidates: found.candidates,
-                prunes: found.prunes,
-            });
-        }
+        BLOCKS.inc();
+        CANDIDATES.add(found.candidates);
+        PRUNES.add(found.prunes);
+        obs::trail::emit(obs::trail::Event::BlockSolved {
+            solver: self.name(),
+            separated: found.pair.is_some(),
+            cost_bits: found.cost,
+            candidates: found.candidates,
+            prunes: found.prunes,
+        });
         let best_cost = found.cost;
         if let Some((li, ui)) = found.pair {
             let sep = Separation {

@@ -3,11 +3,12 @@
 //!
 //! Design notes:
 //!
-//! * One definition per item for both builds. Without the `enabled`
-//!   feature, `cfg!(feature = "enabled")` guards turn every recording
-//!   body into dead code: [`enabled`] is constant `false`, lookups hand
-//!   out shared never-written statics, nothing is registered or
-//!   allocated, and [`snapshot`] / [`trail_drain`] are always empty.
+//! * One build, one switch. The recording primitives read the runtime
+//!   switch themselves: [`Counter::add`] and [`Histogram::record`] return
+//!   at once while it is off, [`span`] hands out an inert guard, and
+//!   [`trail_emit`] drops the event. Call sites record unconditionally;
+//!   they read [`enabled`] only to skip work of their own (composing a
+//!   metric name, reading a clock).
 //! * Metric cells are `Box::leak`ed so lookups hand out `&'static`
 //!   references — recording never touches the registry lock, only the
 //!   first lookup of each name does.
@@ -28,18 +29,19 @@ use std::time::Instant;
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 use crate::trail::{Event, Trail, TrailEvent};
 
-/// Runtime kill-switch on top of the compile-time feature gate. Starts
-/// `true`; benchmarks flip it to A/B instrumentation overhead in-process.
+/// The runtime kill-switch. Starts `true`; benchmarks flip it to A/B
+/// instrumentation overhead in-process.
 static RUNTIME_ON: AtomicBool = AtomicBool::new(true);
 
-/// True when instrumentation is compiled in *and* not runtime-disabled.
-/// Call sites use this to skip name composition and batched recording.
+/// True while recording is on. The primitives check it themselves; call
+/// sites read it only to skip work of their own, such as composing a
+/// metric name.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && RUNTIME_ON.load(Ordering::Relaxed)
+    RUNTIME_ON.load(Ordering::Relaxed)
 }
 
-/// Flips the runtime kill-switch (no-op without the `enabled` feature).
+/// Flips the runtime kill-switch.
 pub fn set_enabled(on: bool) {
     RUNTIME_ON.store(on, Ordering::Relaxed);
 }
@@ -59,12 +61,13 @@ impl Counter {
         }
     }
 
-    /// Adds `n` events.
+    /// Adds `n` events; nothing while the switch is off.
     #[inline]
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "enabled") {
-            self.v.fetch_add(n, Ordering::Relaxed);
+        if !enabled() {
+            return;
         }
+        self.v.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one event.
@@ -73,7 +76,7 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (always 0 without the feature).
+    /// Current value.
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
     }
@@ -110,10 +113,10 @@ impl Histogram {
         }
     }
 
-    /// Records one value.
+    /// Records one value; nothing while the switch is off.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !cfg!(feature = "enabled") {
+        if !enabled() {
             return;
         }
         let b = (u64::BITS - v.leading_zeros()) as usize;
@@ -126,7 +129,7 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded values (always 0 without the feature).
+    /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -254,22 +257,12 @@ fn get_or_insert<T>(
 }
 
 /// Looks up (registering on first use) the counter called `name`.
-/// Without the feature, returns a shared inert cell; nothing is registered.
 pub fn counter(name: &str) -> &'static Counter {
-    static INERT: Counter = Counter::zero();
-    if !cfg!(feature = "enabled") {
-        return &INERT;
-    }
     get_or_insert(&registry().counters, name, Counter::zero)
 }
 
 /// Looks up (registering on first use) the histogram called `name`.
-/// Without the feature, returns a shared inert cell; nothing is registered.
 pub fn histogram(name: &str) -> &'static Histogram {
-    static INERT: Histogram = Histogram::zero();
-    if !cfg!(feature = "enabled") {
-        return &INERT;
-    }
     get_or_insert(&registry().histograms, name, Histogram::zero)
 }
 
@@ -298,9 +291,6 @@ impl CounterHandle {
 
     #[inline]
     fn cell(&self) -> &'static Counter {
-        if !cfg!(feature = "enabled") {
-            return counter(self.name); // the inert cell; nothing to cache
-        }
         self.slot.get_or_init(|| counter(self.name))
     }
 
@@ -345,9 +335,6 @@ impl HistogramHandle {
 
     #[inline]
     fn cell(&self) -> &'static Histogram {
-        if !cfg!(feature = "enabled") {
-            return histogram(self.name); // the inert cell; nothing to cache
-        }
         self.slot.get_or_init(|| histogram(self.name))
     }
 
@@ -388,8 +375,9 @@ pub struct SpanGuard {
 
 /// Opens a span named `name`; time until the returned guard drops is
 /// attributed to it. Nested spans subtract cleanly: a parent's
-/// `self_ns` excludes its children's totals. Without the feature the
-/// guard is inert and no clock is read.
+/// `self_ns` excludes its children's totals. While the switch is off the
+/// guard is inert and no clock is read; a span opened while it was on is
+/// recorded on drop whatever the switch says then.
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
@@ -563,16 +551,14 @@ fn trail_now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// True when the flight recorder is capturing: instrumentation is
-/// compiled in, the runtime kill-switch is on, and the trail switch is
-/// on. Call sites use this to skip event construction entirely.
+/// True when the flight recorder is capturing: the runtime kill-switch
+/// and the trail switch are both on.
 #[inline]
 pub fn trail_recording() -> bool {
     enabled() && TRAIL_ON.load(Ordering::Relaxed)
 }
 
-/// Flips the trail switch (recording still requires [`enabled`], so
-/// this is inert without the feature).
+/// Flips the trail switch (recording still requires [`enabled`]).
 pub fn trail_set_recording(on: bool) {
     TRAIL_ON.store(on, Ordering::Relaxed);
 }
@@ -591,8 +577,7 @@ pub fn trail_emit(event: Event) {
 /// Empties every shard and merges the records into one [`Trail`]
 /// ordered by `(ts_ns, tid)` (stable, so in-shard order breaks ties).
 /// Draining is the only way records leave the recorder; benchmarks
-/// drain between rounds to isolate their event sets. Always the empty
-/// trail without the feature, where nothing is ever recorded.
+/// drain between rounds to isolate their event sets.
 pub fn trail_drain() -> Trail {
     let shards: Vec<&'static TrailShard> = lock(trail_shards()).clone();
     let mut events = Vec::new();
@@ -612,15 +597,12 @@ pub fn trail_drain() -> Trail {
 
 // --- snapshot / reset --------------------------------------------------
 
-/// Copies the whole registry into a plain-data [`Snapshot`]. Always the
-/// empty snapshot (`enabled: false`) without the feature.
+/// Copies the whole registry into a plain-data [`Snapshot`], with the
+/// runtime switch as it stands now.
 pub fn snapshot() -> Snapshot {
-    if !cfg!(feature = "enabled") {
-        return Snapshot::default();
-    }
     let r = registry();
     Snapshot {
-        enabled: true,
+        enabled: enabled(),
         counters: lock(&r.counters)
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
@@ -651,48 +633,15 @@ pub fn reset() {
     }
 }
 
-#[cfg(all(test, not(feature = "enabled")))]
-mod inert_tests {
-    use super::*;
-
-    /// The zero-overhead contract's compile-time half: with the feature
-    /// off there is no registry — driving every API leaves nothing
-    /// observable.
-    #[test]
-    fn everything_is_inert() {
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(!enabled(), "runtime switch must be inert when compiled out");
-        counter("noop.c").add(5);
-        assert_eq!(counter("noop.c").get(), 0);
-        histogram("noop.h").record(42);
-        assert_eq!(histogram("noop.h").count(), 0);
-        static C: CounterHandle = CounterHandle::new("noop.hc");
-        C.inc();
-        assert_eq!(C.get(), 0);
-        assert_eq!(C.name(), "noop.hc");
-        static H: HistogramHandle = HistogramHandle::new("noop.hh");
-        H.record(7);
-        {
-            let _g = span("noop.span");
-        }
-        trail_set_recording(true);
-        assert!(!trail_recording(), "trail must be inert when compiled out");
-        trail_emit(Event::BlockPlain { n: 1, width: 1 });
-        assert!(trail_drain().is_empty(), "no-op trail must stay empty");
-        let snap = snapshot();
-        assert!(!snap.enabled);
-        assert!(snap.is_empty(), "no-op build must register nothing");
-        reset();
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     // All tests share one process-wide registry; every name below is
-    // unique to its test so parallel execution cannot interfere.
+    // unique to its test so parallel execution cannot interfere. No test
+    // here flips the runtime switch, which every one of them relies on
+    // staying on; the switch's own tests live in `tests/obs_metrics.rs`
+    // and `tests/obs_zero_overhead.rs`, which serialize on a lock.
 
     #[test]
     fn counters_roundtrip() {
@@ -739,17 +688,8 @@ mod tests {
         );
     }
 
-    // Single test for all span behavior: the runtime kill-switch is
-    // process-global, so flipping it must not run concurrently with
-    // another test that expects spans to record.
     #[test]
     fn nested_spans_split_self_time() {
-        set_enabled(false);
-        {
-            let _g = span("test.imp.span_disabled");
-        }
-        set_enabled(true);
-        assert!(snapshot().span("test.imp.span_disabled").is_none());
         {
             let _outer = span("test.imp.span_outer");
             std::thread::sleep(std::time::Duration::from_millis(2));

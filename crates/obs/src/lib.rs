@@ -1,15 +1,17 @@
 //! Zero-dependency observability: counters, power-of-two-bucket
 //! histograms, and RAII span timers over a process-wide registry.
 //!
-//! Everything lives behind the `enabled` cargo feature. With it on, the
-//! registry is a lazily grown map of leaked atomic cells — recording a
+//! The registry is a lazily grown map of leaked atomic cells: recording a
 //! metric is one or two relaxed atomic RMWs, and spans cost two
-//! `Instant::now()` calls plus a thread-local stack push/pop. With it
-//! off, the *same* definitions compile to inlinable no-ops:
-//! `cfg!(feature = "enabled")` guards make [`enabled`] constant `false`,
-//! lookups return shared never-written statics, and [`snapshot`] is
-//! always empty. Consumers therefore call `obs::` APIs unconditionally;
-//! no `#[cfg]` ever appears at an instrumentation site.
+//! `Instant::now()` calls plus a thread-local stack push/pop.
+//!
+//! One runtime switch ([`set_enabled`], read by [`enabled`]) decides
+//! whether anything is recorded, and the primitives read it themselves:
+//! [`Counter::add`] and [`Histogram::record`] return at once while it is
+//! off, [`span`] hands out an inert guard, and [`trail::emit`] drops the
+//! event. Consumers therefore call `obs::` APIs unconditionally, and the
+//! switch lets benchmarks A/B the instrumentation overhead in one
+//! process. Encoded bytes never depend on it.
 //!
 //! Two usage idioms, by call-site temperature:
 //!
@@ -21,11 +23,6 @@
 //!   batch, not per element, and skip the `format!` entirely when
 //!   [`enabled`] is false.
 //!
-//! A runtime kill-switch ([`set_enabled`]) exists on top of the compile
-//! gate so benchmarks can A/B the instrumentation overhead in one
-//! process; when the feature is off it is inert and [`enabled`] is
-//! always `false`.
-//!
 //! Naming scheme (enforced unique by the `obs-label-unique` xtask lint):
 //! dot-separated `layer.subject[.detail]`, e.g. `solver.BOS-B.candidates`,
 //! `codec.BP.blocks_encoded`, `tsfile.crc_verified`, and span names
@@ -34,8 +31,7 @@
 //! Aggregates answer *how much*; the [`trail`] flight recorder answers
 //! *what happened*: per-block provenance events in per-thread ring
 //! buffers, drained into a time-ordered [`trail::Trail`] and exported
-//! as Chrome `trace_event` JSON. Like everything else it
-//! compiles to no-ops without the feature.
+//! as Chrome `trace_event` JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

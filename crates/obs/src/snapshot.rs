@@ -1,7 +1,5 @@
-//! Plain-data snapshot types shared by the real and no-op builds, plus
-//! the JSON renderer. Keeping these outside the `#[cfg]` switch means
-//! consumers can hold and serialize a [`Snapshot`] without caring which
-//! build produced it.
+//! Plain-data snapshot types, plus the JSON renderer: consumers hold and
+//! serialize a [`Snapshot`] without touching the live registry.
 
 /// Point-in-time copy of one histogram's state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,7 +105,7 @@ pub struct SpanSnapshot {
 /// JSON rendering is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// `true` when produced by an instrumented (`enabled`-feature) build.
+    /// The runtime switch ([`crate::enabled`]) when the snapshot was taken.
     pub enabled: bool,
     /// Counter name → value.
     pub counters: Vec<(String, u64)>,
@@ -137,12 +135,6 @@ impl Snapshot {
     /// Aggregate timings of a span, if any instance completed.
     pub fn span(&self, name: &str) -> Option<&SpanSnapshot> {
         self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-
-    /// True when no metric of any kind is present (always true for the
-    /// no-op build).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Renders the snapshot as a single JSON object (hand-built — this
@@ -226,7 +218,6 @@ mod tests {
         assert_eq!(s.counter("missing"), 0);
         assert!(s.histogram("missing").is_none());
         assert!(s.span("missing").is_none());
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Flight-recorder trail: compact timestamped event records with a
 //! chrome-trace exporter.
 //!
-//! The data model here is shared by both builds (like
-//! [`crate::snapshot`]): [`Event`], [`TrailEvent`], [`Trail`], and the
-//! exporter are plain data and pure functions. The recording machinery
+//! The data model here — [`Event`], [`TrailEvent`], [`Trail`], and the
+//! exporter — is plain data and pure functions. The recording machinery
 //! — per-thread sharded ring buffers and the process epoch clock — lives
 //! in `imp.rs`, re-exported here under short names ([`emit`], [`drain`],
-//! [`set_recording`], [`recording`]). Call sites therefore use
-//! `obs::trail::` unconditionally; with the feature off everything
-//! compiles to no-ops and [`drain`] returns the empty trail.
+//! [`set_recording`], [`recording`]). Call sites use `obs::trail::`
+//! unconditionally: [`emit`] drops the event unless both the runtime
+//! switch ([`crate::enabled`]) and the trail switch are on.
 //!
-//! Recording semantics (the instrumented build):
+//! Recording semantics:
 //!
 //! * Each recording thread owns a *shard*: a fixed-capacity ring buffer
 //!   behind a thread-local handle, so the hot path never contends on a
@@ -285,7 +284,7 @@ impl Trail {
         self.events.len()
     }
 
-    /// True when nothing was recorded (always true for the no-op build).
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }

@@ -105,10 +105,8 @@ impl BlockCodec for PforCodec {
         let w_full = width(shifted.iter().copied().max().unwrap_or(0));
         let b = Self::choose_b(&shifted, w_full);
         let exceptions = Self::exception_positions(&shifted, b);
-        if obs::enabled() {
-            EXCEPTIONS.add(exceptions.len() as u64);
-            BLOCK_EXCEPTIONS.record(exceptions.len() as u64);
-        }
+        EXCEPTIONS.add(exceptions.len() as u64);
+        BLOCK_EXCEPTIONS.record(exceptions.len() as u64);
 
         write_varint_i64(out, min);
         out.push(w_full as u8);

@@ -512,12 +512,10 @@ impl Store {
         let outcome = self.schedule.on_write(&mut frame);
         if outcome.persists() {
             append_fsync(&self.dir.join(manifest::MANIFEST_FILE), &frame)?;
-            if obs::enabled() {
-                obs::trail::emit(obs::trail::Event::ManifestCommit {
-                    records: self.log.len() as u64,
-                    bytes: frame.len() as u64,
-                });
-            }
+            obs::trail::emit(obs::trail::Event::ManifestCommit {
+                records: self.log.len() as u64,
+                bytes: frame.len() as u64,
+            });
         }
         if outcome.crashed() {
             return Err(StoreError::Crashed);
@@ -532,12 +530,10 @@ impl Store {
         let len = bytes.len() as u64;
         self.log = records;
         self.durable_write(&self.dir.join(manifest::MANIFEST_FILE), bytes)?;
-        if obs::enabled() {
-            obs::trail::emit(obs::trail::Event::ManifestCommit {
-                records: n,
-                bytes: len,
-            });
-        }
+        obs::trail::emit(obs::trail::Event::ManifestCommit {
+            records: n,
+            bytes: len,
+        });
         Ok(())
     }
 
@@ -609,9 +605,7 @@ impl Store {
         );
         self.active.clear();
         self.active_values = 0;
-        if obs::enabled() {
-            FILES_SEALED.inc();
-        }
+        FILES_SEALED.inc();
         Ok(Some(id))
     }
 
@@ -664,25 +658,21 @@ impl Store {
             inputs: inputs.clone(),
             output,
         })?;
-        if obs::enabled() {
-            obs::trail::emit(obs::trail::Event::CompactionPhase {
-                phase: "begin",
-                inputs: inputs.len() as u64,
-                output,
-            });
-        }
+        obs::trail::emit(obs::trail::Event::CompactionPhase {
+            phase: "begin",
+            inputs: inputs.len() as u64,
+            output,
+        });
         self.durable_write(&self.path_for(output), bytes)?;
         self.append_manifest(Record::CompactionCommit {
             inputs: inputs.clone(),
             output,
         })?;
-        if obs::enabled() {
-            obs::trail::emit(obs::trail::Event::CompactionPhase {
-                phase: "commit",
-                inputs: inputs.len() as u64,
-                output,
-            });
-        }
+        obs::trail::emit(obs::trail::Event::CompactionPhase {
+            phase: "commit",
+            inputs: inputs.len() as u64,
+            output,
+        });
         for id in &inputs {
             self.live.remove(id);
         }
@@ -694,9 +684,7 @@ impl Store {
                 records: total,
             },
         );
-        if obs::enabled() {
-            COMPACTIONS.inc();
-        }
+        COMPACTIONS.inc();
         // Input deletion strictly follows the durable commit record;
         // each delete is its own crash point and recovery re-deletes
         // any leftover (the log retired those ids).
@@ -890,25 +878,21 @@ impl Store {
             if output_ok && input_missing {
                 state.apply_commit(&pending.inputs, pending.output);
                 report.compactions_rolled_forward.push(pending.output);
-                if obs::enabled() {
-                    obs::trail::emit(obs::trail::Event::CompactionPhase {
-                        phase: "recover-commit",
-                        inputs: pending.inputs.len() as u64,
-                        output: pending.output,
-                    });
-                }
+                obs::trail::emit(obs::trail::Event::CompactionPhase {
+                    phase: "recover-commit",
+                    inputs: pending.inputs.len() as u64,
+                    output: pending.output,
+                });
             } else {
                 if unclaimed.remove(&pending.output).is_some() {
                     self.remove_file(pending.output)?;
                 }
                 report.compactions_rolled_back.push(pending.output);
-                if obs::enabled() {
-                    obs::trail::emit(obs::trail::Event::CompactionPhase {
-                        phase: "recover-abort",
-                        inputs: pending.inputs.len() as u64,
-                        output: pending.output,
-                    });
-                }
+                obs::trail::emit(obs::trail::Event::CompactionPhase {
+                    phase: "recover-abort",
+                    inputs: pending.inputs.len() as u64,
+                    output: pending.output,
+                });
             }
         }
 
@@ -1025,15 +1009,13 @@ impl Store {
         self.live = state.live.clone();
         self.next_id = state.next_id;
         self.quarantine = report.quarantined.clone();
-        if obs::enabled() {
-            if torn {
-                TORN_TAIL_TRUNCATED.inc();
-            }
-            if report.acted() {
-                RECOVERIES.inc();
-            }
-            QUARANTINED.add(self.quarantine.len() as u64);
+        if torn {
+            TORN_TAIL_TRUNCATED.inc();
         }
+        if report.acted() {
+            RECOVERIES.inc();
+        }
+        QUARANTINED.add(self.quarantine.len() as u64);
         if dirty {
             self.rewrite_manifest(manifest::normalized_log(&state))?;
             report.manifest_rewritten = true;

@@ -315,14 +315,12 @@ impl TsFileWriter {
         self.body.extend_from_slice(payload);
         let crc = crc32(payload);
         self.body.extend_from_slice(&crc.to_le_bytes());
-        if obs::enabled() {
-            CHUNKS_WRITTEN.inc();
-            CHUNK_BYTES_WRITTEN.add(payload.len() as u64);
-            obs::trail::emit(obs::trail::Event::ChunkSealed {
-                bytes: payload.len() as u64,
-                crc,
-            });
-        }
+        CHUNKS_WRITTEN.inc();
+        CHUNK_BYTES_WRITTEN.add(payload.len() as u64);
+        obs::trail::emit(obs::trail::Event::ChunkSealed {
+            bytes: payload.len() as u64,
+            crc,
+        });
         self.index.push(IndexEntry {
             name: name.to_string(),
             offset,
@@ -654,16 +652,12 @@ impl<'a> TsFileReader<'a> {
             Err(_) => return Err(TsFileError::Corrupt("bad footer offset")),
         };
         if crc32(footer) != stored_crc {
-            if obs::enabled() {
-                CRC_MISMATCH.inc();
-            }
+            CRC_MISMATCH.inc();
             return Err(TsFileError::ChecksumMismatch {
                 series: String::new(),
             });
         }
-        if obs::enabled() {
-            CRC_VERIFIED.inc();
-        }
+        CRC_VERIFIED.inc();
         let mut pos = 0usize;
         // Entry counts and name lengths are attacker-controlled on a
         // corrupt file: bound them before use (decode-bomb guard).
@@ -724,17 +718,13 @@ impl<'a> TsFileReader<'a> {
         }
         let (payload, crc_ok) = chunk_payload(self.data, &header)?;
         if !crc_ok {
-            if obs::enabled() {
-                CRC_MISMATCH.inc();
-            }
+            CRC_MISMATCH.inc();
             return Err(TsFileError::ChecksumMismatch {
                 series: info.name.clone(),
             });
         }
-        if obs::enabled() {
-            CRC_VERIFIED.inc();
-            CHUNKS_READ.inc();
-        }
+        CRC_VERIFIED.inc();
+        CHUNKS_READ.inc();
         let values = decode_chunk_values(&header, payload)?;
         Ok((header.decimals, values))
     }
@@ -805,9 +795,7 @@ impl<'a> TsFileReader<'a> {
                 },
             );
         }
-        if obs::enabled() {
-            SALVAGE_FOOTER_REBUILT.inc();
-        }
+        SALVAGE_FOOTER_REBUILT.inc();
         // The footer (or envelope) is untrusted. If the tail trailer still
         // parses to a plausible footer offset, stop the scan there so
         // footer bytes cannot masquerade as chunks; otherwise scan it all.
@@ -872,9 +860,7 @@ impl<'a> TsFileReader<'a> {
                             entries.push((info, false));
                         }
                     }
-                    if obs::enabled() {
-                        SALVAGE_RECOVERED.inc();
-                    }
+                    SALVAGE_RECOVERED.inc();
                     pos = header.end();
                 }
                 payload_result => {
@@ -895,13 +881,11 @@ impl<'a> TsFileReader<'a> {
                         range: pos..header.end().min(data.len()),
                         reason,
                     });
-                    if obs::enabled() {
-                        SALVAGE_SKIPPED.inc();
-                        obs::trail::emit(obs::trail::Event::SalvageSkip {
-                            reason: reason.label(),
-                            offset: pos as u64,
-                        });
-                    }
+                    SALVAGE_SKIPPED.inc();
+                    obs::trail::emit(obs::trail::Event::SalvageSkip {
+                        reason: reason.label(),
+                        offset: pos as u64,
+                    });
                     pos += 1;
                 }
             }
@@ -978,13 +962,11 @@ impl<'a> TsFileReader<'a> {
     /// Builds the all-skipped outcome for a chunk that failed to read.
     fn skip_outcome<T>(&self, info: &SeriesInfo, e: &TsFileError) -> SalvageOutcome<T> {
         let reason = skip_reason(e);
-        if obs::enabled() {
-            SALVAGE_SKIPPED.inc();
-            obs::trail::emit(obs::trail::Event::SalvageSkip {
-                reason: reason.label(),
-                offset: info.offset,
-            });
-        }
+        SALVAGE_SKIPPED.inc();
+        obs::trail::emit(obs::trail::Event::SalvageSkip {
+            reason: reason.label(),
+            offset: info.offset,
+        });
         SalvageOutcome {
             values: Vec::new(),
             skipped: vec![SkippedChunk {

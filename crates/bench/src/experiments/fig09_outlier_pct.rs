@@ -17,7 +17,7 @@ pub const BLOCK: usize = 1024;
 /// on the delta stream BOS actually sees inside TS2DIFF.
 pub fn measure(values: &[i64]) -> SeriesStats {
     let deltas = Ts2DiffEncoding::<pfor::BpCodec>::deltas(values);
-    analyze_series(&ValueSolver::new(), &deltas, BLOCK)
+    analyze_series(&mut ValueSolver::new(), &deltas, BLOCK)
 }
 
 /// Runs the experiment.

@@ -5,7 +5,7 @@
 //! * **Overhead**: with the trail recorder on, the kernel unpack path
 //!   must stay within `KERNEL_OVERHEAD_GATE` of the recorder-off time
 //!   (the recorder never touches the kernels, so this documents that the
-//!   layer is free where it matters most), and the full BOS-A encode
+//!   layer is free where it matters most), and the full BOS-M encode
 //!   pipeline — which *does* emit per-block provenance events — must stay
 //!   within `PIPELINE_OVERHEAD_GATE`. Both A/Bs run through [`ab_paired`].
 //! * **Transparency**: toggling the recorder must not change a single
@@ -38,9 +38,8 @@ const BLOCK: usize = 1024;
 /// path (the recorder never runs there).
 const KERNEL_OVERHEAD_GATE: f64 = 1.05;
 
-/// Maximum recorder-on / recorder-off time ratio on the full BOS-A
-/// encode pipeline, which emits one provenance event per block plus the
-/// adaptive verdicts.
+/// Maximum recorder-on / recorder-off time ratio on the full BOS-M
+/// encode pipeline, which emits provenance events for every block.
 const PIPELINE_OVERHEAD_GATE: f64 = 1.10;
 
 /// Alternating-order (on, off) pairs per A/B; the gates hold the median
@@ -79,11 +78,11 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
     times
 }
 
-/// Full-pipeline A/B: BOS-A (the chattiest solver — it emits a verdict
-/// per block on top of the block events) through the shared encode
+/// Full-pipeline A/B: BOS-M (the cheapest solver per block, so the
+/// per-block events weigh the most there) through the shared encode
 /// driver, recorder on vs off, asserting byte-identical output.
 fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
-    let codec = BosCodec::new(SolverKind::Adaptive);
+    let codec = BosCodec::new(SolverKind::Median);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
     let times = ab_paired(AB_PAIRS, obs::trail::set_recording, |on| {
@@ -105,7 +104,7 @@ type EventCounts = Vec<(&'static str, u64)>;
 /// and returns the two per-label count vectors plus the second trail's
 /// chrome-trace export size.
 fn determinism_check(series: &[i64]) -> (EventCounts, EventCounts, usize) {
-    let codec = BosCodec::new(SolverKind::Adaptive);
+    let codec = BosCodec::new(SolverKind::Median);
     // The recorder ring may hold leftovers from the A/B warm-ups; a
     // drain isolates the counted stream to exactly one encode each.
     obs::trail::drain();
@@ -147,7 +146,7 @@ pub fn run(cfg: &Config, quick: bool) {
         format!("Recorder on/off A/B ({AB_PAIRS} alternating-order pairs)"),
         ab_table(&[
             (&format!("kernel unpack (w = {KERNEL_WIDTH})"), kernel),
-            ("BOS-A encode pipeline", pipeline),
+            ("BOS-M encode pipeline", pipeline),
         ]),
     );
     report.gate(
@@ -166,7 +165,7 @@ pub fn run(cfg: &Config, quick: bool) {
     for (label, n) in &second {
         table.row([(*label).to_string(), n.to_string()]);
     }
-    report.table("Trail events per BOS-A encode", table);
+    report.table("Trail events per BOS-M encode", table);
     report.gate(
         "event counts stable across re-encode",
         deterministic,
@@ -200,7 +199,7 @@ pub fn run(cfg: &Config, quick: bool) {
         &format!("<= {KERNEL_OVERHEAD_GATE}"),
     );
     report.timing_gate(
-        "recorder-on/off BOS-A pipeline",
+        "recorder-on/off BOS-M pipeline",
         pipeline.ratio,
         &format!("<= {PIPELINE_OVERHEAD_GATE}"),
     );
@@ -213,7 +212,7 @@ pub fn run(cfg: &Config, quick: bool) {
         );
         assert!(
             pipeline.ratio <= PIPELINE_OVERHEAD_GATE,
-            "recorder-on BOS-A pipeline must stay within {PIPELINE_OVERHEAD_GATE}x \
+            "recorder-on BOS-M pipeline must stay within {PIPELINE_OVERHEAD_GATE}x \
              of recorder-off, got {:.3}x",
             pipeline.ratio
         );

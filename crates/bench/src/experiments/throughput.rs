@@ -248,13 +248,12 @@ fn operator_rows(cfg: &Config) -> Vec<OperatorRow> {
     rows
 }
 
-/// The paper solvers (plus the PR 8 adaptive ladder) driven through the
-/// shared parallel encode driver, with their `obs` metric label.
-const SOLVER_KINDS: [(SolverKind, &str); 4] = [
+/// The paper solvers driven through the shared parallel encode driver,
+/// with their `obs` metric label.
+const SOLVER_KINDS: [(SolverKind, &str); 3] = [
     (SolverKind::Value, "BOS-V"),
     (SolverKind::BitWidth, "BOS-B"),
     (SolverKind::Median, "BOS-M"),
-    (SolverKind::Adaptive, "BOS-A"),
 ];
 
 /// Encodes every dataset once per BOS solver and reads the search-effort

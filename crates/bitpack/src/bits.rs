@@ -97,29 +97,6 @@ impl BitWriter {
         self.write_bits(bit as u64, 1);
     }
 
-    /// Appends the full content of another writer, preserving bit alignment.
-    pub fn append(&mut self, other: &BitWriter) {
-        let mut remaining = other.len_bits;
-        let mut bytes = other.buf.iter().copied();
-        while remaining >= 8 {
-            let byte = bytes.next().unwrap_or(0);
-            self.write_bits(byte as u64, 8);
-            remaining -= 8;
-        }
-        if remaining > 0 {
-            let byte = bytes.next().unwrap_or(0);
-            self.write_bits((byte >> (8 - remaining)) as u64, remaining as u32);
-        }
-    }
-
-    /// Pads with zero bits to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
-        let rem = self.len_bits & 7;
-        if rem != 0 {
-            self.write_bits(0, 8 - rem as u32);
-        }
-    }
-
     /// Consumes the writer, returning the byte buffer and the exact bit count.
     pub fn finish(self) -> (Vec<u8>, usize) {
         (self.buf, self.len_bits)
@@ -193,31 +170,6 @@ impl<'a> BitReader<'a> {
     pub fn read_bit(&mut self) -> DecodeResult<bool> {
         self.read_bits(1).map(|b| b != 0)
     }
-
-    /// Skips forward to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
-        let rem = self.pos_bits & 7;
-        if rem != 0 {
-            self.pos_bits += 8 - rem;
-        }
-    }
-
-    /// Skips `width` bits; fails with [`DecodeError::Truncated`] on
-    /// underflow.
-    pub fn skip_bits(&mut self, width: usize) -> DecodeResult<()> {
-        if self.remaining_bits() < width {
-            return Err(DecodeError::Truncated);
-        }
-        self.pos_bits += width;
-        Ok(())
-    }
-
-    /// Returns the rest of the buffer starting from the current byte
-    /// boundary (aligning first).
-    pub fn remaining_bytes(&mut self) -> &'a [u8] {
-        self.align_to_byte();
-        self.buf.get(self.pos_bits >> 3..).unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]
@@ -269,48 +221,6 @@ mod tests {
         for i in 0..100u64 {
             assert_eq!(r.read_bits(7), Ok(i));
         }
-    }
-
-    #[test]
-    fn align_and_remaining_bytes() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b101, 3);
-        w.align_to_byte();
-        w.write_bits(0xDE, 8);
-        w.write_bits(0xAD, 8);
-        let (buf, bits) = w.finish();
-        assert_eq!(bits, 24);
-        let mut r = BitReader::new(&buf);
-        assert_eq!(r.read_bits(3), Ok(0b101));
-        assert_eq!(r.remaining_bytes(), &[0xDE, 0xAD]);
-    }
-
-    #[test]
-    fn append_preserves_bits() {
-        let mut a = BitWriter::new();
-        a.write_bits(0b11, 2);
-        let mut b = BitWriter::new();
-        b.write_bits(0x1234, 13);
-        b.write_bits(1, 1);
-        a.append(&b);
-        let (buf, bits) = a.finish();
-        assert_eq!(bits, 16);
-        let mut r = BitReader::new(&buf);
-        assert_eq!(r.read_bits(2), Ok(0b11));
-        assert_eq!(r.read_bits(13), Ok(0x1234));
-        assert_eq!(r.read_bits(1), Ok(1));
-    }
-
-    #[test]
-    fn skip_bits_works() {
-        let mut w = BitWriter::new();
-        w.write_bits(0xFFFF, 16);
-        w.write_bits(0b1010, 4);
-        let (buf, _) = w.finish();
-        let mut r = BitReader::new(&buf);
-        r.skip_bits(16).unwrap();
-        assert_eq!(r.read_bits(4), Ok(0b1010));
-        assert!(r.skip_bits(5).is_err());
     }
 
     #[test]

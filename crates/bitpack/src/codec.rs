@@ -18,7 +18,6 @@
 #![deny(clippy::indexing_slicing)]
 
 use crate::error::{DecodeResult, EncodeError};
-use crate::width::{range_u64, width};
 use crate::zigzag::{read_varint, write_varint};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -45,7 +44,6 @@ struct EncodeMeter {
     blocks: &'static obs::Counter,
     values: &'static obs::Counter,
     bytes: &'static obs::Counter,
-    widths: &'static obs::Histogram,
 }
 
 impl EncodeMeter {
@@ -56,19 +54,13 @@ impl EncodeMeter {
             blocks: obs::counter(&format!("codec.{label}.blocks_encoded")),
             values: obs::counter(&format!("codec.{label}.values_encoded")),
             bytes: obs::counter(&format!("codec.{label}.bytes_encoded")),
-            widths: obs::histogram(&format!("codec.{label}.block_width")),
         })
     }
 
-    fn record(&self, block: &[i64], bytes: usize) {
+    fn record(&self, values: usize, bytes: usize) {
         self.blocks.inc();
-        self.values.add(block.len() as u64);
+        self.values.add(values as u64);
         self.bytes.add(bytes as u64);
-        let w = match (block.iter().min(), block.iter().max()) {
-            (Some(&lo), Some(&hi)) => width(range_u64(lo, hi)),
-            _ => 0,
-        };
-        self.widths.record(u64::from(w));
     }
 }
 
@@ -107,7 +99,7 @@ impl EncodeSession for MeteredSession<'_> {
         let start = out.len();
         self.inner.encode_block(values, out);
         if let Some(m) = &self.meter {
-            m.record(values, out.len().saturating_sub(start));
+            m.record(values.len(), out.len().saturating_sub(start));
         }
     }
 }

@@ -50,7 +50,7 @@ pub use bitmap::{BitmapWriter, OutlierBitmap, Part};
 pub use bits::{BitReader, BitWriter};
 pub use codec::{BlockCodec, EncodeSession};
 pub use error::{DecodeError, DecodeResult, EncodeError};
-pub use width::{bit_width, width, width1};
+pub use width::{width, width1};
 pub use zigzag::{zigzag_decode, zigzag_encode};
 
 /// Decoder sanity limit: a single block claiming more than this many values

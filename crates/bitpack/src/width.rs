@@ -33,14 +33,6 @@ pub fn width1(range: u64) -> u32 {
     width(range).max(1)
 }
 
-/// Bits needed to store the single value `v` with leading zeros removed
-/// (`⌈log2(v + 1)⌉`). Alias of [`width`] with value semantics, matching the
-/// paper's "the bit-width of 8 is 4".
-#[inline]
-pub fn bit_width(v: u64) -> u32 {
-    width(v)
-}
-
 /// The unsigned distance `hi − lo` of two signed values, exact for the whole
 /// `i64` domain (no overflow).
 ///

@@ -53,16 +53,14 @@ pub mod theory;
 use bitpack::EncodeSession;
 pub use cost::{Evaluation, Separation, Solution, SortedBlock};
 pub use format::{decode_block as decode, encode_block_with_solution};
-pub use solver::{
-    AdaptiveSolver, BitWidthSolver, MedianSolver, Solver, SolverConfig, SolverScratch, ValueSolver,
-};
+pub use solver::{BitWidthSolver, MedianSolver, Solver, SolverConfig, SolverScratch, ValueSolver};
 
 /// Which separation solver a [`BosCodec`] uses.
 ///
 /// This is the single solver-selection surface of the workspace: the CLI,
-/// the block streams, the experiment harness and the adaptive ladder all pick
-/// solvers through it (mirroring how `PackerKind` selects packing
-/// operators), so a new solver shows up everywhere by adding one variant.
+/// the block streams and the experiment harness all pick solvers through
+/// it (mirroring how `PackerKind` selects packing operators), so a new
+/// solver shows up everywhere by adding one variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// BOS-V: exact, O(n²) search over value pairs (Algorithm 1).
@@ -71,9 +69,6 @@ pub enum SolverKind {
     BitWidth,
     /// BOS-M: approximate, O(n) median/bucket search (Algorithm 3).
     Median,
-    /// BOS-A: BOS-M always, escalating to BOS-B when the Proposition 4
-    /// bound says the remaining gap can pay for the exact search.
-    Adaptive,
     /// BOS-V restricted to upper outliers (Figure 12 ablation).
     ValueUpperOnly,
     /// BOS-B restricted to upper outliers (Figure 12 ablation).
@@ -82,11 +77,10 @@ pub enum SolverKind {
 
 impl SolverKind {
     /// Every solver, in the paper's table order (ablations last).
-    pub const ALL: [SolverKind; 6] = [
+    pub const ALL: [SolverKind; 5] = [
         SolverKind::Value,
         SolverKind::BitWidth,
         SolverKind::Median,
-        SolverKind::Adaptive,
         SolverKind::ValueUpperOnly,
         SolverKind::BitWidthUpperOnly,
     ];
@@ -97,7 +91,6 @@ impl SolverKind {
             SolverKind::Value => "BOS-V",
             SolverKind::BitWidth => "BOS-B",
             SolverKind::Median => "BOS-M",
-            SolverKind::Adaptive => "BOS-A",
             SolverKind::ValueUpperOnly => "BOS-V (upper only)",
             SolverKind::BitWidthUpperOnly => "BOS-B (upper only)",
         }
@@ -109,7 +102,6 @@ impl SolverKind {
             SolverKind::Value => Box::new(ValueSolver::new()),
             SolverKind::BitWidth => Box::new(BitWidthSolver::new()),
             SolverKind::Median => Box::new(MedianSolver::new()),
-            SolverKind::Adaptive => Box::new(AdaptiveSolver::new()),
             SolverKind::ValueUpperOnly => Box::new(ValueSolver::upper_only()),
             SolverKind::BitWidthUpperOnly => Box::new(BitWidthSolver::upper_only()),
         }
@@ -132,13 +124,12 @@ impl std::str::FromStr for SolverKind {
             "bos-v" | "v" | "value" => Ok(SolverKind::Value),
             "bos-b" | "b" | "bitwidth" => Ok(SolverKind::BitWidth),
             "bos-m" | "m" | "median" => Ok(SolverKind::Median),
-            "bos-a" | "a" | "adaptive" => Ok(SolverKind::Adaptive),
             "bos-v-upper" | "value-upper" | "bos-v (upper only)" => Ok(SolverKind::ValueUpperOnly),
             "bos-b-upper" | "bitwidth-upper" | "bos-b (upper only)" => {
                 Ok(SolverKind::BitWidthUpperOnly)
             }
             other => Err(format!(
-                "unknown solver '{other}' (expected one of: bos-v, bos-b, bos-m, bos-a, \
+                "unknown solver '{other}' (expected one of: bos-v, bos-b, bos-m, \
                  bos-v-upper, bos-b-upper)"
             )),
         }
@@ -199,7 +190,6 @@ impl BosCodec {
                 ("solver_search.BOS-B", "pack_payload.BOS-B")
             }
             SolverKind::Median => ("solver_search.BOS-M", "pack_payload.BOS-M"),
-            SolverKind::Adaptive => ("solver_search.BOS-A", "pack_payload.BOS-A"),
         }
     }
 
@@ -349,7 +339,6 @@ mod tests {
         assert_eq!(BosCodec::new(SolverKind::Value).name(), "BOS-V");
         assert_eq!(BosCodec::new(SolverKind::BitWidth).name(), "BOS-B");
         assert_eq!(BosCodec::new(SolverKind::Median).name(), "BOS-M");
-        assert_eq!(BosCodec::new(SolverKind::Adaptive).name(), "BOS-A");
     }
 
     #[test]
@@ -359,7 +348,7 @@ mod tests {
             assert_eq!(label.parse::<SolverKind>(), Ok(kind), "{label}");
         }
         assert_eq!("bitwidth".parse::<SolverKind>(), Ok(SolverKind::BitWidth));
-        assert_eq!("A".parse::<SolverKind>(), Ok(SolverKind::Adaptive));
         assert!("pfor".parse::<SolverKind>().is_err());
+        assert!("bos-a".parse::<SolverKind>().is_err());
     }
 }

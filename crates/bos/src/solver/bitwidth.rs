@@ -443,13 +443,14 @@ impl BitWidthSolver {
         self.solve_seeded(block, u64::MAX)
     }
 
-    /// Solves with a known-achievable cost bound from a cheaper solver
-    /// (`u64::MAX` means unseeded). `seed_cost` must be the exact cost of
-    /// some candidate in this search space (or an overestimate): the
-    /// search cuts candidates whose cost lower bound exceeds
-    /// `min(best, seed + 1)`, which provably never changes the returned
-    /// `Solution` — only how many candidates get costed on the way.
-    pub fn solve_seeded(&self, block: &SortedBlock, seed_cost: u64) -> Solution {
+    /// Solves with a known-achievable cost bound, such as
+    /// [`median_seed_cost`]'s (`u64::MAX` means unseeded). `seed_cost`
+    /// must be the exact cost of some candidate in this search space (or
+    /// an overestimate): the search cuts candidates whose cost lower
+    /// bound exceeds `min(best, seed + 1)`, which provably never changes
+    /// the returned `Solution` — only how many candidates get costed on
+    /// the way.
+    fn solve_seeded(&self, block: &SortedBlock, seed_cost: u64) -> Solution {
         if block.is_empty() {
             return Solution::Plain { cost_bits: 0 };
         }

@@ -96,14 +96,9 @@ impl Solver for MedianSolver {
 }
 
 /// The BOS-M search proper, counter-free: returns the solution plus the
-/// `(candidates, prunes)` tallies. `pub(super)` so BOS-B can seed its
-/// pruning from the BOS-M cost without polluting the `solver.BOS-M.*`
-/// counters (the seed pass is BOS-B effort, not a BOS-M block).
-pub(super) fn search(
-    config: SolverConfig,
-    values: &[i64],
-    buf: &mut Vec<i64>,
-) -> (Solution, u64, u64) {
+/// `(candidates, prunes)` tallies, which [`MedianSolver::solve_into`]
+/// records.
+fn search(config: SolverConfig, values: &[i64], buf: &mut Vec<i64>) -> (Solution, u64, u64) {
     let n = values.len();
     if n == 0 {
         return (Solution::Plain { cost_bits: 0 }, 0, 0);

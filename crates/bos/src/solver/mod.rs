@@ -7,22 +7,18 @@
 //! | [`MedianSolver`] (BOS-M) | §VI, Alg. 3 | O(n) | approximate (Prop. 4) |
 //!
 //! A fourth, test-only oracle ([`BruteForceSolver`]) sweeps *every*
-//! integer threshold pair to certify Proposition 1 empirically, and
-//! [`AdaptiveSolver`] escalates from BOS-M to BOS-B per block — a
-//! production-style effort policy built from the paper's pieces.
+//! integer threshold pair to certify Proposition 1 empirically.
 //!
 //! (`m` = number of distinct values ≤ `n`.) Every solver returns a
 //! [`Solution`] that is *at most* the plain bit-packing cost: when no
 //! separation beats Definition 1, `Solution::Plain` is returned, which the
 //! block format encodes without a position bitmap.
 
-mod adaptive;
 mod bitwidth;
 mod bruteforce;
 mod median;
 mod value;
 
-pub use adaptive::AdaptiveSolver;
 pub use bitwidth::BitWidthSolver;
 pub use bruteforce::BruteForceSolver;
 pub use median::MedianSolver;

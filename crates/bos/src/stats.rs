@@ -2,85 +2,48 @@
 //!
 //! Operators are usually judged only by output size; when tuning (or
 //! reproducing Figure 9 / 12), you also want the *decomposition*: how many
-//! values landed in each part, the three widths, and the bit savings
-//! relative to plain packing. [`analyze`] computes that for any solver,
-//! and [`SeriesStats`] aggregates it over a block-segmented series.
+//! values landed in each part and the bit savings relative to plain
+//! packing. [`analyze_series`] computes that for any solver over a
+//! block-segmented series, aggregated into [`SeriesStats`].
 
 use crate::cost::{Solution, SortedBlock};
 use crate::solver::{Solver, SolverScratch};
 
 /// Decomposition of one block under a solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockStats {
+struct BlockStats {
     /// Values in the block.
-    pub n: usize,
+    n: usize,
     /// Lower outliers separated.
-    pub nl: usize,
+    nl: usize,
     /// Upper outliers separated.
-    pub nu: usize,
-    /// Widths (α, β, γ); zero for empty parts or when not separated.
-    pub widths: (u32, u32, u32),
+    nu: usize,
     /// Plain bit-packing cost (Definition 1), in bits.
-    pub plain_bits: u64,
+    plain_bits: u64,
     /// Chosen solution's cost, in bits.
-    pub solution_bits: u64,
+    solution_bits: u64,
 }
 
-impl BlockStats {
-    /// Fraction of values separated as lower outliers.
-    pub fn lower_frac(&self) -> f64 {
-        self.nl as f64 / self.n.max(1) as f64
-    }
-
-    /// Fraction of values separated as upper outliers.
-    pub fn upper_frac(&self) -> f64 {
-        self.nu as f64 / self.n.max(1) as f64
-    }
-
-    /// Bits saved versus plain packing (0 when packing plain).
-    pub fn saved_bits(&self) -> u64 {
-        self.plain_bits.saturating_sub(self.solution_bits)
-    }
-}
-
-/// Analyzes one block with the given solver.
-pub fn analyze<S: Solver + Clone>(solver: &S, values: &[i64]) -> BlockStats {
-    analyze_into(&mut solver.clone(), values, &mut SolverScratch::new())
-}
-
-/// Scratch-reusing workhorse behind [`analyze`] / [`analyze_series`].
-fn analyze_into<S: Solver + ?Sized>(
-    solver: &mut S,
+/// Solves one block and decomposes the chosen solution.
+fn analyze_block(
+    solver: &mut dyn Solver,
     values: &[i64],
     scratch: &mut SolverScratch,
 ) -> BlockStats {
     let solution = solver.solve_into(values, scratch);
     let block = SortedBlock::from_values(values);
-    let plain_bits = if values.is_empty() {
-        0
-    } else {
-        block.plain_cost_bits()
-    };
-    match solution {
-        Solution::Plain { cost_bits } => BlockStats {
-            n: values.len(),
-            nl: 0,
-            nu: 0,
-            widths: (0, 0, 0),
-            plain_bits,
-            solution_bits: cost_bits,
-        },
-        Solution::Separated { sep, cost_bits } => {
+    let (nl, nu) = match solution {
+        Solution::Plain { .. } => (0, 0),
+        Solution::Separated { sep, .. } => {
             let e = block.evaluate(sep);
-            BlockStats {
-                n: values.len(),
-                nl: e.nl,
-                nu: e.nu,
-                widths: (e.alpha, e.beta, e.gamma),
-                plain_bits,
-                solution_bits: cost_bits,
-            }
+            (e.nl, e.nu)
         }
+    };
+    BlockStats {
+        n: values.len(),
+        nl,
+        nu,
+        plain_bits: block.plain_cost_bits(),
+        solution_bits: solution.cost_bits(),
     }
 }
 
@@ -120,29 +83,16 @@ impl SeriesStats {
     }
 }
 
-/// Analyzes a series in blocks of `block_size`.
-pub fn analyze_series<S: Solver + Clone>(
-    solver: &S,
-    values: &[i64],
-    block_size: usize,
-) -> SeriesStats {
-    analyze_series_dyn(&mut solver.clone(), values, block_size)
-}
-
-/// Object-safe variant of [`analyze_series`] for callers that pick the
-/// solver at runtime (e.g. `boscli stats` going through
+/// Analyzes a series in blocks of `block_size` with any solver, including
+/// one picked at runtime (e.g. `boscli stats` going through
 /// [`SolverKind::build`](crate::SolverKind::build)). One scratch spans
 /// all blocks.
-pub fn analyze_series_dyn(
-    solver: &mut dyn Solver,
-    values: &[i64],
-    block_size: usize,
-) -> SeriesStats {
+pub fn analyze_series(solver: &mut dyn Solver, values: &[i64], block_size: usize) -> SeriesStats {
     assert!(block_size >= 1);
     let mut scratch = SolverScratch::new();
     let mut agg = SeriesStats::default();
     for chunk in values.chunks(block_size) {
-        let s = analyze_into(solver, chunk, &mut scratch);
+        let s = analyze_block(solver, chunk, &mut scratch);
         agg.n += s.n;
         agg.nl += s.nl;
         agg.nu += s.nu;
@@ -163,28 +113,27 @@ mod tests {
 
     #[test]
     fn intro_block_stats() {
-        let s = analyze(&BitWidthSolver::new(), &[3, 2, 4, 5, 3, 2, 0, 8]);
-        assert_eq!(s.n, 8);
+        let values = [3, 2, 4, 5, 3, 2, 0, 8];
+        let s = analyze_series(&mut BitWidthSolver::new(), &values, values.len());
+        assert_eq!((s.n, s.blocks, s.separated_blocks), (8, 1, 1));
         assert_eq!((s.nl, s.nu), (1, 1));
         assert_eq!(s.plain_bits, 32);
         assert_eq!(s.solution_bits, 24);
-        assert_eq!(s.saved_bits(), 8);
-        assert_eq!(s.widths.1, 2);
     }
 
     #[test]
     fn plain_block_stats() {
         let values: Vec<i64> = (0..64).collect();
-        let s = analyze(&BitWidthSolver::new(), &values);
+        let s = analyze_series(&mut BitWidthSolver::new(), &values, values.len());
         assert_eq!((s.nl, s.nu), (0, 0));
-        assert_eq!(s.saved_bits(), 0);
-        assert_eq!(s.widths, (0, 0, 0));
+        assert_eq!(s.separated_blocks, 0);
+        assert_eq!(s.solution_bits, s.plain_bits);
     }
 
     #[test]
     fn empty_block_stats() {
-        let s = analyze(&MedianSolver::new(), &[]);
-        assert_eq!(s.n, 0);
+        let s = analyze_series(&mut MedianSolver::new(), &[], 1024);
+        assert_eq!((s.n, s.blocks), (0, 0));
         assert_eq!(s.lower_frac(), 0.0);
     }
 
@@ -194,7 +143,7 @@ mod tests {
         for i in (0..values.len()).step_by(100) {
             values[i] = 1 << 30;
         }
-        let agg = analyze_series(&BitWidthSolver::new(), &values, 1024);
+        let agg = analyze_series(&mut BitWidthSolver::new(), &values, 1024);
         assert_eq!(agg.blocks, 4);
         assert_eq!(agg.separated_blocks, 4);
         assert_eq!(agg.n, 4096);
@@ -207,7 +156,7 @@ mod tests {
         let values: Vec<i64> = (0..1000)
             .map(|i| if i % 9 == 0 { -5000 } else { i % 20 })
             .collect();
-        let agg = analyze_series(&BitWidthSolver::new(), &values, 256);
+        let agg = analyze_series(&mut BitWidthSolver::new(), &values, 256);
         assert!(agg.lower_frac() + agg.upper_frac() < 1.0);
         assert!(agg.lower_frac() > 0.0);
     }

@@ -4,8 +4,8 @@
 //! (Propositions 1–3, verified empirically by the BOS-V ≡ BOS-B tests),
 //! BOS-M's guarantee is distributional: for normal data the approximation
 //! ratio `ρ = C_approx / C_opt` is bounded (with probability 0.997, i.e.
-//! within ±3σ). This module provides the bound and related estimates used
-//! by the `exp_prop4_approx` experiment.
+//! within ±3σ). This module provides the bound that the
+//! `exp_prop4_approx` experiment checks.
 
 /// Proposition 4's bound on BOS-M's approximation ratio for
 /// `X ~ N(µ, σ²)`:
@@ -21,19 +21,6 @@ pub fn median_approx_bound(sigma: f64) -> f64 {
     } else {
         (3.0 * sigma - 1.0).log2().ceil()
     }
-}
-
-/// The ±3σ mass bound the proposition's probability comes from: a normal
-/// sample lies within `µ ± 3σ` with probability ≈ 0.9973.
-pub const THREE_SIGMA_MASS: f64 = 0.9973;
-
-/// Expected plain bit-packing cost per value for `N(µ, σ²)` truncated to
-/// ±3σ and rounded to integers: `⌈log2(6σ + 1)⌉` bits (the width of the
-/// 6σ range), used as the denominator intuition in the appendix.
-pub fn plain_bits_per_value(sigma: f64) -> u32 {
-    assert!(sigma > 0.0);
-    let range = 6.0 * sigma;
-    (range + 1.0).log2().ceil().max(0.0) as u32
 }
 
 #[cfg(test)]
@@ -54,13 +41,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_sigma_rejected() {
         median_approx_bound(0.0);
-    }
-
-    #[test]
-    fn plain_bits_grows_logarithmically() {
-        assert!(plain_bits_per_value(1.0) <= 3);
-        assert_eq!(plain_bits_per_value(10.0), 6); // 60-wide range → 6 bits
-        assert!(plain_bits_per_value(1000.0) <= 13);
     }
 
     /// Deterministic end-to-end check of the bound on pseudo-normal data

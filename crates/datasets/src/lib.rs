@@ -23,7 +23,6 @@ pub mod csv;
 pub mod gens;
 pub mod moments;
 pub mod synth;
-pub mod timestamps;
 
 /// The value type of a dataset (Table III's "Data Type" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,6 +13,15 @@
 //! switch lets benchmarks A/B the instrumentation overhead in one
 //! process. Encoded bytes never depend on it.
 //!
+//! The trail has a second switch of its own, [`trail::set_recording`]
+//! (on by default): an event is recorded only while both are on. The two
+//! A/Bs measure different things. `exp_obs` flips the trail switch
+//! alone, so its gates bound only the trail's share of the cost.
+//! `exp_throughput`'s kill-switch rows (full run only) flip
+//! [`set_enabled`], so they time the whole recorder: the kernel unpack
+//! row is gated at 1.05×, and the BOS-M driver encode row is reported
+//! but not gated.
+//!
 //! Two usage idioms, by call-site temperature:
 //!
 //! * **Static handles** for hot paths with literal names:

@@ -72,18 +72,6 @@ pub enum Event {
         /// Upper-outlier count.
         nu: u64,
     },
-    /// BOS-A decided whether one block was worth the exact solver.
-    AdaptiveVerdict {
-        /// True when the block escalated to the exact BOS-B search.
-        escalated: bool,
-        /// True when the Proposition 4 headroom bound vetoed escalation.
-        prop4_skip: bool,
-        /// BOS-M's cost for the block, in bits.
-        approx_bits: u64,
-        /// Upper bound on the bits the exact search could recover
-        /// (`approx · (1 − 1/ρ)`; 0 when the bound was not computed).
-        headroom_bits: u64,
-    },
     /// The parallel encode driver dispatched its workers.
     DriverDispatch {
         /// Blocks in the batch.
@@ -157,7 +145,6 @@ impl Event {
             Event::BlockSolved { .. } => "trail.block_solved",
             Event::BlockPlain { .. } => "trail.block_plain",
             Event::BlockSeparated { .. } => "trail.block_separated",
-            Event::AdaptiveVerdict { .. } => "trail.adaptive_verdict",
             Event::DriverDispatch { .. } => "trail.driver_dispatch",
             Event::DriverJoin { .. } => "trail.driver_join",
             Event::WorkerPanic { .. } => "trail.worker_panic",
@@ -201,17 +188,6 @@ impl Event {
                 out.push_str(&format!(
                     "\"alpha\": {alpha}, \"beta\": {beta}, \"gamma\": {gamma}, \
                      \"nl\": {nl}, \"nc\": {nc}, \"nu\": {nu}"
-                ));
-            }
-            Event::AdaptiveVerdict {
-                escalated,
-                prop4_skip,
-                approx_bits,
-                headroom_bits,
-            } => {
-                out.push_str(&format!(
-                    "\"escalated\": {escalated}, \"prop4_skip\": {prop4_skip}, \
-                     \"approx_bits\": {approx_bits}, \"headroom_bits\": {headroom_bits}"
                 ));
             }
             Event::DriverDispatch { blocks, workers } => {
@@ -364,12 +340,6 @@ mod tests {
                 nc: 6,
                 nu: 1,
             },
-            Event::AdaptiveVerdict {
-                escalated: false,
-                prop4_skip: true,
-                approx_bits: 512,
-                headroom_bits: 9,
-            },
             Event::DriverDispatch {
                 blocks: 4,
                 workers: 2,
@@ -426,22 +396,21 @@ mod tests {
             Event::BlockSolved { .. } => 0,
             Event::BlockPlain { .. } => 1,
             Event::BlockSeparated { .. } => 2,
-            Event::AdaptiveVerdict { .. } => 3,
-            Event::DriverDispatch { .. } => 4,
-            Event::DriverJoin { .. } => 5,
-            Event::WorkerPanic { .. } => 6,
-            Event::ChunkSealed { .. } => 7,
-            Event::SalvageSkip { .. } => 8,
-            Event::ManifestCommit { .. } => 9,
-            Event::CompactionPhase { .. } => 10,
-            Event::Span { .. } => 11,
+            Event::DriverDispatch { .. } => 3,
+            Event::DriverJoin { .. } => 4,
+            Event::WorkerPanic { .. } => 5,
+            Event::ChunkSealed { .. } => 6,
+            Event::SalvageSkip { .. } => 7,
+            Event::ManifestCommit { .. } => 8,
+            Event::CompactionPhase { .. } => 9,
+            Event::Span { .. } => 10,
         }
     }
 
     #[test]
     fn one_of_each_holds_every_kind_once() {
         let kinds: Vec<usize> = one_of_each().iter().map(kind_index).collect();
-        assert_eq!(kinds, (0..12).collect::<Vec<_>>());
+        assert_eq!(kinds, (0..11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -461,7 +430,7 @@ mod tests {
         events.push(Event::BlockPlain { n: 5, width: 2 });
         let trail = trail_of(events);
         let counts = trail.counts();
-        assert_eq!(trail.len(), 13);
+        assert_eq!(trail.len(), 12);
         assert!(!trail.is_empty());
         let plain = counts
             .iter()
@@ -481,13 +450,13 @@ mod tests {
         let json = to_chrome_trace(&trail);
         assert!(json.starts_with('[') && json.ends_with("]\n"), "{json}");
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 1, "{json}");
-        assert_eq!(json.matches("\"ph\": \"i\"").count(), 11, "{json}");
+        assert_eq!(json.matches("\"ph\": \"i\"").count(), 10, "{json}");
         // Every element carries the full trace_event field set. (The
-        // span's `args` repeats `"name"`, hence 13 for that field.)
+        // span's `args` repeats `"name"`, hence 12 for that field.)
         for field in ["\"ph\": ", "\"ts\": ", "\"pid\": ", "\"tid\": "] {
-            assert_eq!(json.matches(field).count(), 12, "missing {field}: {json}");
+            assert_eq!(json.matches(field).count(), 11, "missing {field}: {json}");
         }
-        assert_eq!(json.matches("\"name\": ").count(), 13, "{json}");
+        assert_eq!(json.matches("\"name\": ").count(), 12, "{json}");
         // The span's ts is its start, rendered in microseconds.
         assert!(json.contains("\"ts\": 0.010, \"dur\": 0.025"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -65,7 +65,7 @@ fn main() -> ExitCode {
             eprintln!("  info    <file.tsf>");
             eprintln!("  unpack  <file.tsf> <series> [out.csv]");
             eprintln!("  bench   <path.csv>");
-            eprintln!("  stats   <path.csv> [solver] [block_size]   solver: bos-v|bos-b|bos-m|bos-a|... or 'all'");
+            eprintln!("  stats   <path.csv> [solver] [block_size]   solver: bos-v|bos-b|bos-m|... or 'all'");
             eprintln!("  encode  <in.csv> <out.bin> [solver] [block_size]");
             eprintln!("  salvage <file.tsf>");
             eprintln!("  demo    <out.tsf>");
@@ -398,7 +398,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
     );
     for kind in kinds {
         let mut solver = kind.build();
-        let s = bos::stats::analyze_series_dyn(solver.as_mut(), &ints, block_size);
+        let s = bos::stats::analyze_series(solver.as_mut(), &ints, block_size);
         println!(
             "{:<20} {:>5}/{:<5} {:>7.2}% {:>7.2}% {:>14} {:>8}x",
             kind.label(),
@@ -428,7 +428,7 @@ fn cmd_encode(args: &[String]) -> CliResult {
             .filter(|&b| b >= 1)
             .ok_or_else(|| format!("bad block_size {b:?} (need an integer >= 1)"))?,
     };
-    let kind: SolverKind = solver_arg.unwrap_or("bos-a").parse()?;
+    let kind: SolverKind = solver_arg.unwrap_or("bos-b").parse()?;
     let ints = load_scaled_ints(Path::new(input))?;
     // At least two workers so the flight recorder sees the parallel
     // driver's dispatch/join provenance, capped to keep small inputs cheap.

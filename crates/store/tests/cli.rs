@@ -223,6 +223,50 @@ fn salvage_emits_table_and_metrics_report() {
 }
 
 #[test]
+fn encode_defaults_to_bos_b_and_writes_a_trace() {
+    let dir = tmpdir("encode_cli");
+    let csv = dir.join("ints.csv");
+    let values: Vec<i64> = (0..5000)
+        .map(|i| 300 + (i % 23) + if i % 61 == 0 { 1 << 20 } else { 0 })
+        .collect();
+    datasets::csv::save_ints(&csv, &values).unwrap();
+    let bin = dir.join("ints.bin");
+    let trace = dir.join("trace.json");
+    let out = boscli()
+        .args([
+            "encode",
+            csv.to_str().unwrap(),
+            bin.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run encode");
+    assert!(
+        out.status.success(),
+        "encode failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("solver BOS-B"), "encode output: {text}");
+
+    // Blocks are independent, so the worker count the CLI picks does not
+    // change the bytes.
+    let codec = bos::BosCodec::new(bos::SolverKind::BitWidth);
+    let mut expected = Vec::new();
+    bitpack::codec::encode_blocks_parallel(&codec, &values, 1024, 1, &mut expected).unwrap();
+    let written = std::fs::read(&bin).unwrap();
+    assert_eq!(written, expected);
+    assert_eq!(
+        bitpack::codec::decode_blocks(&codec, &written).unwrap(),
+        values
+    );
+
+    let json = std::fs::read_to_string(&trace).unwrap();
+    assert!(json.contains("\"trail.block_solved\""), "trace: {json}");
+}
+
+#[test]
 fn bad_usage_exits_nonzero() {
     assert!(!boscli().output().unwrap().status.success());
     assert!(!boscli()

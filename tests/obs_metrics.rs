@@ -109,7 +109,7 @@ fn series() -> impl Strategy<Value = Vec<i64>> {
     )
 }
 
-/// Counter/histogram deltas for one codec label between two snapshots.
+/// Counter deltas for one codec label between two snapshots.
 struct Delta {
     blocks_encoded: u64,
     values_encoded: u64,
@@ -117,17 +117,12 @@ struct Delta {
     blocks_decoded: u64,
     values_decoded: u64,
     bytes_decoded: u64,
-    width_samples: u64,
 }
 
 fn delta(before: &obs::Snapshot, after: &obs::Snapshot, label: &str) -> Delta {
     let c = |field: &str| {
         after.counter(&format!("codec.{label}.{field}"))
             - before.counter(&format!("codec.{label}.{field}"))
-    };
-    let h = |snap: &obs::Snapshot| {
-        snap.histogram(&format!("codec.{label}.block_width"))
-            .map_or(0, |h| h.count)
     };
     Delta {
         blocks_encoded: c("blocks_encoded"),
@@ -136,7 +131,6 @@ fn delta(before: &obs::Snapshot, after: &obs::Snapshot, label: &str) -> Delta {
         blocks_decoded: c("blocks_decoded"),
         values_decoded: c("values_decoded"),
         bytes_decoded: c("bytes_decoded"),
-        width_samples: h(after) - h(before),
     }
 }
 
@@ -177,7 +171,6 @@ fn check<C: bitpack::BlockCodec + Sync>(
     );
     prop_assert_eq!(d.bytes_encoded, payload, "{} bytes_encoded", label);
     prop_assert_eq!(d.bytes_decoded, payload, "{} bytes_decoded", label);
-    prop_assert_eq!(d.width_samples, n_blocks, "{} width histogram count", label);
     Ok(())
 }
 

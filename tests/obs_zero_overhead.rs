@@ -14,7 +14,6 @@
 //! test binaries can't interfere).
 
 use bitpack::codec::{decode_blocks, encode_blocks_parallel};
-use bos::{BosCodec, SolverKind};
 use encodings::{OuterKind, PackerKind, Pipeline};
 use std::io::Write;
 use std::path::Path;
@@ -94,16 +93,13 @@ fn runtime_toggle_never_changes_bytes() {
 fn drive_every_layer(dir: &Path) {
     let values = series(3000);
 
-    // Every codec through the two-thread block driver, BOS-A included.
+    // Every codec through the two-thread block driver, BOS-M included.
     for kind in PackerKind::ALL {
         let codec = kind.build();
         let mut buf = Vec::new();
         encode_blocks_parallel(&codec, &values, 256, 2, &mut buf).expect("encode");
         assert_eq!(decode_blocks(&codec, &buf).expect("decode"), values);
     }
-    let adaptive = BosCodec::new(SolverKind::Adaptive);
-    let mut buf = Vec::new();
-    encode_blocks_parallel(&adaptive, &values, 256, 2, &mut buf).expect("encode");
 
     // Every outer pipeline.
     for outer in OuterKind::ALL {
@@ -212,7 +208,7 @@ fn runtime_off_records_nothing() {
     for name in [
         "codec.BOS-B.blocks_encoded",
         "driver.parallel.jobs",
-        "solver.BOS-A.blocks",
+        "solver.BOS-M.blocks",
         "pfor.exceptions",
         "bos.blocks_separated",
         "tsfile.crc_mismatch",

@@ -1,5 +1,5 @@
 //! Every flight-recorder event kind is emitted by a real call: the
-//! two-thread encode driver under BOS-A, a panicking codec, a TsFile
+//! two-thread encode driver under BOS-B, a panicking codec, a TsFile
 //! write, a salvage read of a damaged file, and a store flush and
 //! compaction.
 //!
@@ -24,18 +24,17 @@ fn event_slot(e: &Event) -> usize {
         Event::BlockSolved { .. } => 0,
         Event::BlockPlain { .. } => 1,
         Event::BlockSeparated { .. } => 2,
-        Event::AdaptiveVerdict { .. } => 3,
-        Event::DriverDispatch { .. } => 4,
-        Event::DriverJoin { .. } => 5,
-        Event::WorkerPanic { .. } => 6,
-        Event::ChunkSealed { .. } => 7,
-        Event::SalvageSkip { .. } => 8,
-        Event::ManifestCommit { .. } => 9,
-        Event::CompactionPhase { .. } => 10,
-        Event::Span { .. } => 11,
+        Event::DriverDispatch { .. } => 3,
+        Event::DriverJoin { .. } => 4,
+        Event::WorkerPanic { .. } => 5,
+        Event::ChunkSealed { .. } => 6,
+        Event::SalvageSkip { .. } => 7,
+        Event::ManifestCommit { .. } => 8,
+        Event::CompactionPhase { .. } => 9,
+        Event::Span { .. } => 10,
     }
 }
-const EVENT_KINDS: usize = 12;
+const EVENT_KINDS: usize = 11;
 
 /// Panics on any block that holds a negative value.
 struct PanicsOnNegative;
@@ -60,7 +59,7 @@ fn shipping_calls_emit_every_event_kind() {
     obs::trail::set_recording(true);
     obs::trail::drain();
 
-    // BOS-A through the two-thread driver: a block of spikes (separated)
+    // BOS-B through the two-thread driver: a block of spikes (separated)
     // and a constant block (plain).
     let mut values: Vec<i64> = (0..4096)
         .map(|i| if i % 50 == 0 { 1 << 40 } else { i % 200 })
@@ -68,7 +67,7 @@ fn shipping_calls_emit_every_event_kind() {
     values.extend([7; 512]);
     let mut buf = Vec::new();
     encode_blocks_parallel(
-        &BosCodec::new(SolverKind::Adaptive),
+        &BosCodec::new(SolverKind::BitWidth),
         &values,
         512,
         2,

@@ -69,12 +69,12 @@ fn chrome_trace_export_matches_the_trace_event_schema() {
     obs::trail::set_recording(true);
     obs::trail::drain(); // isolate: events from other tests in this process
 
-    // Same path as `boscli encode --trace-out`: parallel driver + BOS-A,
+    // Same path as `boscli encode --trace-out`: parallel driver + BOS-B,
     // then drain and export. Two threads so driver provenance is present.
     let values: Vec<i64> = (0..4096)
         .map(|i| if i % 50 == 0 { 1 << 40 } else { i % 200 })
         .collect();
-    let codec = BosCodec::new(SolverKind::Adaptive);
+    let codec = BosCodec::new(SolverKind::BitWidth);
     let mut buf = Vec::new();
     encode_blocks_parallel(&codec, &values, 512, 2, &mut buf).expect("encode");
     let trail = obs::trail::drain();
@@ -110,8 +110,8 @@ fn chrome_trace_export_matches_the_trace_event_schema() {
 
     // Spot-check provenance coverage: block-level solver decisions and
     // the span mirror must both be present in the export.
-    assert!(json.contains("\"trail.adaptive_verdict\""));
-    assert!(json.contains("solver_search.BOS-A"));
+    assert!(json.contains("\"trail.block_solved\""));
+    assert!(json.contains("solver_search.BOS-B"));
 
     // The export is a pure function of the drained snapshot.
     assert_eq!(json, obs::trail::to_chrome_trace(&trail));

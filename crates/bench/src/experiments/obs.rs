@@ -1,13 +1,16 @@
-//! Observability: the flight-recorder gates.
+//! Observability: the recorder gates.
 //!
 //! Three claims are measured and gated:
 //!
-//! * **Overhead**: with the trail recorder on, the kernel unpack path
+//! * **Overhead**: both A/Bs flip the one runtime switch,
+//!   [`obs::set_enabled`], so they time the whole recorder: counters,
+//!   histograms, spans and the trail. With it on, the kernel unpack path
 //!   must stay within `KERNEL_OVERHEAD_GATE` of the recorder-off time
 //!   (the recorder never touches the kernels, so this documents that the
 //!   layer is free where it matters most), and the full BOS-M encode
-//!   pipeline — which *does* emit per-block provenance events — must stay
-//!   within `PIPELINE_OVERHEAD_GATE`. Both A/Bs run through [`ab_paired`].
+//!   pipeline — which *does* record per-block metrics, spans and
+//!   provenance events — must stay within `PIPELINE_OVERHEAD_GATE`. Both
+//!   A/Bs run through [`ab_paired`].
 //! * **Transparency**: toggling the recorder must not change a single
 //!   output byte, and re-encoding a fixed input must produce the exact
 //!   same per-label event counts (the trail is deterministic provenance,
@@ -39,7 +42,8 @@ const BLOCK: usize = 1024;
 const KERNEL_OVERHEAD_GATE: f64 = 1.05;
 
 /// Maximum recorder-on / recorder-off time ratio on the full BOS-M
-/// encode pipeline, which emits provenance events for every block.
+/// encode pipeline, which records metrics, spans and provenance events
+/// for every block.
 const PIPELINE_OVERHEAD_GATE: f64 = 1.10;
 
 /// Alternating-order (on, off) pairs per A/B; the gates hold the median
@@ -67,7 +71,7 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
     pack_words_unrolled(&deltas, KERNEL_WIDTH, &mut packed);
     let mut out = Vec::new();
     let repeats = cfg.repeats.max(KERNEL_MIN_REPEATS);
-    let times = ab_paired(AB_PAIRS, obs::trail::set_recording, |_| {
+    let times = ab_paired(AB_PAIRS, obs::set_enabled, |_| {
         let (_, ns) = time_stats(repeats, || {
             out.clear();
             unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, &mut out).expect("unpack");
@@ -79,13 +83,13 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
 }
 
 /// Full-pipeline A/B: BOS-M (the cheapest solver per block, so the
-/// per-block events weigh the most there) through the shared encode
+/// per-block recording weighs the most there) through the shared encode
 /// driver, recorder on vs off, asserting byte-identical output.
 fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
     let codec = BosCodec::new(SolverKind::Median);
     let mut buf_on = Vec::new();
     let mut buf_off = Vec::new();
-    let times = ab_paired(AB_PAIRS, obs::trail::set_recording, |on| {
+    let times = ab_paired(AB_PAIRS, obs::set_enabled, |on| {
         let buf = if on { &mut buf_on } else { &mut buf_off };
         let (_, ns) = time_stats(cfg.repeats, || {
             buf.clear();
@@ -136,7 +140,7 @@ const PERCENTILE_HISTOGRAMS: [&str; 4] = [
 /// `target/bench/exp_obs.json`. Cheap enough that `quick` (tier-1) runs
 /// every measurement and gate.
 pub fn run(cfg: &Config, quick: bool) {
-    super::banner("Flight recorder: overhead, determinism, export", cfg);
+    super::banner("Recorder: overhead, determinism, export", cfg);
     let mut report = Report::new("exp_obs", cfg);
 
     let kernel = kernel_ab(cfg);
@@ -156,7 +160,7 @@ pub fn run(cfg: &Config, quick: bool) {
     );
     assert!(
         byte_identical,
-        "toggling the trail recorder must not change encoded bytes"
+        "toggling the recorder must not change encoded bytes"
     );
 
     let (first, second, chrome_bytes) = determinism_check(&series);

@@ -1,5 +1,5 @@
-//! Throughput: kernel, operator and solver speed, plus the cost of the
-//! `obs` metrics layer.
+//! Throughput: kernel, operator and solver speed, plus the solver effort
+//! the `obs` registry counts.
 //!
 //! Four layers are measured:
 //!
@@ -10,12 +10,10 @@
 //!   BOS solvers) encoding/decoding the paper's datasets in 1024-value
 //!   blocks — the block size the paper's experiments use. Each row
 //!   reports the fastest run and the decode spread (stddev/mean).
-//! * **Metrics**: the `obs` instrumentation itself — per-solver
-//!   candidate/prune tallies and the solver-search vs payload-packing
-//!   wall-time split from the span registry, plus an obs-on/obs-off A/B
-//!   overhead check. With metrics on, the kernel path must stay within
-//!   `OBS_OVERHEAD_GATE`, and toggling the runtime kill-switch must not
-//!   change a single output byte.
+//! * **Metrics**: per-solver candidate/prune tallies and the
+//!   solver-search vs payload-packing wall-time split, read from the
+//!   `obs` registry. (What the recorder itself costs is `exp_obs`'s
+//!   A/B.)
 //! * **Solvers**: every [`SolverKind`] encoding the outlier dataset
 //!   through a scratch-reusing [`bitpack::EncodeSession`], then BOS-B on
 //!   the blocks the store actually encodes: TS2DIFF order-1 differences
@@ -29,7 +27,7 @@
 //! nothing. Timings use [`time_stats`] (warmup + min-of-`BOS_REPEATS`)
 //! for reproducibility.
 
-use crate::harness::{ab_paired, ab_table, time_stats, AbTimes, Config, Report, Table, TimeStats};
+use crate::harness::{time_stats, Config, Report, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::kernels::{pack_words, unpack_words};
 use bitpack::unrolled::{
@@ -62,16 +60,6 @@ const GATE_WIDTH_FLOOR: f64 = 1.5;
 
 /// Outlier share of the solver dataset: 1 value in 50 (2%).
 const OUTLIER_DIVISOR: u64 = 50;
-
-/// Maximum obs-on / obs-off time ratio allowed on the kernel unpack path
-/// (the instrumentation never touches the kernels, so this documents that
-/// the layer is free where it matters most; ≤ 5% leaves room for timer
-/// noise). A timing gate, enforced by [`Report::timing_gate`]'s rule.
-const OBS_OVERHEAD_GATE: f64 = 1.05;
-
-/// Alternating-order (on, off) pairs per obs A/B; the gate holds the
-/// median of the per-pair ratios.
-const AB_PAIRS: usize = 15;
 
 struct KernelRow {
     width: u32,
@@ -122,17 +110,6 @@ impl SolverMetricsRow {
             self.search_ns as f64 / total as f64
         }
     }
-}
-
-/// Obs-on vs obs-off A/B results.
-struct Overhead {
-    /// Kernel unpack — gated at `OBS_OVERHEAD_GATE`.
-    kernel: AbTimes,
-    /// BOS-M driver encode — reported, not gated (the driver path *is*
-    /// instrumented, but solver cost dominates).
-    driver: AbTimes,
-    /// Whether the obs-off encode produced byte-identical output.
-    byte_identical: bool,
 }
 
 /// Values per second from a count and elapsed nanoseconds.
@@ -524,45 +501,6 @@ fn solver_section(cfg: &Config, report: &mut Report) {
     );
 }
 
-/// A/B comparison with the runtime kill-switch: kernel unpack and BOS-M
-/// driver encode timed obs-on vs obs-off, plus the byte-identity check.
-fn overhead_check(cfg: &Config) -> Overhead {
-    // Kernel path: width-13 unpack, the same shape the speedup gate times.
-    let deltas = masked_values(cfg.n, 13);
-    let mut packed = Vec::new();
-    pack_words_unrolled(&deltas, 13, &mut packed);
-    let mut out = Vec::new();
-    let kernel = ab_paired(AB_PAIRS, obs::set_enabled, |_| {
-        let (_, ns) = time_stats(cfg.repeats, || {
-            out.clear();
-            unpack_words_unrolled(&packed, deltas.len(), 13, &mut out).expect("unpack");
-        });
-        ns.min
-    });
-
-    // Driver path: BOS-M through the instrumented parallel driver (single
-    // thread, so only the metering itself differs between runs).
-    let sets = all_datasets(cfg.n);
-    let ints = sets.first().expect("datasets nonempty").as_scaled_ints();
-    let codec = BosCodec::new(SolverKind::Median);
-    let mut buf_on = Vec::new();
-    let mut buf_off = Vec::new();
-    let driver = ab_paired(AB_PAIRS, obs::set_enabled, |on| {
-        let buf = if on { &mut buf_on } else { &mut buf_off };
-        let (_, ns) = time_stats(cfg.repeats, || {
-            buf.clear();
-            encode_blocks_parallel(&codec, &ints, BLOCK, 1, buf).expect("encode");
-        });
-        ns.min
-    });
-
-    Overhead {
-        kernel,
-        driver,
-        byte_identical: buf_on == buf_off,
-    }
-}
-
 fn fmt_mvps(v: f64) -> String {
     format!("{:.1}", v / 1e6)
 }
@@ -676,9 +614,6 @@ pub fn run(cfg: &Config) {
         table,
     );
 
-    // Overhead A/B first (it flips the kill-switch), then the solver
-    // metrics pass, which resets the registry per solver — order matters.
-    let overhead = overhead_check(cfg);
     let metrics = solver_metrics_rows(cfg);
     let mut table = Table::new([
         "solver",
@@ -704,34 +639,6 @@ pub fn run(cfg: &Config) {
         "BOS solver search effort and search-vs-pack split (obs registry)",
         table,
     );
-    report.table(
-        format!("obs kill-switch A/B ({AB_PAIRS} alternating-order pairs)"),
-        ab_table(&[
-            ("kernel unpack (w = 13)", overhead.kernel),
-            ("BOS-M driver encode", overhead.driver),
-        ]),
-    );
-    report.gate(
-        "byte-identical across the obs kill-switch",
-        overhead.byte_identical,
-        "true",
-    );
-    assert!(
-        overhead.byte_identical,
-        "toggling the obs kill-switch must not change encoded bytes"
-    );
-    if report.timing_gate(
-        "obs-on/obs-off kernel unpack",
-        overhead.kernel.ratio,
-        &format!("<= {OBS_OVERHEAD_GATE}"),
-    ) {
-        assert!(
-            overhead.kernel.ratio <= OBS_OVERHEAD_GATE,
-            "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
-             got {:.3}x",
-            overhead.kernel.ratio
-        );
-    }
 
     solver_section(cfg, &mut report);
     report.finish(false);

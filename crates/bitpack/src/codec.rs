@@ -37,46 +37,25 @@ static PAR_WORKER_BLOCKS: obs::HistogramHandle =
     obs::HistogramHandle::new("driver.parallel.worker_blocks");
 static PAR_WORKER_NS: obs::HistogramHandle = obs::HistogramHandle::new("driver.parallel.worker_ns");
 
-/// Encode-side metric cells for one codec label, resolved once per batch
+/// Metric cells for one codec label and direction,
+/// `codec.<label>.{blocks,values,bytes}_<dir>`, resolved once per batch
 /// (the registry lookup does the `format!`; recording is lock-free).
 #[derive(Clone, Copy)]
-struct EncodeMeter {
+struct Meter {
     blocks: &'static obs::Counter,
     values: &'static obs::Counter,
     bytes: &'static obs::Counter,
 }
 
-impl EncodeMeter {
-    /// `None` when instrumentation is off, so call sites skip both the
-    /// name composition and the per-block accounting.
-    fn new(label: &str) -> Option<Self> {
+impl Meter {
+    /// `dir` is `"encoded"` or `"decoded"`. `None` when instrumentation
+    /// is off, so call sites skip both the name composition and the
+    /// per-block accounting.
+    fn new(label: &str, dir: &str) -> Option<Self> {
         obs::enabled().then(|| Self {
-            blocks: obs::counter(&format!("codec.{label}.blocks_encoded")),
-            values: obs::counter(&format!("codec.{label}.values_encoded")),
-            bytes: obs::counter(&format!("codec.{label}.bytes_encoded")),
-        })
-    }
-
-    fn record(&self, values: usize, bytes: usize) {
-        self.blocks.inc();
-        self.values.add(values as u64);
-        self.bytes.add(bytes as u64);
-    }
-}
-
-/// Decode-side metric cells for one codec label.
-struct DecodeMeter {
-    blocks: &'static obs::Counter,
-    values: &'static obs::Counter,
-    bytes: &'static obs::Counter,
-}
-
-impl DecodeMeter {
-    fn new(label: &str) -> Option<Self> {
-        obs::enabled().then(|| Self {
-            blocks: obs::counter(&format!("codec.{label}.blocks_decoded")),
-            values: obs::counter(&format!("codec.{label}.values_decoded")),
-            bytes: obs::counter(&format!("codec.{label}.bytes_decoded")),
+            blocks: obs::counter(&format!("codec.{label}.blocks_{dir}")),
+            values: obs::counter(&format!("codec.{label}.values_{dir}")),
+            bytes: obs::counter(&format!("codec.{label}.bytes_{dir}")),
         })
     }
 
@@ -91,7 +70,7 @@ impl DecodeMeter {
 /// per-label `codec.*` metrics when instrumentation is enabled.
 struct MeteredSession<'a> {
     inner: Box<dyn EncodeSession + 'a>,
-    meter: Option<EncodeMeter>,
+    meter: Option<Meter>,
 }
 
 impl EncodeSession for MeteredSession<'_> {
@@ -255,7 +234,7 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
     out: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
     assert!(block_size >= 1, "block_size must be >= 1");
-    let meter = EncodeMeter::new(codec.name());
+    let meter = Meter::new(codec.name(), "encoded");
     let restore = out.len();
     write_varint(out, values.len().div_ceil(block_size) as u64);
     let new_session = || -> Box<dyn EncodeSession + '_> {
@@ -371,7 +350,7 @@ where
 pub fn decode_blocks<C: BlockCodec>(codec: &C, buf: &[u8]) -> DecodeResult<Vec<i64>> {
     let mut pos = 0;
     let n_blocks = read_varint(buf, &mut pos)?;
-    let meter = DecodeMeter::new(codec.name());
+    let meter = Meter::new(codec.name(), "decoded");
     let mut out = Vec::new();
     for _ in 0..n_blocks {
         let (values_before, pos_before) = (out.len(), pos);

@@ -73,16 +73,12 @@ const MODE_PLAIN: u8 = 0;
 const MODE_SEPARATED: u8 = 1;
 
 // Separation shape metrics, recorded at encode time where the chosen
-// evaluation is already in hand (no recomputation). The histograms carry
-// the paper's per-block tuning story: chosen part widths (α/β/γ) and
-// part sizes (nl/nc/nu).
+// evaluation is already in hand (no recomputation): the lower-outlier
+// width α and the upper-outlier count nu, whose percentiles `exp_obs`
+// reports. The trail's `BlockSeparated` event carries all six numbers.
 static BLOCKS_PLAIN: obs::CounterHandle = obs::CounterHandle::new("bos.blocks_plain");
 static BLOCKS_SEPARATED: obs::CounterHandle = obs::CounterHandle::new("bos.blocks_separated");
 static WIDTH_ALPHA: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.alpha");
-static WIDTH_BETA: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.beta");
-static WIDTH_GAMMA: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.gamma");
-static PART_NL: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.nl");
-static PART_NC: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.nc");
 static PART_NU: obs::HistogramHandle = obs::HistogramHandle::new("bos.separated.nu");
 
 /// Encodes one block with a pre-computed solution: the block encoder
@@ -225,10 +221,6 @@ fn encode_separated(values: &[i64], sep: Separation, out: &mut Vec<u8>) {
     let (alpha, beta, gamma) = (lower.width(), center.width(), upper.width());
     BLOCKS_SEPARATED.inc();
     WIDTH_ALPHA.record(u64::from(alpha));
-    WIDTH_BETA.record(u64::from(beta));
-    WIDTH_GAMMA.record(u64::from(gamma));
-    PART_NL.record(lower.n as u64);
-    PART_NC.record(center.n as u64);
     PART_NU.record(upper.n as u64);
     obs::trail::emit(obs::trail::Event::BlockSeparated {
         alpha: alpha as u8,

@@ -157,7 +157,10 @@ impl BitWidthSolver {
     /// `cursors[β]` is the Prop. 2 partition index this block last found
     /// for width β (see [`BitWidthSolver::solve_seeded`]); each lookup
     /// only moves it forward.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call per lower threshold: its own cursor, xl, nl and cost term beside the block's shared search state"
+    )]
     fn search_uppers(
         block: &SortedBlock,
         ladder: &[Prop3Entry],

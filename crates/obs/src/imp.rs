@@ -102,7 +102,10 @@ pub struct Histogram {
 
 impl Histogram {
     const fn zero() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)] // array-init seed, immediately moved
+        #[expect(
+            clippy::declare_interior_mutable_const,
+            reason = "array-init seed, immediately moved"
+        )]
         const Z: AtomicU64 = AtomicU64::new(0);
         Self {
             buckets: [Z; 65],
@@ -420,14 +423,12 @@ impl Drop for SpanGuard {
                 span_stat(frame.name).record(total, selft);
                 // Mirror the completed span into the flight recorder so
                 // exported traces show time extents, not just instants.
-                if trail_recording() {
-                    let end = trail_now_ns();
-                    trail_emit(Event::Span {
-                        name: frame.name,
-                        start_ns: end.saturating_sub(total),
-                        dur_ns: total,
-                    });
-                }
+                let end = trail_now_ns();
+                trail_emit(Event::Span {
+                    name: frame.name,
+                    start_ns: end.saturating_sub(total),
+                    dur_ns: total,
+                });
             }
         });
     }
@@ -437,10 +438,6 @@ impl Drop for SpanGuard {
 
 /// Per-shard ring capacity, in events.
 const TRAIL_CAPACITY: usize = 16 * 1024;
-
-/// Trail on/off switch, layered under the metric kill-switch: recording
-/// requires [`enabled`] *and* this flag.
-static TRAIL_ON: AtomicBool = AtomicBool::new(true);
 
 /// Shard ids are handed out once and never reused (shards themselves
 /// are, via the free list).
@@ -551,23 +548,11 @@ fn trail_now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// True when the flight recorder is capturing: the runtime kill-switch
-/// and the trail switch are both on.
-#[inline]
-pub fn trail_recording() -> bool {
-    enabled() && TRAIL_ON.load(Ordering::Relaxed)
-}
-
-/// Flips the trail switch (recording still requires [`enabled`]).
-pub fn trail_set_recording(on: bool) {
-    TRAIL_ON.store(on, Ordering::Relaxed);
-}
-
-/// Records `event` into the calling thread's shard: two relaxed loads,
-/// an uncontended mutex lock, and a ring write — no allocation once the
-/// ring has grown to capacity.
+/// Records `event` into the calling thread's shard while [`enabled`]:
+/// one relaxed load, an uncontended mutex lock, and a ring write — no
+/// allocation once the ring has grown to capacity.
 pub fn trail_emit(event: Event) {
-    if !trail_recording() {
+    if !enabled() {
         return;
     }
     let ts_ns = trail_now_ns();
@@ -728,8 +713,6 @@ mod tests {
     // this test, because concurrent tests may emit their own events.
     #[test]
     fn trail_records_and_drains() {
-        assert!(trail_recording(), "recorder must default to on");
-
         // Emission and time-ordered drain.
         trail_emit(Event::SalvageSkip {
             reason: "test.imp.trail_marker",
@@ -758,16 +741,6 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(drained[0].ts_ns <= drained[1].ts_ns, "not time-ordered");
         assert!(mine(&trail_drain()).is_empty(), "drain must empty shards");
-
-        // The recording switch gates emission without touching metrics.
-        trail_set_recording(false);
-        assert!(!trail_recording());
-        trail_emit(Event::SalvageSkip {
-            reason: "test.imp.trail_marker",
-            offset: 3,
-        });
-        trail_set_recording(true);
-        assert!(mine(&trail_drain()).is_empty(), "switch-off still recorded");
 
         // Spans are mirrored into the trail by the drop hook.
         {

@@ -13,14 +13,9 @@
 //! switch lets benchmarks A/B the instrumentation overhead in one
 //! process. Encoded bytes never depend on it.
 //!
-//! The trail has a second switch of its own, [`trail::set_recording`]
-//! (on by default): an event is recorded only while both are on. The two
-//! A/Bs measure different things. `exp_obs` flips the trail switch
-//! alone, so its gates bound only the trail's share of the cost.
-//! `exp_throughput`'s kill-switch rows (full run only) flip
-//! [`set_enabled`], so they time the whole recorder: the kernel unpack
-//! row is gated at 1.05×, and the BOS-M driver encode row is reported
-//! but not gated.
+//! `exp_obs` (tier-1) flips this switch, so its A/B bounds the whole
+//! recorder's cost: counters, histograms, spans and the trail. The kernel
+//! unpack path is held to 1.05× and the BOS-M encode pipeline to 1.10×.
 //!
 //! Two usage idioms, by call-site temperature:
 //!

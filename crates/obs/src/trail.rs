@@ -4,10 +4,9 @@
 //! The data model here — [`Event`], [`TrailEvent`], [`Trail`], and the
 //! exporter — is plain data and pure functions. The recording machinery
 //! — per-thread sharded ring buffers and the process epoch clock — lives
-//! in `imp.rs`, re-exported here under short names ([`emit`], [`drain`],
-//! [`set_recording`], [`recording`]). Call sites use `obs::trail::`
-//! unconditionally: [`emit`] drops the event unless both the runtime
-//! switch ([`crate::enabled`]) and the trail switch are on.
+//! in `imp.rs`, re-exported here under short names ([`emit`], [`drain`]).
+//! Call sites use `obs::trail::` unconditionally: [`emit`] drops the
+//! event while the runtime switch ([`crate::enabled`]) is off.
 //!
 //! Recording semantics:
 //!
@@ -27,10 +26,7 @@ use std::collections::BTreeMap;
 
 use crate::snapshot::push_json_str;
 
-pub use crate::imp::{
-    trail_drain as drain, trail_emit as emit, trail_recording as recording,
-    trail_set_recording as set_recording,
-};
+pub use crate::imp::{trail_drain as drain, trail_emit as emit};
 
 /// One compact flight-recorder record. Every payload is `Copy` —
 /// integers and `&'static str` labels only — so emitting an event never

@@ -1325,6 +1325,55 @@ mod tests {
     }
 
     #[test]
+    fn crash_during_retention_delete_keeps_or_drops_the_whole_file() {
+        // Write 0 is the RetentionDelete append, write 1 the file delete.
+        // A crash before the record lands keeps both files; once it has
+        // landed, reopen finishes the delete.
+        for (after, tear, deleted) in [
+            (0, CrashTear::Before, false),
+            (0, CrashTear::Truncate, false),
+            (0, CrashTear::TornTail { max_tail: 16 }, false),
+            (0, CrashTear::After, true),
+            (1, CrashTear::Before, true),
+            (1, CrashTear::After, true),
+        ] {
+            let dir = test_dir(&format!("crash_retention_{after}_{}", tear.label()));
+            let mut store = Store::create(&dir, small_opts()).expect("create");
+            store
+                .append("s", &(0..50i64).collect::<Vec<_>>())
+                .expect("append");
+            let id = store.flush().expect("flush").expect("sealed");
+            store
+                .append("s", &(50..100i64).collect::<Vec<_>>())
+                .expect("append");
+            store.flush().expect("flush 2");
+            let path = store.path_for(id);
+            store.set_schedule(CrashSchedule::armed(
+                CrashPoint {
+                    after_writes: after,
+                    tear,
+                },
+                11 + after as u64,
+            ));
+            let err = store.retention_delete(id).expect_err("must crash");
+            assert!(matches!(err, StoreError::Crashed));
+            drop(store);
+            let (store, report) = Store::open(&dir, small_opts()).expect("reopen");
+            let label = format!("crash at {after}/{}", tear.label());
+            assert!(report.quarantined.is_empty(), "{label}: {report:?}");
+            assert!(store.quarantine().is_empty(), "{label}");
+            let first = if deleted { 50 } else { 0 };
+            assert_eq!(
+                store.read_series("s").expect("read"),
+                (first..100).collect::<Vec<_>>(),
+                "{label}"
+            );
+            assert_eq!(path.exists(), !deleted, "{label}: file on disk");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn status_and_series_names_reflect_shape() {
         let dir = test_dir("status");
         let mut store = Store::create(&dir, small_opts()).expect("create");

@@ -56,7 +56,6 @@ impl BlockCodec for PanicsOnNegative {
 
 #[test]
 fn shipping_calls_emit_every_event_kind() {
-    obs::trail::set_recording(true);
     obs::trail::drain();
 
     // BOS-B through the two-thread driver: a block of spikes (separated)

@@ -66,7 +66,6 @@ fn array_elements(json: &str) -> Vec<String> {
 
 #[test]
 fn chrome_trace_export_matches_the_trace_event_schema() {
-    obs::trail::set_recording(true);
     obs::trail::drain(); // isolate: events from other tests in this process
 
     // Same path as `boscli encode --trace-out`: parallel driver + BOS-B,
